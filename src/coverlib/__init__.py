@@ -33,7 +33,6 @@ from .solver import (
     Verdict,
     extract_witness,
     solve,
-    solve_classical,
 )
 from .upset import Basis, minimize
 
@@ -76,5 +75,4 @@ __all__ = [
     "reachable_markings",
     "sign_analysis",
     "solve",
-    "solve_classical",
 ]

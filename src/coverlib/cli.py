@@ -6,7 +6,8 @@ Subcommands: ``solve`` (backward search with invariant pruning),
 directory of problem files).
 
 Exit codes: 0 coverable, 1 uncoverable, 2 usage or parse error,
-3 inconclusive (step budget or timeout hit).
+3 inconclusive (step budget or timeout hit), 4 internal error (for
+instance a witness that fails to replay on the input net).
 """
 
 from __future__ import annotations
@@ -14,22 +15,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .ingest import ParseError, Problem, emit_native, parse_mist, parse_native
-from .invariants import make_invariant
+from .invariants import INVARIANT_KINDS, check_invariant_names, make_invariant
 from .preprocess import prune_problem
 from .refcheck import ExploreBound, OutcomeKind, bounded_cover
 from .solver import SolveResult, Verdict, solve
 
 _EXIT_BY_VERDICT = {Verdict.COVERABLE: 0, Verdict.UNCOVERABLE: 1,
                     Verdict.INCONCLUSIVE: 3}
-_INVARIANT_NAMES = ("trivial", "sign", "state")
 
 
 class CliError(Exception):
@@ -37,13 +35,15 @@ class CliError(Exception):
 
 
 def _read_input(path: str) -> Tuple[str, str]:
-    if path == "-":
-        return sys.stdin.read(), "<stdin>"
-    p = Path(path)
     try:
+        if path == "-":
+            return sys.stdin.read(), "<stdin>"
+        p = Path(path)
         return p.read_text(encoding="utf-8"), p.stem
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
 def _load_problem(path: str, fmt: str) -> Problem:
@@ -71,14 +71,10 @@ def _parse_invariant_list(text: str) -> List[str]:
     names = [n.strip() for n in text.split(",") if n.strip()]
     if not names:
         raise CliError("empty invariant list")
-    for n in names:
-        if n not in _INVARIANT_NAMES:
-            raise CliError(
-                f"unknown invariant {n!r}; pick from {', '.join(_INVARIANT_NAMES)}"
-            )
-    if len(set(names)) != len(names):
-        raise CliError(f"duplicate invariant name in {text!r}")
-    return names
+    try:
+        return check_invariant_names(names)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _run_instance(
@@ -164,6 +160,8 @@ def _print_stats_csv(doc: dict) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.budget_steps is not None and args.budget_steps < 0:
+        raise CliError(f"--budget-steps must be >= 0, got {args.budget_steps}")
     problem = _load_problem(args.net, args.format)
     original_net = problem.net
     names = _parse_invariant_list(args.invariant)
@@ -174,17 +172,21 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     )
     wall_ms = round((time.monotonic() - started) * 1000.0, 3)
 
-    print(result.verdict.value)
+    witness_line = None
     if args.witness and result.verdict is Verdict.COVERABLE:
         names_seq = [reduced.net.transitions[t] for t in result.witness]
         # Replay on the unreduced net: the names are stable, the verdict
-        # must hold there too.
+        # must hold there too.  A failure is an internal error (exit 4),
+        # reported before any verdict is printed.
         idx = [original_net.transition_index(n) for n in names_seq]
         final = original_net.fire_sequence(original_net.initial, idx)
         target = _pick_target(problem, args.target_index)
         if final is None or not final.covers(target):
             raise AssertionError("witness failed to replay on the input net")
-        print(("witness: " + " ".join(names_seq)) if names_seq else "witness:")
+        witness_line = " ".join(["witness:"] + names_seq)
+    print(result.verdict.value)
+    if witness_line is not None:
+        print(witness_line)
     if args.stats != "none":
         doc = _stats_doc(problem.name, args.target_index, result,
                          reduced.net, prep_doc, wall_ms)
@@ -245,21 +247,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 3
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("COVERLIB_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CliError(f"COVERLIB_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise CliError("COVERLIB_THREADS must be >= 0")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     root = Path(args.dir)
     if not root.is_dir():
@@ -283,8 +270,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             for names in configs:
                 jobs.append((problem, target_index, names, label))
 
-    def run(job) -> List:
-        problem, target_index, names, label = job
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["name", "invariant", "verdict", "iterations",
+                     "basis_final_size", "candidates", "pruned",
+                     "lp_calls", "millis"])
+    for problem, target_index, names, label in jobs:
         deadline = None
         started = time.monotonic()
         if args.timeout_secs is not None:
@@ -296,23 +286,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if (result.verdict is Verdict.INCONCLUSIVE
                 and result.inconclusive_reason == "deadline"):
             verdict = "TIMEOUT"
-        return [label, ",".join(names), verdict, len(result.stats),
-                result.final_basis_size,
-                sum(s.candidates_generated for s in result.stats),
-                result.discarded_including_target, result.lp_calls, millis]
-
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["name", "invariant", "verdict", "iterations",
-                     "basis_final_size", "candidates", "pruned",
-                     "lp_calls", "millis"])
-    workers = _worker_count()
-    if workers == 1:
-        for job in jobs:
-            writer.writerow(run(job))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for row in pool.map(run, jobs):
-                writer.writerow(row)
+        writer.writerow([label, ",".join(names), verdict, len(result.stats),
+                         result.final_basis_size,
+                         sum(s.candidates_generated for s in result.stats),
+                         result.discarded_including_target, result.lp_calls,
+                         millis])
     return 0
 
 
@@ -333,8 +311,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="decide coverability backwards")
     add_common(p_solve)
     p_solve.add_argument("--target-index", type=int, default=0)
+    kinds = ",".join(INVARIANT_KINDS)
     p_solve.add_argument("--invariant", default="sign,state",
-                         help="comma list from {trivial,sign,state}, "
+                         help=f"comma list from {{{kinds}}}, "
                               "meaning their conjunction")
     p_solve.add_argument("--preprocess", choices=("once", "fixpoint", "off"),
                          default="fixpoint")
@@ -390,6 +369,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def run() -> None:

@@ -124,12 +124,11 @@ class SignInvariant(Invariant):
     def __init__(self, net: PetriNet) -> None:
         super().__init__(net)
         self.analysis = sign_analysis(net)
-        self._empty = tuple(sorted(self.analysis.always_empty))
 
     def member(self, m: Marking) -> bool:
         self._check(m)
         self.queries += 1
-        return all(m[p] == 0 for p in self._empty)
+        return self.analysis.member(m)
 
 
 class StateInvariant(Invariant):
@@ -153,11 +152,8 @@ class StateInvariant(Invariant):
         )
 
     def member(self, m: Marking) -> bool:
-        self._check(m)
         self.queries += 1
-        bounds = tuple(c - i for c, i in zip(m, self.net.initial))
-        ok, _ = feasible(FeasibilityProblem(self.displacement_rows, bounds))
-        return ok
+        return self.explain(m) is not None
 
     def explain(self, m: Marking):
         """The firing-count witness for a member, or None."""
@@ -207,6 +203,19 @@ _FACTORIES = {
     "sign": SignInvariant,
     "state": StateInvariant,
 }
+INVARIANT_KINDS = tuple(_FACTORIES)
+
+
+def check_invariant_names(names: Iterable[str]) -> List[str]:
+    """The names as a list; ValueError on an unknown or repeated name."""
+    names = list(names)
+    for i, name in enumerate(names):
+        if name not in _FACTORIES:
+            kinds = ", ".join(INVARIANT_KINDS)
+            raise ValueError(f"unknown invariant {name!r}; pick from {kinds}")
+        if name in names[:i]:
+            raise ValueError(f"duplicate invariant name {name!r}")
+    return names
 
 
 def make_invariant(net: PetriNet, names: Iterable[str]) -> Invariant:
@@ -214,20 +223,10 @@ def make_invariant(net: PetriNet, names: Iterable[str]) -> Invariant:
 
     Several names mean their conjunction, tested in the given order.
     """
-    names = list(names)
+    names = check_invariant_names(names)
     if not names:
         raise ValueError("no invariant names given")
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate invariant name in {names}")
-    parts: List[Invariant] = []
-    for name in names:
-        try:
-            factory = _FACTORIES[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown invariant {name!r}; pick from {sorted(_FACTORIES)}"
-            ) from None
-        parts.append(factory(net))
+    parts = [_FACTORIES[name](net) for name in names]
     if len(parts) == 1:
         return parts[0]
     return IntersectionInvariant(parts)

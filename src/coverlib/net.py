@@ -78,10 +78,6 @@ class Marking(tuple):
             return Ordering.GREATER
         return Ordering.EQUAL
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self)
-
     def __repr__(self) -> str:
         return f"Marking({tuple(self)})"
 
@@ -199,6 +195,27 @@ class PetriNet:
     def _check_transition(self, t: int) -> None:
         if not isinstance(t, int) or not 0 <= t < len(self.transitions):
             raise IndexError(f"transition index out of range: {t!r}")
+
+    def restrict(self, places: Sequence[int],
+                 transitions: Sequence[int]) -> "PetriNet":
+        """The subnet on the given place and transition indices, in order.
+
+        Arcs between kept nodes and the initial tokens on kept places carry
+        over; everything else is dropped.
+        """
+        if not all(0 <= p < len(self.places) for p in places):
+            raise IndexError(f"place index out of range in {list(places)}")
+        for t in transitions:
+            self._check_transition(t)
+        return PetriNet(
+            places=(self.places[p] for p in places),
+            transitions=(self.transitions[t] for t in transitions),
+            pre_arcs={(self.places[p], self.transitions[t]): self.pre[t][p]
+                      for t in transitions for p in places if self.pre[t][p]},
+            post_arcs={(self.transitions[t], self.places[p]): self.post[t][p]
+                       for t in transitions for p in places if self.post[t][p]},
+            initial=Marking(self.initial[p] for p in places),
+        )
 
     # -- semantics -----------------------------------------------------------
 

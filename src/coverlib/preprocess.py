@@ -15,7 +15,7 @@ place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 from .ingest import Problem
@@ -56,16 +56,9 @@ def _one_round(net: PetriNet, use_state: bool) -> Tuple[PetriNet, PruneRound]:
     empty_names = tuple(net.places[p] for p in sorted(analysis.always_empty))
     if not dead:
         return net, PruneRound(removed=(), always_empty=empty_names)
-    keep = [t for t in range(len(net.transitions)) if t not in set(dead)]
-    reduced = PetriNet(
-        places=net.places,
-        transitions=tuple(net.transitions[t] for t in keep),
-        pre_arcs={(net.places[p], net.transitions[t]): w
-                  for t in keep for p, w in enumerate(net.pre[t]) if w},
-        post_arcs={(net.transitions[t], net.places[p]): w
-                   for t in keep for p, w in enumerate(net.post[t]) if w},
-        initial=net.initial,
-    )
+    gone = set(dead)
+    keep = [t for t in range(len(net.transitions)) if t not in gone]
+    reduced = net.restrict(range(len(net.places)), keep)
     removed_names = tuple(net.transitions[t] for t in dead)
     return reduced, PruneRound(removed=removed_names, always_empty=empty_names)
 
@@ -126,23 +119,8 @@ def prune_problem(
         if droppable and len(droppable) < len(net.places):
             gone = set(droppable)
             keep = [p for p in range(len(net.places)) if p not in gone]
-            net = PetriNet(
-                places=tuple(net.places[p] for p in keep),
-                transitions=net.transitions,
-                pre_arcs={(net.places[p], net.transitions[t]): net.pre[t][p]
-                          for t in range(len(net.transitions))
-                          for p in keep if net.pre[t][p]},
-                post_arcs={(net.transitions[t], net.places[p]): net.post[t][p]
-                           for t in range(len(net.transitions))
-                           for p in keep if net.post[t][p]},
-                initial=Marking(net.initial[p] for p in keep),
-            )
+            net = net.restrict(keep, range(len(net.transitions)))
             targets = tuple(Marking(m[p] for p in keep) for m in targets)
             dropped = tuple(problem.net.places[p] for p in droppable)
-    report = PruneReport(
-        mode=report.mode,
-        rounds=report.rounds,
-        removed=report.removed,
-        dropped_places=dropped,
-    )
+    report = replace(report, dropped_places=dropped)
     return Problem(net=net, targets=targets, name=problem.name), report

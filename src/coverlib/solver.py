@@ -124,8 +124,10 @@ def solve(
     (a ``time.monotonic`` timestamp, checked once per round) bounds wall
     time; hitting either yields an INCONCLUSIVE verdict instead of an
     answer.  By default the search runs to completion, which always
-    terminates.  ``record_bases`` keeps per-round basis snapshots and the
-    predecessor links on the result, for inspection and testing.
+    terminates.  Without ``invariant`` nothing is pruned: that is the
+    classical backward search.  ``record_bases`` keeps per-round basis
+    snapshots and the predecessor links on the result, for inspection and
+    testing.
     """
     target = net.marking(target)
     if invariant is None:
@@ -217,7 +219,3 @@ def solve(
         backlinks=backlinks if record_bases else None,
     )
 
-
-def solve_classical(net: PetriNet, target: Marking, **kwargs) -> SolveResult:
-    """Backward coverability without pruning (trivial invariant)."""
-    return solve(net, target, TrivialInvariant(net), **kwargs)

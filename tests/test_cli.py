@@ -1,7 +1,6 @@
 """End-to-end checks of the command line: exit codes, first-line verdicts,
 stats documents, bench CSV shape.  Most tests drive ``main`` in-process;
-a few shell out to exercise the real entry point and the environment
-variable handling.
+a few shell out to exercise the real entry point.
 """
 
 from __future__ import annotations
@@ -9,14 +8,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
 from importlib import resources
 
 import pytest
 
-from coverlib import parse_native
+from coverlib import PetriNet, parse_native
 from coverlib.cli import main
 
 from conftest import PUMP_TEXT, STUCK_TEXT
@@ -82,10 +80,11 @@ def test_solve_uncoverable(capsys, pump_file):
 
 
 def test_solve_inconclusive_budget(capsys, pump_file):
-    code, out, _ = run_cli(capsys, "solve", "--net", pump_file,
-                           "--budget-steps", "1")
-    assert code == 3
-    assert out.splitlines()[0] == "INCONCLUSIVE"
+    for steps in ("0", "1"):
+        code, out, _ = run_cli(capsys, "solve", "--net", pump_file,
+                               "--budget-steps", steps)
+        assert code == 3
+        assert out.splitlines()[0] == "INCONCLUSIVE"
 
 
 def test_solve_stats_json_matches_schema(capsys, pump_file):
@@ -175,6 +174,23 @@ def test_solve_usage_errors(capsys, pump_file, tmp_path):
     code, _, err = run_cli(capsys, "solve", "--net", pump_file,
                            "--invariant", " , ")
     assert code == 2 and "empty invariant" in err
+    code, _, err = run_cli(capsys, "solve", "--net", pump_file,
+                           "--budget-steps", "-1")
+    assert code == 2 and "--budget-steps" in err
+    latin1 = tmp_path / "latin1.cover"
+    latin1.write_bytes(PUMP_TEXT.encode() + b"# caf\xe9\n")
+    code, _, err = run_cli(capsys, "solve", "--net", str(latin1))
+    assert code == 2 and f"not valid UTF-8 at byte {len(PUMP_TEXT) + 5}" in err
+    assert "Traceback" not in err
+
+
+def test_unreplayable_witness_is_internal_error(capsys, pump_file, monkeypatch):
+    monkeypatch.setattr(PetriNet, "fire_sequence", lambda self, m, ts: None)
+    code, out, err = run_cli(capsys, "solve", "--net", pump_file, "--witness")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:") and "replay" in err
+    assert "Traceback" not in err
 
 
 def test_parse_error_is_positioned(capsys, tmp_path):
@@ -319,32 +335,3 @@ def test_missing_required_flag_exits_2():
     proc = subprocess.run(module_cmd("solve"), capture_output=True, text=True)
     assert proc.returncode == 2
 
-
-def test_bench_parallel_matches_sequential(tmp_path, pump_file):
-    (tmp_path / "pump.cover").write_text(PUMP_TEXT)
-    (tmp_path / "stuck.cover").write_text(STUCK_TEXT)
-    cmd = module_cmd("bench", "--dir", str(tmp_path),
-                     "--invariants", "trivial;sign;state;sign,state")
-
-    def strip_millis(text):
-        return [row[:-1] for row in csv.reader(io.StringIO(text))]
-
-    runs = {}
-    for threads in ("", "4", "0"):
-        env = dict(os.environ)
-        env.pop("COVERLIB_THREADS", None)
-        if threads:
-            env["COVERLIB_THREADS"] = threads
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
-        assert proc.returncode == 0
-        runs[threads] = strip_millis(proc.stdout)
-    assert runs[""] == runs["4"] == runs["0"]
-
-
-def test_thread_env_validation(tmp_path):
-    for bad in ("x", "-1"):
-        env = dict(os.environ, COVERLIB_THREADS=bad)
-        proc = subprocess.run(module_cmd("bench", "--dir", str(tmp_path)),
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 2
-        assert "COVERLIB_THREADS" in proc.stderr

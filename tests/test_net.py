@@ -138,3 +138,44 @@ def test_structural_equality(pump_net):
     assert pump_net == make_pump_net()
     other = PetriNet(["p1"], [], initial={"p1": 1})
     assert pump_net != other
+
+
+def test_restrict_identity_is_equal(pump_net):
+    whole = pump_net.restrict(range(3), range(3))
+    assert whole == pump_net
+    rng = random.Random(11)
+    for _ in range(20):
+        net = random_net(rng)
+        same = net.restrict(range(len(net.places)), range(len(net.transitions)))
+        assert same == net
+
+
+def test_restrict_subset_matches_hand_built(pump_net):
+    # keep p1, p2 and t1, t2: t2's arc into p3 goes with p3
+    sub = pump_net.restrict([0, 1], [0, 1])
+    expected = PetriNet(
+        places=["p1", "p2"],
+        transitions=["t1", "t2"],
+        pre_arcs={("p1", "t1"): 1, ("p2", "t2"): 1},
+        post_arcs={("t1", "p2"): 1},
+        initial={"p1": 1},
+    )
+    assert sub == expected
+    # reordering follows the index lists
+    flipped = pump_net.restrict([2, 1], [2])
+    assert flipped == PetriNet(["p3", "p2"], ["t3"],
+                               pre_arcs={("p3", "t3"): 1},
+                               post_arcs={("t3", "p2"): 2})
+
+
+def test_restrict_rejects_bad_indices(pump_net):
+    with pytest.raises(IndexError):
+        pump_net.restrict([0, 3], [0])
+    with pytest.raises(IndexError):
+        pump_net.restrict([-1], [0])
+    with pytest.raises(IndexError):
+        pump_net.restrict([0], [5])
+    with pytest.raises(ValueError):
+        pump_net.restrict([], [0])
+    with pytest.raises(ValueError):
+        pump_net.restrict([0, 0], [0])

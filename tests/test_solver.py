@@ -14,7 +14,6 @@ from coverlib import (
     extract_witness,
     make_invariant,
     solve,
-    solve_classical,
 )
 
 from corpus import random_instances
@@ -35,7 +34,7 @@ def test_pump_coverable_every_config(pump_net):
 
 def test_pump_iteration_counters(pump_net):
     target = Marking((0, 2, 1))
-    plain = solve_classical(pump_net, target)
+    plain = solve(pump_net, target)
     assert [s.kept for s in plain.stats] == [3, 4, 2]
     assert [s.basis_size for s in plain.stats] == [1, 4, 3]
     assert plain.lp_calls == 0 and plain.sign_checks == 0
@@ -56,7 +55,7 @@ def test_pump_uncoverable(pump_net):
         r = solve(pump_net, target, make_invariant(pump_net, names))
         assert r.verdict is Verdict.UNCOVERABLE
         assert r.witness is None
-    plain = solve_classical(pump_net, target)
+    plain = solve(pump_net, target)
     assert len(plain.stats) == 1 and plain.final_basis_size == 1
 
     flow = solve(pump_net, target, make_invariant(pump_net, ["state"]))
@@ -104,7 +103,7 @@ def test_invariant_net_identity_enforced(pump_net, stuck_net):
 
 def test_record_bases_and_backlinks(pump_net):
     target = Marking((0, 2, 1))
-    r = solve_classical(pump_net, target, record_bases=True)
+    r = solve(pump_net, target, record_bases=True)
     assert r.bases is not None and r.backlinks is not None
     assert list(r.bases[0]) == [target]
     assert len(r.bases) == len(r.stats) + 1  # one snapshot per loop entry
@@ -121,11 +120,11 @@ def test_extract_witness_rejects_unknown_start():
         extract_witness({}, Marking((1,)))
 
 
-def test_solve_classical_is_trivial_alias(pump_net):
+def test_default_invariant_is_trivial(pump_net):
     target = Marking((0, 2, 1))
-    a = solve_classical(pump_net, target)
-    b = solve(pump_net, target)
-    assert a.verdict is b.verdict and a.stats == b.stats
+    a = solve(pump_net, target)
+    b = solve(pump_net, target, make_invariant(pump_net, ["trivial"]))
+    assert (a.verdict, a.witness, a.stats) == (b.verdict, b.witness, b.stats)
     assert a.invariant_name == b.invariant_name == "trivial"
 
 
@@ -133,7 +132,7 @@ def test_orbit_net_pruning_is_strict(orbit_net):
     # backward search alone admits the phantom predecessor (0,1,0); the
     # sign cut knows p2/p3 never carry tokens and admits nothing at all
     target = Marking((0, 0, 1))
-    plain = solve_classical(orbit_net, target)
+    plain = solve(orbit_net, target)
     cut = solve(orbit_net, target, make_invariant(orbit_net, ["sign", "state"]))
     assert plain.verdict is Verdict.UNCOVERABLE
     assert cut.verdict is Verdict.UNCOVERABLE
@@ -173,7 +172,7 @@ def test_corpus_determinism():
 
 def test_corpus_pruned_bases_stay_below_classical():
     for name, net, target in random_instances(seed=5152, count=80):
-        plain = solve_classical(net, target, record_bases=True)
+        plain = solve(net, target, record_bases=True)
         cut = solve(net, target, make_invariant(net, ["sign", "state"]),
                     record_bases=True)
         if plain.verdict is not cut.verdict:
