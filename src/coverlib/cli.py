@@ -35,11 +35,15 @@ class CliError(Exception):
 
 
 def _read_input(path: str) -> Tuple[str, str]:
+    # Standard input is read as bytes and decoded like a file, so the
+    # locale's stream settings cannot let non-UTF-8 input through.
     try:
         if path == "-":
-            return sys.stdin.read(), "<stdin>"
-        p = Path(path)
-        return p.read_text(encoding="utf-8"), p.stem
+            data, name = sys.stdin.buffer.read(), "<stdin>"
+        else:
+            p = Path(path)
+            data, name = p.read_bytes(), p.stem
+        return data.decode("utf-8"), name
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -261,37 +265,47 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     files = sorted(p for p in root.iterdir()
                    if p.suffix in (".cover", ".spec") and p.is_file())
-    jobs = []
-    for path in files:
-        problem = _load_problem(str(path), args.format)
-        many = len(problem.targets) > 1
-        for target_index in range(len(problem.targets)):
-            label = f"{problem.name}[{target_index}]" if many else problem.name
-            for names in configs:
-                jobs.append((problem, target_index, names, label))
-
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["name", "invariant", "verdict", "iterations",
                      "basis_final_size", "candidates", "pruned",
                      "lp_calls", "millis"])
-    for problem, target_index, names, label in jobs:
-        deadline = None
-        started = time.monotonic()
-        if args.timeout_secs is not None:
-            deadline = started + args.timeout_secs
-        result, _, _ = _run_instance(problem, target_index, names,
-                                     args.preprocess, deadline=deadline)
-        millis = round((time.monotonic() - started) * 1000.0, 3)
-        verdict = result.verdict.value
-        if (result.verdict is Verdict.INCONCLUSIVE
-                and result.inconclusive_reason == "deadline"):
-            verdict = "TIMEOUT"
-        writer.writerow([label, ",".join(names), verdict, len(result.stats),
-                         result.final_basis_size,
-                         sum(s.candidates_generated for s in result.stats),
-                         result.discarded_including_target, result.lp_calls,
-                         millis])
-    return 0
+    failed = False
+    for path in files:
+        try:
+            problem = _load_problem(str(path), args.format)
+        except CliError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            failed = True
+            for names in configs:
+                writer.writerow([path.stem, ",".join(names), "ERROR"]
+                                + [""] * 6)
+            continue
+        many = len(problem.targets) > 1
+        for target_index in range(len(problem.targets)):
+            label = f"{problem.name}[{target_index}]" if many else problem.name
+            for names in configs:
+                writer.writerow(_bench_row(problem, target_index, names,
+                                           label, args))
+    return 2 if failed else 0
+
+
+def _bench_row(problem: Problem, target_index: int, names: Sequence[str],
+               label: str, args: argparse.Namespace) -> list:
+    deadline = None
+    started = time.monotonic()
+    if args.timeout_secs is not None:
+        deadline = started + args.timeout_secs
+    result, _, _ = _run_instance(problem, target_index, names,
+                                 args.preprocess, deadline=deadline)
+    millis = round((time.monotonic() - started) * 1000.0, 3)
+    verdict = result.verdict.value
+    if (result.verdict is Verdict.INCONCLUSIVE
+            and result.inconclusive_reason == "deadline"):
+        verdict = "TIMEOUT"
+    return [label, ",".join(names), verdict, len(result.stats),
+            result.final_basis_size,
+            sum(s.candidates_generated for s in result.stats),
+            result.discarded_including_target, result.lp_calls, millis]
 
 
 def _build_parser() -> argparse.ArgumentParser:

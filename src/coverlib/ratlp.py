@@ -1,9 +1,16 @@
 """Exact rational feasibility of systems  { x >= 0,  A x >= b }.
 
-Decided with a phase-one simplex over ``fractions.Fraction``.  Every
-pivot is exact, Bland's smallest-index rule prevents cycling, and a
-returned witness satisfies the system exactly; no floating point ever
-enters the decision path.
+Decided with a fraction-free phase-one simplex (Bareiss, Math. Comp. 22,
+1968): tableau entries are Python integers, and row i stands for
+(1/s_i) times the rational row for some s_i > 0.  A pivot on (r, c)
+keeps row r and replaces every other row i by
+``piv * row_i - row_i[c] * row_r``, then divides it by the gcd of its
+entries.  The pivot entry is positive, so every scale stays positive and
+signs and ratios read off the integer rows are the rational ones; the
+ratio test compares ``rhs_i * c_best`` with ``rhs_best * c_i``.  Bland's
+smallest-index rule prevents cycling.  Only the witness is built as
+``fractions.Fraction`` (``rhs_i / row_i[col]``), it satisfies the system
+exactly, and no floating point ever enters the decision path.
 
 Construction of the tableau, per inequality row:
 
@@ -15,14 +22,16 @@ Construction of the tableau, per inequality row:
 
 Phase one minimises the sum of artificials; the system is feasible
 exactly when that minimum is zero.  Artificial columns never re-enter
-the basis.
+the basis, so they are not stored; each artificial keeps its column
+number (after every real column) as a basis label for Bland's rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from math import gcd
+from typing import List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -63,17 +72,27 @@ class FeasibilityProblem:
         return len(self.a[0]) if self.a else 0
 
 
-def _pivot(rows: List[List[Fraction]], obj: List[Fraction], r: int, c: int) -> None:
-    piv = rows[r][c]
-    rows[r] = [v / piv for v in rows[r]]
+def _reduce(row: List[int]) -> List[int]:
+    """``row`` divided by the gcd of its entries (an all-zero row stays)."""
+    g = gcd(*row)
+    if g > 1:
+        return [v // g for v in row]
+    return row
+
+
+def _pivot(rows: List[List[int]], obj: List[int], r: int, c: int) -> None:
+    # Row r stays as it is; every other row i becomes
+    # piv * row_i - row_i[c] * row_r: the rational result times piv times
+    # row i's old scale, a positive factor.
     prow = rows[r]
+    piv = prow[c]
     for i, row in enumerate(rows):
-        if i != r and row[c]:
-            f = row[c]
-            rows[i] = [v - f * pv for v, pv in zip(row, prow)]
-    if obj[c]:
-        f = obj[c]
-        obj[:] = [v - f * pv for v, pv in zip(obj, prow)]
+        f = row[c]
+        if i != r and f:
+            rows[i] = _reduce([piv * v - f * pv for v, pv in zip(row, prow)])
+    f = obj[c]
+    if f:
+        obj[:] = _reduce([piv * v - f * pv for v, pv in zip(obj, prow)])
 
 
 def feasible(problem: FeasibilityProblem) -> Tuple[bool, Optional[List[Fraction]]]:
@@ -85,63 +104,48 @@ def feasible(problem: FeasibilityProblem) -> Tuple[bool, Optional[List[Fraction]
     m = len(problem.a)
     n = problem.num_vars
 
-    art_rows = [i for i, bi in enumerate(problem.b) if bi > 0]
-    if not art_rows:
+    if all(bi <= 0 for bi in problem.b):
         return True, [Fraction(0)] * n
 
-    n_art = len(art_rows)
-    total = n + m + n_art  # lambdas, surpluses, artificials
-    rows: List[List[Fraction]] = []
+    total = n + m  # lambdas, surpluses; the right-hand side sits at total
+    rows: List[List[int]] = []
     basis: List[int] = []
-    art_col_of_row = {}
-    next_art = 0
-    for i in range(m):
-        coeffs = [Fraction(0)] * (total + 1)
-        bi = problem.b[i]
+    obj = [0] * (total + 1)
+    next_art = n + m  # artificial columns are numbered but not stored
+    for i, (ai, bi) in enumerate(zip(problem.a, problem.b)):
         if bi <= 0:
-            for j, aij in enumerate(problem.a[i]):
-                coeffs[j] = Fraction(-aij)
-            coeffs[n + i] = Fraction(1)
-            coeffs[total] = Fraction(-bi)
+            row = [-aij for aij in ai] + [0] * m + [-bi]
+            row[n + i] = 1
             basis.append(n + i)
         else:
-            for j, aij in enumerate(problem.a[i]):
-                coeffs[j] = Fraction(aij)
-            coeffs[n + i] = Fraction(-1)
-            col = n + m + next_art
+            row = list(ai) + [0] * m + [bi]
+            row[n + i] = -1
+            basis.append(next_art)
             next_art += 1
-            coeffs[col] = Fraction(1)
-            coeffs[total] = Fraction(bi)
-            basis.append(col)
-            art_col_of_row[i] = col
-        rows.append(coeffs)
-
-    # Objective: sum of artificials, expressed over non-basic columns.
-    obj = [Fraction(0)] * (total + 1)
-    for i in art_rows:
-        for j, v in enumerate(rows[i]):
-            obj[j] += v
-    for col in art_col_of_row.values():
-        obj[col] = Fraction(0)
+            # Objective: sum of artificials, expressed over the other columns.
+            obj = [u + v for u, v in zip(obj, row)]
+        rows.append(row)
 
     while True:
         enter = None
-        for j in range(n + m):  # Bland: smallest improving column, no artificials
+        for j in range(total):  # Bland: smallest improving column
             if obj[j] > 0:
                 enter = j
                 break
         if enter is None:
             break
+        # Ratio test on rhs_i / c_i, compared by cross-multiplication: a
+        # row's scale cancels in its own ratio, and every c_i is positive.
         leave = None
-        best = None
-        for i in range(m):
-            c = rows[i][enter]
-            if c > 0:
-                ratio = rows[i][total] / c
-                if (best is None or ratio < best
-                        or (ratio == best and basis[i] < basis[leave])):
-                    best = ratio
-                    leave = i
+        for i, row in enumerate(rows):
+            c = row[enter]
+            if c <= 0:
+                continue
+            if leave is not None:
+                d = row[total] * best_c - best_rhs * c
+                if d > 0 or (d == 0 and basis[i] > basis[leave]):
+                    continue
+            best_rhs, best_c, leave = row[total], c, i
         if leave is None:
             # The phase-one objective is bounded below by zero, so an
             # unbounded improving direction cannot exist.
@@ -153,9 +157,9 @@ def feasible(problem: FeasibilityProblem) -> Tuple[bool, Optional[List[Fraction]
         return False, None
 
     witness = [Fraction(0)] * n
-    for i, col in enumerate(basis):
+    for row, col in zip(rows, basis):
         if col < n:
-            witness[col] = rows[i][total]
+            witness[col] = Fraction(row[total], row[col])
 
     # Exactness guard: the arithmetic is rational, so a true verdict must
     # re-substitute cleanly.  A failure here means a bug, not bad input.

@@ -121,8 +121,9 @@ def solve(
     """Decide whether some reachable marking covers ``target``.
 
     ``budget_steps`` bounds the number of search rounds and ``deadline``
-    (a ``time.monotonic`` timestamp, checked once per round) bounds wall
-    time; hitting either yields an INCONCLUSIVE verdict instead of an
+    (a ``time.monotonic`` timestamp, checked at the start of each round,
+    once per transition expanded and before each invariant query) bounds
+    wall time; hitting either yields an INCONCLUSIVE verdict instead of an
     answer.  By default the search runs to completion, which always
     terminates.  Without ``invariant`` nothing is pruned: that is the
     classical backward search.  ``record_bases`` keeps per-round basis
@@ -170,22 +171,36 @@ def solve(
             reason = "deadline"
             break
 
+        # Checking the deadline per transition and per query bounds the
+        # overshoot by one transition's expansion, the antichain filter or
+        # one query.  An interrupted round is not recorded.
         candidates: Dict[Marking, Tuple[int, Marking]] = {}
         raw = 0
+        expired = False
         for t in range(nt):
+            if deadline is not None and time.monotonic() >= deadline:
+                expired = True
+                break
             for m in basis:
                 c = net.cpre(t, m)
                 raw += 1
                 if c not in candidates:
                     candidates[c] = (t, m)
-        fresh = basis.filter_uncovered(candidates)
         kept: List[Marking] = []
         pruned = 0
+        fresh = [] if expired else basis.filter_uncovered(candidates)
         for c in fresh:
+            if deadline is not None and time.monotonic() >= deadline:
+                expired = True
+                break
             if invariant.member(c):
                 kept.append(c)
             else:
                 pruned += 1
+        if expired:
+            verdict = Verdict.INCONCLUSIVE
+            reason = "deadline"
+            break
         stats.append(IterationStats(
             index=k,
             basis_size=len(basis),

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -129,7 +130,8 @@ def test_solve_stats_csv(capsys, pump_file):
 
 
 def test_solve_from_stdin(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(PUMP_TEXT))
+    stdin = io.TextIOWrapper(io.BytesIO(PUMP_TEXT.encode()), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
     code, out, _ = run_cli(capsys, "solve", "--net", "-", "--stats", "json")
     assert code == 0
     assert '"problem": "<stdin>"' in out
@@ -318,6 +320,24 @@ def test_bench_timeout_rows(capsys, tmp_path):
     assert [r[2] for r in rows] == ["TIMEOUT", "TIMEOUT"]
 
 
+def test_bench_error_rows(capsys, tmp_path):
+    (tmp_path / "pump.cover").write_text(PUMP_TEXT)
+    (tmp_path / "latin1.cover").write_bytes(PUMP_TEXT.encode() + b"# caf\xe9\n")
+    code, out, err = run_cli(capsys, "bench", "--dir", str(tmp_path),
+                             "--invariants", "trivial;sign,state")
+    assert code == 2
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [r[:3] for r in rows] == [
+        ["latin1", "trivial", "ERROR"], ["latin1", "sign,state", "ERROR"],
+        ["pump[0]", "trivial", "COVERABLE"], ["pump[0]", "sign,state", "COVERABLE"],
+        ["pump[1]", "trivial", "UNCOVERABLE"],
+        ["pump[1]", "sign,state", "UNCOVERABLE"],
+    ]
+    assert rows[0][3:] == rows[1][3:] == [""] * 6
+    assert err.count("error:") == 1
+    assert f"latin1.cover: not valid UTF-8 at byte {len(PUMP_TEXT) + 5}" in err
+
+
 # -- subprocess end to end ---------------------------------------------------
 
 def module_cmd(*args):
@@ -329,6 +349,23 @@ def test_module_entry_point(pump_file):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "COVERABLE"
+
+
+def test_stdin_is_decoded_strictly_under_c_locale():
+    env = dict(os.environ, LC_ALL="C")
+    env.pop("PYTHONUTF8", None)
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run(module_cmd("solve", "--net", "-"),
+                          input=PUMP_TEXT.encode() + b"# caf\xe9\n",
+                          capture_output=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert (f"not valid UTF-8 at byte {len(PUMP_TEXT) + 5}".encode()
+            in proc.stderr)
+    proc = subprocess.run(module_cmd("solve", "--net", "-"),
+                          input=PUMP_TEXT.encode(), capture_output=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == b"COVERABLE"
 
 
 def test_missing_required_flag_exits_2():

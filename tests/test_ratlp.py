@@ -102,3 +102,48 @@ def test_agrees_with_elimination_oracle():
         feas += got
     # both outcomes must actually occur for the comparison to mean much
     assert 100 < feas < 1400
+
+
+def displacement_like(rng, places, transitions):
+    """Rows of post - pre for transitions with one or two input and output
+    places, entries clipped to -2..3.  Sparse columns like a real net's keep
+    elimination fast; dense 6 x 6 systems can take it minutes."""
+    cols = []
+    for _ in range(transitions):
+        col = [0] * places
+        for p in rng.sample(range(places), rng.randint(1, 2)):
+            col[p] -= rng.randint(1, 2)
+        for p in rng.sample(range(places), rng.randint(1, 2)):
+            col[p] += rng.randint(1, 3)
+        cols.append([max(-2, min(3, v)) for v in col])
+    return [tuple(c[p] for c in cols) for p in range(places)]
+
+
+def test_agrees_with_elimination_on_displacement_like_systems():
+    rng = random.Random(2016)
+    feas = 0
+    for _ in range(150):
+        a = displacement_like(rng, 6, 6)
+        # target minus initial marking
+        b = [rng.randint(0, 3) - rng.randint(0, 2) for _ in range(6)]
+        got = check(a, b)
+        assert got == fm_feasible(a, b), (a, b)
+        feas += got
+    assert 15 < feas < 135
+
+
+def test_agrees_with_elimination_on_large_coefficients():
+    # Big entries make the integer rows grow, so the gcd normalisation
+    # and big-integer cross-multiplication in the ratio test get used.
+    rng = random.Random(1968)
+    feas = 0
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        m = rng.randint(1, 4)
+        a = [tuple(rng.randint(-10**6, 10**6) for _ in range(n))
+             for _ in range(m)]
+        b = [rng.randint(-10**9, 10**9) for _ in range(m)]
+        got = check(a, b)
+        assert got == fm_feasible(a, b), (a, b)
+        feas += got
+    assert 40 < feas < 360

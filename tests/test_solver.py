@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import coverlib.solver
 from coverlib import (
     ExploreBound,
     Marking,
@@ -93,6 +94,46 @@ def test_deadline(pump_net):
     r = solve(pump_net, Marking((0, 2, 1)), deadline=time.monotonic() - 1.0)
     assert r.verdict is Verdict.INCONCLUSIVE
     assert r.inconclusive_reason == "deadline"
+
+
+def test_deadline_interrupts_a_round(pump_net, monkeypatch):
+    """A deadline passing mid-round ends the search at the next check."""
+    target = Marking((0, 2, 1))
+    reads = 0
+    flip_at = None
+
+    def clock():
+        nonlocal reads
+        reads += 1
+        return 10.0 if flip_at is not None and reads >= flip_at else 0.0
+
+    monkeypatch.setattr(coverlib.solver.time, "monotonic", clock)
+    full = solve(pump_net, target, make_invariant(pump_net, ["state"]),
+                 deadline=5.0)
+    total_reads = reads
+    # without a deadline the counters are the same
+    plain = solve(pump_net, target, make_invariant(pump_net, ["state"]))
+    assert full.verdict is plain.verdict is Verdict.COVERABLE
+    assert (full.stats, full.lp_calls) == (plain.stats, plain.lp_calls)
+    # one read per round start, per transition and per invariant query
+    assert total_reads == len(full.stats) * (1 + len(pump_net.transitions)) + sum(
+        s.new_after_antichain for s in full.stats)
+
+    inside = 0
+    for flip_at in range(1, total_reads + 1):
+        reads = 0
+        r = solve(pump_net, target, make_invariant(pump_net, ["state"]),
+                  deadline=5.0)
+        assert r.verdict is Verdict.INCONCLUSIVE
+        assert r.inconclusive_reason == "deadline"
+        assert reads == flip_at  # stopped at the first expired check
+        assert r.stats == full.stats[:len(r.stats)]
+        assert r.lp_calls <= full.lp_calls
+        round_start = sum(1 + len(pump_net.transitions) + s.new_after_antichain
+                          for s in r.stats) + 1
+        inside += flip_at > round_start
+    # every expiry except those at a round start stops inside a round
+    assert inside == total_reads - len(full.stats)
 
 
 def test_invariant_net_identity_enforced(pump_net, stuck_net):
