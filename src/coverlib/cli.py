@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -252,6 +253,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    timeout = args.timeout_secs
+    # nan would never expire and a negative value would expire at once.
+    if timeout is not None and not (math.isfinite(timeout) and timeout >= 0):
+        raise CliError(f"--timeout-secs must be a finite number >= 0, got {timeout}")
     root = Path(args.dir)
     if not root.is_dir():
         raise CliError(f"not a directory: {args.dir}")

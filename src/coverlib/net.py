@@ -267,9 +267,12 @@ class PetriNet:
         self._check_transition(t)
         need = self.pre[t]
         out = self.post[t]
-        return Marking(
-            n + (c - o if c > o else 0) for n, o, c in zip(need, out, m)
-        )
+        counts = (n + (c - o if c > o else 0) for n, o, c in zip(need, out, m))
+        if isinstance(m, Marking):
+            # m's counts were validated when it was built, and so are
+            # these: each is an arc weight plus a non-negative difference.
+            return tuple.__new__(Marking, counts)
+        return Marking(counts)
 
     # -- value semantics -----------------------------------------------------
 

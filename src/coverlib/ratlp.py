@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import List, Optional, Tuple
 
 
@@ -163,11 +164,14 @@ def feasible(problem: FeasibilityProblem) -> Tuple[bool, Optional[List[Fraction]
 
     # Exactness guard: the arithmetic is rational, so a true verdict must
     # re-substitute cleanly.  A failure here means a bug, not bad input.
+    # Over the common denominator den > 0, witness = nums / den and the
+    # test  a . witness >= b  is exactly  a . nums >= b * den.
+    den = lcm(*(xj.denominator for xj in witness))
+    nums = [xj.numerator * (den // xj.denominator) for xj in witness]
     for row, bi in zip(problem.a, problem.b):
-        lhs = sum(aij * xj for aij, xj in zip(row, witness))
-        if lhs < bi:
+        if sum(map(mul, row, nums)) < bi * den:
             raise ArithmeticError("simplex produced an invalid witness")
-    for xj in witness:
-        if xj < 0:
+    for v in nums:
+        if v < 0:
             raise ArithmeticError("simplex produced a negative witness entry")
     return True, witness

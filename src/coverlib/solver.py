@@ -2,12 +2,21 @@
 
 The solver maintains the minimal basis of an upward-closed set of
 markings known to cover the target backwards.  Each round generates the
-covering predecessors of the basis, drops the ones already covered,
-discards the ones outside the invariant, and merges the rest.  The
-search stops as soon as the initial marking enters the set (coverable)
-or a round contributes nothing new (uncoverable); termination is
-guaranteed because strictly growing upward-closed sets of markings
-cannot form an infinite chain.
+covering predecessors of the frontier, the basis elements that entered
+in the last round, drops the ones already covered, discards the ones
+outside the invariant, and merges the rest.  The search stops as soon
+as the initial marking enters the set (coverable) or a round contributes
+nothing new (uncoverable); termination is guaranteed because strictly
+growing upward-closed sets of markings cannot form an infinite chain.
+
+Expanding the frontier alone loses nothing: an older element's
+predecessors were generated when it entered, and each is covered by now
+or was rejected by the invariant.  A rejected candidate is offered
+again, and the invariant queried again, every round while one of the
+elements that generated it stays in the basis, as re-expanding the
+whole basis would do.  So the per-round counters, the query counts, the
+bases and the witness equal those of the full re-expansion, and
+``candidates_generated`` is |T| times the basis size.
 
 Soundness of pruning needs the invariant to contain every reachable
 marking and to be downward closed; all handles in
@@ -153,11 +162,17 @@ def solve(
     reason: Optional[str] = None
     nt = len(net.transitions)
     k = 0
+    # The elements that entered the basis in the last round.
+    frontier: List[Marking] = list(basis)
+    # Rejected candidate -> every (transition, element) that generated it
+    # and was still in the basis when it was last rejected.
+    rejected: Dict[Marking, List[Tuple[int, Marking]]] = {}
 
     while True:
         if record_bases:
             bases_log.append(basis)
-        entry = next((x for x in basis if x.leq(m_init)), None)
+        # Older elements were tested against m_init in earlier rounds.
+        entry = next((x for x in frontier if x.leq(m_init)), None)
         if entry is not None:
             verdict = Verdict.COVERABLE
             witness = tuple(extract_witness(backlinks, entry))
@@ -174,20 +189,29 @@ def solve(
         # Checking the deadline per transition and per query bounds the
         # overshoot by one transition's expansion, the antichain filter or
         # one query.  An interrupted round is not recorded.
-        candidates: Dict[Marking, Tuple[int, Marking]] = {}
-        raw = 0
+        # Candidate -> every (transition, element) that generated it this
+        # round, first occurrence first.
+        candidates: Dict[Marking, List[Tuple[int, Marking]]] = {}
         expired = False
         for t in range(nt):
             if deadline is not None and time.monotonic() >= deadline:
                 expired = True
                 break
-            for m in basis:
+            for m in frontier:
                 c = net.cpre(t, m)
-                raw += 1
-                if c not in candidates:
-                    candidates[c] = (t, m)
+                seen = candidates.get(c)
+                if seen is None:
+                    candidates[c] = [(t, m)]
+                else:
+                    seen.append((t, m))
+        # Offer a rejected candidate again while one of its generators is
+        # in the basis; elements that left the basis never return.
+        live = set(basis) if rejected else ()
+        for c, generators in rejected.items():
+            if c not in candidates and any(m in live for _, m in generators):
+                candidates[c] = []
         kept: List[Marking] = []
-        pruned = 0
+        still_rejected: Dict[Marking, List[Tuple[int, Marking]]] = {}
         fresh = [] if expired else basis.filter_uncovered(candidates)
         for c in fresh:
             if deadline is not None and time.monotonic() >= deadline:
@@ -196,7 +220,8 @@ def solve(
             if invariant.member(c):
                 kept.append(c)
             else:
-                pruned += 1
+                still_rejected[c] = [g for g in rejected.get(c, ())
+                                     if g[1] in live] + candidates[c]
         if expired:
             verdict = Verdict.INCONCLUSIVE
             reason = "deadline"
@@ -204,17 +229,20 @@ def solve(
         stats.append(IterationStats(
             index=k,
             basis_size=len(basis),
-            candidates_generated=raw,
+            candidates_generated=nt * len(basis),
             new_after_antichain=len(fresh),
-            pruned_by_invariant=pruned,
+            pruned_by_invariant=len(still_rejected),
             kept=len(kept),
         ))
         if not kept:
             verdict = Verdict.UNCOVERABLE
             break
         for c in kept:
-            backlinks.setdefault(c, candidates[c])
+            backlinks.setdefault(c, candidates[c][0])
+        rejected = still_rejected
         basis = basis.union(kept)
+        entered = set(kept)
+        frontier = [x for x in basis if x in entered]
         k += 1
 
     counts_after = invariant.query_counts()

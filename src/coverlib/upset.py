@@ -1,12 +1,18 @@
 """Antichain bases for upward-closed sets of markings.
 
 An upward-closed set is represented by its finite set of minimal
-elements.  Basis sizes stay small in practice, so maintenance is a plain
-pairwise dominance sweep (quadratic) over a flat list.
+elements.  Maintenance is a plain pairwise dominance sweep over a flat
+list, kept cheap: the domain is checked once per incoming marking, not
+per comparison; comparisons run as ``all(map(le, ...))``; and a
+membership test skips every element whose token sum exceeds the
+candidate's, since x <= m implies sum(x) <= sum(m).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import islice
+from operator import le
 from typing import Iterable, Iterator, List, Sequence
 
 from .net import Marking, Ordering
@@ -29,19 +35,31 @@ def _is_antichain(elements: Sequence[Marking]) -> bool:
 
 
 def _insert(kept: List[Marking], m: Marking) -> List[Marking]:
-    # kept is an antichain; returns an antichain representing kept + {m}.
+    # kept is an antichain over m's domain; returns an antichain
+    # representing kept + {m}.
     out: List[Marking] = []
     for x in kept:
-        c = m.compare(x)
-        if c is Ordering.GREATER or c is Ordering.EQUAL:
+        if all(map(le, x, m)):
             # Some x <= m already: m adds nothing.  No other element can
             # be above m, or it would be comparable with x.
             return kept
-        if c is Ordering.LESS:
+        if all(map(le, m, x)):
             continue  # m strictly below x: x is now redundant
         out.append(x)
     out.append(m)
     return out
+
+
+def _minimal(elements: Sequence[Marking], new: Iterable[Marking]) -> "Basis":
+    # The basis of the antichain ``elements`` plus the markings ``new``.
+    kept = list(elements)
+    for m in new:
+        if kept:
+            kept[0]._check_domain(m)
+        kept = _insert(kept, m)
+    b = Basis.__new__(Basis)
+    b.elements = tuple(kept)
+    return b
 
 
 class Basis:
@@ -58,23 +76,31 @@ class Basis:
 
     def contains(self, m: Marking) -> bool:
         """Whether ``m`` lies in the upward closure of this basis."""
-        if self.elements:
-            self.elements[0]._check_domain(m)
-        return any(x.leq(m) for x in self.elements)
+        return not self.filter_uncovered((m,))
 
     def union(self, new: Iterable[Marking]) -> "Basis":
         """Minimal elements of (this set) union (upward closure of ``new``)."""
-        kept = list(self.elements)
-        for m in new:
-            kept = _insert(kept, m)
-        b = Basis.__new__(Basis)
-        b.elements = tuple(kept)
-        _check_same_domain(b.elements)
-        return b
+        return _minimal(self.elements, new)
 
     def filter_uncovered(self, candidates: Iterable[Marking]) -> List[Marking]:
         """The candidates that are not already in this upward-closed set."""
-        return [m for m in candidates if not self.contains(m)]
+        if not self.elements:
+            return list(candidates)
+        first = self.elements[0]
+        # Largest token sum first: on backward searches the elements of
+        # the largest sum not above a candidate's cover it most often.
+        ordered = sorted(self.elements, key=sum, reverse=True)
+        neg_sums = [-sum(x) for x in ordered]
+        out: List[Marking] = []
+        for m in candidates:
+            first._check_domain(m)
+            # Skip the elements whose token sum exceeds m's.
+            for x in islice(ordered, bisect_left(neg_sums, -sum(m)), None):
+                if all(map(le, x, m)):
+                    break
+            else:
+                out.append(m)
+        return out
 
     def is_antichain(self) -> bool:
         return _is_antichain(self.elements)
@@ -107,11 +133,4 @@ class Basis:
 
 def minimize(markings: Iterable[Marking]) -> Basis:
     """Drop every marking that lies above another one."""
-    kept: List[Marking] = []
-    for m in markings:
-        if kept:
-            kept[0]._check_domain(m)
-        kept = _insert(kept, m)
-    b = Basis.__new__(Basis)
-    b.elements = tuple(kept)
-    return b
+    return _minimal((), markings)

@@ -179,6 +179,12 @@ def test_solve_usage_errors(capsys, pump_file, tmp_path):
     code, _, err = run_cli(capsys, "solve", "--net", pump_file,
                            "--budget-steps", "-1")
     assert code == 2 and "--budget-steps" in err
+    for bad in ("nan", "-1", "inf", "-0.5"):
+        code, out, err = run_cli(capsys, "bench", "--dir", str(tmp_path),
+                                 "--invariants", "trivial",
+                                 "--timeout-secs", bad)
+        assert code == 2 and "--timeout-secs" in err, bad
+        assert out == ""
     latin1 = tmp_path / "latin1.cover"
     latin1.write_bytes(PUMP_TEXT.encode() + b"# caf\xe9\n")
     code, _, err = run_cli(capsys, "solve", "--net", str(latin1))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import coverlib.ratlp
 from coverlib import FeasibilityProblem, feasible
 
 from fourier_motzkin import fm_feasible
@@ -30,6 +31,20 @@ def test_empty_system_is_feasible():
 def test_nonpositive_bounds_short_circuit():
     ok, witness = feasible(FeasibilityProblem(a=((1, -2), (-3, 0)), b=(0, -5)))
     assert ok and witness == [0, 0]
+
+
+def test_exactness_guard_rejects_a_witness_off_by_a_hair(monkeypatch):
+    """The guard re-substitutes exactly: a witness 10**-30 too small is
+    caught, although a float re-substitution would round it away."""
+    hair = Fraction(1, 10**30)
+    monkeypatch.setattr(coverlib.ratlp, "Fraction",
+                        lambda *args: Fraction(*args) - hair)
+    # squeezed to the single point 1/2, so 1/2 - hair violates 2x >= 1
+    with pytest.raises(ArithmeticError, match="invalid witness"):
+        feasible(FeasibilityProblem(a=((2,), (-2,)), b=(1, -1)))
+    # (1 - hair, -hair) meets x0 - x1 >= 1 exactly but is negative
+    with pytest.raises(ArithmeticError, match="negative witness"):
+        feasible(FeasibilityProblem(a=((1, -1),), b=(1,)))
 
 
 def test_single_variable_bounds():

@@ -18,6 +18,7 @@ from coverlib import (
 )
 
 from corpus import random_instances
+from oracles import full_backward_search
 
 CONFIGS = (["trivial"], ["sign"], ["state"], ["sign", "state"])
 
@@ -221,3 +222,24 @@ def test_corpus_pruned_bases_stay_below_classical():
         for bp, bc in zip(plain.bases, cut.bases):
             for m in bc:
                 assert bp.contains(m)
+
+
+def test_matches_full_reexpansion_on_acceptance_corpus():
+    """Frontier-only expansion changes nothing observable: verdicts,
+    witnesses, per-round counters, query counts, bases in order and
+    predecessor links all equal those of re-expanding the whole basis
+    every round."""
+    for name, net, target in random_instances(seed=20260819, count=500):
+        for names in CONFIGS:
+            r = solve(net, target, make_invariant(net, names),
+                      budget_steps=500, record_bases=True)
+            ref = full_backward_search(net, target, make_invariant(net, names),
+                                       budget_steps=500)
+            where = (name, names)
+            assert r.verdict.value == ref.verdict, where
+            assert r.witness == ref.witness, where
+            assert [tuple(vars(s).values()) for s in r.stats] == ref.stats, where
+            assert (r.lp_calls, r.sign_checks) == (ref.lp_calls,
+                                                   ref.sign_checks), where
+            assert [b.elements for b in r.bases] == ref.bases, where
+            assert r.backlinks == ref.backlinks, where

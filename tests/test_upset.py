@@ -83,3 +83,42 @@ def test_minimize_random_properties():
             assert m in pool
         # idempotent
         assert minimize(list(b)) == b
+
+
+def test_domain_mismatch_raises():
+    b = minimize([M(1, 1), M(0, 3)])
+    with pytest.raises(ValueError):
+        b.filter_uncovered([M(2, 2), M(1, 1, 1)])
+    with pytest.raises(ValueError):
+        b.union([M(0, 0, 0)])
+    with pytest.raises(ValueError):
+        b.contains(M(5))
+    with pytest.raises(ValueError):
+        minimize([M(1, 0), M(0, 1, 0)])
+    # a marking that would be dropped as covered is still checked
+    with pytest.raises(ValueError):
+        b.union([M(1, 1, 1)])
+
+
+def test_token_sum_prefilter():
+    b = minimize([M(0, 5), M(3, 0), M(1, 1)])
+    # (0, 5) has a larger token sum than (2, 0) and is skipped; it is
+    # incomparable anyway, and no other element lies below (2, 0)
+    assert b.filter_uncovered([M(2, 0)]) == [M(2, 0)]
+    # elements of equal token sum are compared, not skipped
+    assert b.filter_uncovered([M(1, 1), M(0, 2), M(3, 0)]) == [M(0, 2)]
+    assert b.contains(M(0, 5)) and not b.contains(M(0, 4))
+
+
+def test_filter_uncovered_agrees_with_pairwise_leq():
+    rng = random.Random(78)
+    for _ in range(300):
+        dims = rng.randint(1, 4)
+        pool = [Marking(tuple(rng.randint(0, 4) for _ in range(dims)))
+                for _ in range(rng.randint(0, 10))]
+        b = minimize(pool)
+        cands = [Marking(tuple(rng.randint(0, 4) for _ in range(dims)))
+                 for _ in range(10)]
+        expected = [m for m in cands if not any(x.leq(m) for x in pool)]
+        assert b.filter_uncovered(cands) == expected
+        assert [m for m in cands if not b.contains(m)] == expected
