@@ -16,9 +16,16 @@ Native grammar, with ``#`` comments to end of line::
               | "target" ":" (ident ">=" nat)*
     entry    := ident ":" ["in" arc*] ["out" arc*] ";"
     arc      := ident ["*" nat]
+    nat      := [0-9]+
 
-Identifiers match ``[A-Za-z_][A-Za-z0-9_.-]*``; the section keywords and
-``in``/``out`` are reserved.  Every ``target:`` section describes one
+Identifiers match ``[A-Za-z_][A-Za-z0-9_.-]*`` except a lone ``_``; the
+section keywords and ``in``/``out`` are reserved.  A ``nat`` is ASCII
+digits only, at most 4,300 of them (``sys.get_int_max_str_digits()``,
+the limit of ``int()``); a longer one is rejected like any bad token.
+Lines are those of ``str.splitlines()``, so ``\r``, ``\x0c``, ``\x85``
+and U+2028 end a line as ``\n`` does, and white space is what
+``str.isspace()`` accepts.  Error positions count lines and columns
+from 1 on those lines.  Every ``target:`` section describes one
 target marking (unlisted places need zero tokens); ``init:`` entries
 default to zero as well.  A problem needs at least one place and one
 target.  Duplicate declarations and negative numbers are rejected.  The
@@ -27,17 +34,17 @@ target.  Duplicate declarations and negative numbers are rejected.  The
 The MIST subset accepts the four sections ``vars``, ``rules``, ``init``
 and ``target`` in that order.  Rule guards are conjunctions of
 ``x >= c``; updates are ``x' = x + c``, ``x' = x - c`` or ``x' = x``.
-Each rule becomes one transition consuming ``max(guard, decrease)`` and
-producing accordingly; anything else (transfers, resets, parametric
-initial markings, other sections) is rejected with a diagnostic rather
-than translated approximately.
+Counts are ``nat`` as above.  Each rule becomes one transition
+consuming ``max(guard, decrease)`` and producing accordingly; anything
+else (transfers, resets, parametric initial markings, other sections) is
+rejected with a diagnostic rather than translated approximately.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .net import Marking, PetriNet
 
@@ -66,178 +73,168 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
-
-
-_NATIVE_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*|\d+|>=|[:;*=]|\S")
-_MIST_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*'?|\d+|->|>=|[=,;+\-]|\S")
+# A token is an identifier, a run of decimal digits, an operator, or one
+# letter or digit of any script.  Every other character, a lone "_" too,
+# must be white space or the scanner rejects it.
+_NATIVE_TOKEN = re.compile(
+    r"[A-Za-z][A-Za-z0-9_.\-]*|_[A-Za-z0-9_.\-]+|\d+|>=|[:;*=]|[^\W_]|[,'+\-]")
+_MIST_TOKEN = re.compile(
+    r"(?:[A-Za-z][A-Za-z0-9_.\-]*|_[A-Za-z0-9_.\-]+)'?|_'|\d+|->|>=|[=,;+\-]|[^\W_]|[:*']")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
 
-_NATIVE_KEYWORDS = frozenset({"places", "transitions", "init", "target", "in", "out"})
+_SECTIONS = frozenset({"places", "transitions", "init", "target"})
+_NATIVE_KEYWORDS = _SECTIONS | {"in", "out"}
 _MIST_SECTIONS = ("vars", "rules", "init", "target")
 
 
-def _scan(text: Union[str, bytes], pattern: re.Pattern) -> List[_Token]:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    tokens: List[_Token] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0]
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            m = pattern.match(line, pos)
-            tok = m.group()
-            if len(tok) == 1 and not tok.isalnum() and tok not in ":;*=,'+-":
-                raise ParseError(f"unexpected character {tok!r}", lineno, pos + 1)
-            tokens.append(_Token(tok, lineno, pos + 1))
-            pos = m.end()
-    return tokens
+class _Tokens:
+    """The tokens of one text as plain strings, followed by ``""``.
+
+    Each line is tokenised by one ``findall``; a character the pattern
+    does not match is either white space or an error.  Only the index of
+    each line's first token is kept: a token's line and column are found
+    by re-scanning its line when a diagnostic needs them.
+    """
+
+    __slots__ = ("pattern", "lines", "starts", "tokens")
+
+    def __init__(self, text: Union[str, bytes], pattern: re.Pattern) -> None:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        lines = text.splitlines()
+        if "#" in text:
+            lines = [line.partition("#")[0] for line in lines]
+            text = "".join(lines)
+        self.pattern = pattern
+        self.lines = lines
+        self.starts: List[int] = []
+        self.tokens: List[str] = []
+        starts, tokens, findall = self.starts, self.tokens, pattern.findall
+        for line in lines:
+            starts.append(len(tokens))
+            tokens += findall(line)
+        if len("".join(tokens)) != len("".join(text.split())):
+            self._reject_character()
+        tokens.append("")  # the end marker, so lookahead needs no bounds check
+
+    def _reject_character(self) -> None:
+        """Raise for the first character that is in no token and no white space."""
+        for lineno, line in enumerate(self.lines, start=1):
+            rest = self.pattern.sub(lambda m: " " * len(m.group()), line)
+            bad = re.search(r"\S", rest)
+            if bad:
+                raise ParseError(f"unexpected character {bad.group()!r}",
+                                 lineno, bad.start() + 1)
+
+    def position(self, k: int) -> Tuple[int, int]:
+        """Line and column of token ``k``; the end marker is put at the last token."""
+        k = min(k, len(self.tokens) - 2)
+        row = max(r for r, start in enumerate(self.starts) if start <= k)
+        match = list(self.pattern.finditer(self.lines[row]))[k - self.starts[row]]
+        return row + 1, match.start() + 1
+
+    def error(self, message: str, k: int) -> ParseError:
+        return ParseError(message, *self.position(k))
 
 
-class _Cursor:
-    def __init__(self, tokens: List[_Token]) -> None:
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> Optional[_Token]:
-        tok = self.peek()
-        if tok is not None:
-            self.i += 1
-        return tok
-
-    def expect(self, text: str, what: str) -> _Token:
-        tok = self.next()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
-            raise ParseError(f"expected {what} but the input ended", last.line, last.column)
-        if tok.text != text:
-            raise ParseError(f"expected {what}, got {tok.text!r}", tok.line, tok.column)
-        return tok
-
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
-            return ParseError(message + " (at end of input)", last.line, last.column)
-        return ParseError(message, tok.line, tok.column)
+def _nat(src: _Tokens, k: int) -> Optional[int]:
+    """Token ``k`` as a count (``[0-9]+``), or None if it is not one."""
+    text = src.tokens[k]
+    if not (text.isdigit() and text.isascii()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        import sys
+        limit = sys.get_int_max_str_digits()
+        raise src.error(f"number has {len(text)} digits; the limit is {limit}", k) from None
 
 
-def _is_nat(text: str) -> bool:
-    return text.isdigit()
+def _expected(src: _Tokens, k: int, what: str) -> ParseError:
+    text = src.tokens[k]
+    if not text:
+        return src.error(f"expected {what} but the input ended", k)
+    return src.error(f"expected {what}, got {text!r}", k)
 
 
-def _native_ident(cur: _Cursor, what: str) -> _Token:
-    tok = cur.next()
-    if tok is None:
-        raise cur.error(f"expected {what}")
-    if tok.text == "-":
-        raise ParseError("negative numbers are not allowed", tok.line, tok.column)
-    if not _IDENT.match(tok.text):
-        raise ParseError(f"expected {what}, got {tok.text!r}", tok.line, tok.column)
-    if tok.text in _NATIVE_KEYWORDS:
-        raise ParseError(f"{tok.text!r} is a reserved word", tok.line, tok.column)
-    return tok
+def _native_ident(src: _Tokens, k: int, what: str) -> str:
+    text = src.tokens[k]
+    if text == "-":
+        raise src.error("negative numbers are not allowed", k)
+    if not _IDENT.match(text):
+        raise src.error(f"expected {what}, got {text!r}", k)
+    if text in _NATIVE_KEYWORDS:
+        raise src.error(f"{text!r} is a reserved word", k)
+    return text
 
 
-def _native_nat(cur: _Cursor, what: str) -> int:
-    tok = cur.next()
-    if tok is None:
-        raise cur.error(f"expected {what}")
-    if tok.text == "-":
-        raise ParseError("negative numbers are not allowed", tok.line, tok.column)
-    if not _is_nat(tok.text):
-        raise ParseError(f"expected {what}, got {tok.text!r}", tok.line, tok.column)
-    return int(tok.text)
+def _native_nat(src: _Tokens, k: int, what: str) -> int:
+    value = _nat(src, k)
+    if value is None:
+        text = src.tokens[k]
+        if not text:
+            raise src.error(f"expected {what} (at end of input)", k)
+        if text == "-":
+            raise src.error("negative numbers are not allowed", k)
+        raise src.error(f"expected {what}, got {text!r}", k)
+    return value
 
 
-def _at_section(cur: _Cursor) -> bool:
-    tok = cur.peek()
-    if tok is None or tok.text not in ("places", "transitions", "init", "target"):
-        return False
-    nxt = cur.tokens[cur.i + 1] if cur.i + 1 < len(cur.tokens) else None
-    return nxt is not None and nxt.text == ":"
+def _section_ends(tokens: List[str], i: int) -> bool:
+    """Whether token ``i`` is the end marker or opens a section."""
+    text = tokens[i]
+    return not text or (text in _SECTIONS and tokens[i + 1] == ":")
 
 
 def parse_native(text: Union[str, bytes], name: str = "") -> Problem:
     """Parse the native problem format; positions in errors are 1-based."""
-    tokens = _scan(text, _NATIVE_TOKEN)
-    if not tokens:
+    src = _Tokens(text, _NATIVE_TOKEN)
+    tokens = src.tokens
+    end = len(tokens) - 1
+    if not end:
         raise ParseError("empty input", 1, 1)
-    cur = _Cursor(tokens)
 
-    place_order: List[str] = []
-    place_seen: Dict[str, _Token] = {}
+    places: Dict[str, int] = {}  # name -> token index, in declaration order
     transitions: List[Tuple[str, Dict[str, int], Dict[str, int]]] = []
-    transition_seen: Dict[str, _Token] = {}
+    transition_seen: Dict[str, int] = {}
     init_counts: Dict[str, int] = {}
     target_specs: List[Dict[str, int]] = []
-    refs: List[_Token] = []  # every place use, for precise diagnostics
+    refs: List[int] = []  # token index of every place use, for diagnostics
 
-    while cur.peek() is not None:
-        if not _at_section(cur):
-            tok = cur.peek()
-            raise ParseError(
-                f"expected a section keyword, got {tok.text!r}", tok.line, tok.column
-            )
-        head = cur.next()
-        cur.expect(":", f"':' after {head.text!r}")
-        if head.text == "places":
-            while cur.peek() is not None and not _at_section(cur):
-                tok = _native_ident(cur, "place name")
-                if tok.text in place_seen:
-                    raise ParseError(f"duplicate place {tok.text!r}", tok.line, tok.column)
-                place_seen[tok.text] = tok
-                place_order.append(tok.text)
-        elif head.text == "transitions":
-            while cur.peek() is not None and not _at_section(cur):
-                transitions.append(_parse_transition_entry(cur, transition_seen, refs))
-        elif head.text == "init":
-            while cur.peek() is not None and not _at_section(cur):
-                tok = _native_ident(cur, "place name")
-                refs.append(tok)
-                cur.expect("=", "'=' in init entry")
-                count = _native_nat(cur, "token count")
-                if tok.text in init_counts:
-                    raise ParseError(f"duplicate init entry for {tok.text!r}",
-                                     tok.line, tok.column)
-                init_counts[tok.text] = count
-        else:  # target
+    i = 0
+    while i < end:
+        head = tokens[i]
+        if head not in _SECTIONS or tokens[i + 1] != ":":
+            raise src.error(f"expected a section keyword, got {head!r}", i)
+        i += 2
+        if head == "places":
+            while not _section_ends(tokens, i):
+                place = _native_ident(src, i, "place name")
+                if place in places:
+                    raise src.error(f"duplicate place {place!r}", i)
+                places[place] = i
+                i += 1
+        elif head == "transitions":
+            while not _section_ends(tokens, i):
+                entry, i = _native_transition(src, i, transition_seen, places, refs)
+                transitions.append(entry)
+        elif head == "init":
+            i = _native_counts(src, i, "=", "init", init_counts, places, refs)
+        else:
             atoms: Dict[str, int] = {}
-            while cur.peek() is not None and not _at_section(cur):
-                tok = _native_ident(cur, "place name")
-                refs.append(tok)
-                cur.expect(">=", "'>=' in target entry")
-                count = _native_nat(cur, "token count")
-                if tok.text in atoms:
-                    raise ParseError(f"duplicate target entry for {tok.text!r}",
-                                     tok.line, tok.column)
-                atoms[tok.text] = count
+            i = _native_counts(src, i, ">=", "target", atoms, places, refs)
             target_specs.append(atoms)
 
-    if not place_order:
+    if not places:
         raise ParseError("no places declared", 1, 1)
     if not target_specs:
-        last = tokens[-1]
-        raise ParseError("no target declared", last.line, last.column)
-    for tok in refs:
-        if tok.text not in place_seen:
-            raise ParseError(f"unknown place {tok.text!r}", tok.line, tok.column)
-    for tname, tok in transition_seen.items():
-        if tname in place_seen:
-            raise ParseError(
-                f"{tname!r} is declared as both a place and a transition",
-                tok.line, tok.column,
-            )
+        raise src.error("no target declared", end)
+    for k in refs:
+        if tokens[k] not in places:
+            raise src.error(f"unknown place {tokens[k]!r}", k)
+    for tname, k in transition_seen.items():
+        if tname in places:
+            raise src.error(f"{tname!r} is declared as both a place and a transition", k)
 
     pre_arcs: Dict[Tuple[str, str], int] = {}
     post_arcs: Dict[Tuple[str, str], int] = {}
@@ -248,7 +245,7 @@ def parse_native(text: Union[str, bytes], name: str = "") -> Problem:
             post_arcs[(tname, p)] = w
 
     net = PetriNet(
-        places=place_order,
+        places=list(places),
         transitions=[t for t, _, _ in transitions],
         pre_arcs=pre_arcs,
         post_arcs=post_arcs,
@@ -258,50 +255,68 @@ def parse_native(text: Union[str, bytes], name: str = "") -> Problem:
     return Problem(net=net, targets=targets, name=name)
 
 
-def _parse_transition_entry(cur: _Cursor, seen: Dict[str, _Token],
-                            refs: List[_Token]):
-    tok = _native_ident(cur, "transition name")
-    if tok.text in seen:
-        raise ParseError(f"duplicate transition {tok.text!r}", tok.line, tok.column)
-    seen[tok.text] = tok
-    cur.expect(":", "':' after transition name")
-    ins = _parse_arc_list(cur, "in", refs)
-    outs = _parse_arc_list(cur, "out", refs)
-    end = cur.next()
-    if end is None:
-        raise ParseError(f"expected ';' to close transition {tok.text!r}",
-                         tok.line, tok.column)
-    if end.text != ";":
-        raise ParseError(
-            f"expected ';' to close transition {tok.text!r}, got {end.text!r}",
-            end.line, end.column,
-        )
-    return tok.text, ins, outs
+def _native_counts(src: _Tokens, i: int, op: str, section: str, counts: Dict[str, int],
+                   places: Dict[str, int], refs: List[int]) -> int:
+    """Read ``place op count`` entries from token ``i`` into ``counts``;
+    returns the index of the token after the section."""
+    tokens = src.tokens
+    while not _section_ends(tokens, i):
+        place = tokens[i]
+        if place not in places:
+            _native_ident(src, i, "place name")
+        refs.append(i)
+        if tokens[i + 1] != op:
+            raise _expected(src, i + 1, f"'{op}' in {section} entry")
+        count = _native_nat(src, i + 2, "token count")
+        if place in counts:
+            raise src.error(f"duplicate {section} entry for {place!r}", i)
+        counts[place] = count
+        i += 3
+    return i
 
 
-def _parse_arc_list(cur: _Cursor, keyword: str,
-                    refs: List[_Token]) -> Dict[str, int]:
+def _native_transition(src: _Tokens, i: int, seen: Dict[str, int],
+                       places: Dict[str, int], refs: List[int]):
+    tokens = src.tokens
+    tname = _native_ident(src, i, "transition name")
+    if tname in seen:
+        raise src.error(f"duplicate transition {tname!r}", i)
+    seen[tname] = i
+    if tokens[i + 1] != ":":
+        raise _expected(src, i + 1, "':' after transition name")
+    ins, j = _native_arcs(src, i + 2, "in", places, refs)
+    outs, j = _native_arcs(src, j, "out", places, refs)
+    close = tokens[j]
+    if close != ";":
+        if not close:
+            raise src.error(f"expected ';' to close transition {tname!r}", i)
+        raise src.error(f"expected ';' to close transition {tname!r}, got {close!r}", j)
+    return (tname, ins, outs), j + 1
+
+
+def _native_arcs(src: _Tokens, i: int, keyword: str, places: Dict[str, int],
+                 refs: List[int]) -> Tuple[Dict[str, int], int]:
+    tokens = src.tokens
     arcs: Dict[str, int] = {}
-    tok = cur.peek()
-    if tok is None or tok.text != keyword:
-        return arcs
-    cur.next()
-    while True:
-        tok = cur.peek()
-        if tok is None or tok.text in (";", "out") or _at_section(cur):
-            return arcs
-        ptok = _native_ident(cur, "place name in arc list")
-        refs.append(ptok)
+    if tokens[i] != keyword:
+        return arcs, i
+    i += 1
+    while not (tokens[i] in (";", "out") or _section_ends(tokens, i)):
+        place = tokens[i]
+        if place not in places:
+            _native_ident(src, i, "place name in arc list")
+        refs.append(i)
         weight = 1
-        nxt = cur.peek()
-        if nxt is not None and nxt.text == "*":
-            cur.next()
-            weight = _native_nat(cur, "arc multiplicity")
-        if ptok.text in arcs:
-            raise ParseError(f"duplicate arc for place {ptok.text!r}",
-                             ptok.line, ptok.column)
+        step = 1
+        if tokens[i + 1] == "*":
+            weight = _native_nat(src, i + 2, "arc multiplicity")
+            step = 3
+        if place in arcs:
+            raise src.error(f"duplicate arc for place {place!r}", i)
         if weight:
-            arcs[ptok.text] = weight
+            arcs[place] = weight
+        i += step
+    return arcs, i
 
 
 def emit_native(problem: Problem) -> str:
@@ -332,41 +347,31 @@ def emit_native(problem: Problem) -> str:
 
 def parse_mist(text: Union[str, bytes], name: str = "") -> Problem:
     """Parse the supported subset of the MIST ``.spec`` format."""
-    tokens = _scan(text, _MIST_TOKEN)
-    if not tokens:
+    src = _Tokens(text, _MIST_TOKEN)
+    tokens = src.tokens
+    end = len(tokens) - 1
+    if not end:
         raise ParseError("empty input", 1, 1)
 
     # Split into the four fixed sections.
-    starts: Dict[str, int] = {}
-    for idx, tok in enumerate(tokens):
-        if tok.text in _MIST_SECTIONS and tok.text not in starts:
-            starts[tok.text] = idx
-    if "vars" not in starts or starts["vars"] != 0:
-        tok = tokens[0]
-        raise ParseError("input must start with a 'vars' section", tok.line, tok.column)
+    starts = {s: tokens.index(s) for s in _MIST_SECTIONS if s in tokens}
+    if starts.get("vars") != 0:
+        raise src.error("input must start with a 'vars' section", 0)
     order = sorted(starts, key=starts.get)
     if order != [s for s in _MIST_SECTIONS if s in starts]:
-        tok = tokens[starts[order[-1]]]
-        raise ParseError(
-            "sections must appear in the order vars, rules, init, target",
-            tok.line, tok.column,
-        )
+        raise src.error("sections must appear in the order vars, rules, init, target",
+                        starts[order[-1]])
     for section in _MIST_SECTIONS:
         if section not in starts:
-            last = tokens[-1]
-            raise ParseError(f"missing section {section!r}", last.line, last.column)
+            raise src.error(f"missing section {section!r}", end)
+    bounds = [starts[s] for s in _MIST_SECTIONS] + [end]
+    spans = [(b + 1, e) for b, e in zip(bounds, bounds[1:])]
 
-    bounds = sorted(starts.values()) + [len(tokens)]
-    chunks: Dict[str, List[_Token]] = {}
-    for section, begin in starts.items():
-        end = bounds[bounds.index(begin) + 1]
-        chunks[section] = tokens[begin + 1:end]
-
-    variables = _mist_vars(chunks["vars"])
+    variables = _mist_vars(src, *spans[0])
     var_index = {v: i for i, v in enumerate(variables)}
-    rules = _mist_rules(chunks["rules"], var_index)
-    init = _mist_init(chunks["init"], var_index)
-    targets = _mist_targets(chunks["target"], var_index)
+    rules = _mist_rules(src, *spans[1], var_index)
+    init = _mist_init(src, *spans[2], var_index)
+    targets = _mist_targets(src, *spans[3], var_index)
 
     taken = set(variables)
     tnames = []
@@ -395,7 +400,7 @@ def parse_mist(text: Union[str, bytes], name: str = "") -> Problem:
         transitions=tnames,
         pre_arcs=pre_arcs,
         post_arcs=post_arcs,
-        initial={v: c for v, c in init.items()},
+        initial={variables[i]: c for i, c in init.items()},
     )
     markings = tuple(
         net.marking({variables[i]: c for i, c in atoms.items()}) for atoms in targets
@@ -403,192 +408,162 @@ def parse_mist(text: Union[str, bytes], name: str = "") -> Problem:
     return Problem(net=net, targets=markings, name=name)
 
 
-def _mist_vars(tokens: List[_Token]) -> Tuple[str, ...]:
-    if not tokens:
+# The section parsers below read tokens ``i`` up to, not including, ``e``.
+
+def _mist_vars(src: _Tokens, i: int, e: int) -> Tuple[str, ...]:
+    if i == e:
         raise ParseError("no variables declared", 1, 1)
-    names: List[str] = []
-    seen = set()
-    for tok in tokens:
-        if not _IDENT.match(tok.text):
-            raise ParseError(f"expected a variable name, got {tok.text!r}",
-                             tok.line, tok.column)
-        if tok.text in seen:
-            raise ParseError(f"duplicate variable {tok.text!r}", tok.line, tok.column)
-        seen.add(tok.text)
-        names.append(tok.text)
+    names: Dict[str, None] = {}
+    for k in range(i, e):
+        text = src.tokens[k]
+        if not _IDENT.match(text):
+            raise src.error(f"expected a variable name, got {text!r}", k)
+        if text in names:
+            raise src.error(f"duplicate variable {text!r}", k)
+        names[text] = None
     return tuple(names)
 
 
-def _mist_var(tok: Optional[_Token], var_index: Dict[str, int],
+def _mist_var(src: _Tokens, k: int, e: int, var_index: Dict[str, int],
               what: str, allow_prime: bool = False) -> Tuple[int, bool]:
-    if tok is None:
+    if k >= e:
         raise ParseError(f"expected {what} but the input ended", 1, 1)
-    text = tok.text
+    text = src.tokens[k]
     primed = text.endswith("'")
+    if primed and not allow_prime:
+        raise src.error(f"unexpected primed variable {text!r}", k)
     if primed:
         text = text[:-1]
-    if primed and not allow_prime:
-        raise ParseError(f"unexpected primed variable {tok.text!r}", tok.line, tok.column)
     if text not in var_index:
-        raise ParseError(f"unknown variable {text!r}", tok.line, tok.column)
+        raise src.error(f"unknown variable {text!r}", k)
     return var_index[text], primed
 
 
-def _mist_rules(tokens: List[_Token], var_index: Dict[str, int]):
-    cur = _Cursor(tokens)
-    rules = []
-    while cur.peek() is not None:
-        first = cur.peek()
-        rule_no = len(rules)
-        label = f"rule {rule_no} (line {first.line})"
+def _mist_nat(src: _Tokens, k: int, e: int, label: Callable[[], str]) -> int:
+    if k >= e:
+        raise ParseError(f"{label()}: expected a number", 1, 1)
+    value = _nat(src, k)
+    if value is None:
+        raise src.error(f"{label()}: expected a number, got {src.tokens[k]!r}", k)
+    return value
+
+
+def _mist_rules(src: _Tokens, i: int, e: int, var_index: Dict[str, int]):
+    tokens = src.tokens
+    rules: List[Tuple[Dict[int, int], Dict[int, int]]] = []
+    first = i
+
+    def label() -> str:
+        return f"rule {len(rules)} (line {src.position(first)[0]})"
+
+    while i < e:
+        first = i
         guards: Dict[int, int] = {}
-        if first.text == "->":
-            cur.next()  # guardless rule
+        if tokens[i] == "->":
+            i += 1  # guardless rule
         else:
             while True:
-                tok = cur.next()
-                var, _ = _mist_var(tok, var_index, "a guard variable")
-                op = cur.next()
-                if op is None or op.text != ">=":
-                    bad = op if op is not None else tok
-                    raise ParseError(f"{label}: guards must use '>='",
-                                     bad.line, bad.column)
-                bound = _mist_nat(cur, label)
+                var, _ = _mist_var(src, i, e, var_index, "a guard variable")
+                if i + 1 >= e or tokens[i + 1] != ">=":
+                    raise src.error(f"{label()}: guards must use '>='", min(i + 1, e - 1))
+                bound = _mist_nat(src, i + 2, e, label)
                 guards[var] = max(guards.get(var, 0), bound)
-                sep = cur.next()
-                if sep is None:
-                    raise ParseError(f"{label}: unterminated rule", tok.line, tok.column)
-                if sep.text == "->":
+                if i + 3 >= e:
+                    raise src.error(f"{label()}: unterminated rule", i)
+                sep = tokens[i + 3]
+                if sep != "->" and sep != ",":
+                    raise src.error(f"{label()}: expected ',' or '->', got {sep!r}", i + 3)
+                i += 4
+                if sep == "->":
                     break
-                if sep.text != ",":
-                    raise ParseError(f"{label}: expected ',' or '->', got {sep.text!r}",
-                                     sep.line, sep.column)
         deltas: Dict[int, int] = {}
-        updated = set()
         while True:
-            nxt = cur.peek()
-            if nxt is not None and nxt.text == ";":
-                cur.next()
+            if i < e and tokens[i] == ";":
+                i += 1
                 break
-            tok = cur.next()
-            var, primed = _mist_var(tok, var_index, "an update variable",
+            var, primed = _mist_var(src, i, e, var_index, "an update variable",
                                     allow_prime=True)
+            target = tokens[i]
             if not primed:
-                raise ParseError(
-                    f"{label}: update target must be primed, got {tok.text!r}",
-                    tok.line, tok.column,
-                )
-            if var in updated:
-                raise ParseError(f"{label}: variable updated twice", tok.line, tok.column)
-            updated.add(var)
-            eq = cur.next()
-            if eq is None or eq.text != "=":
-                bad = eq if eq is not None else tok
-                raise ParseError(f"{label}: expected '=' in update", bad.line, bad.column)
-            rhs = cur.next()
-            if rhs is None:
-                raise ParseError(f"{label}: unterminated update", eq.line, eq.column)
-            if _is_nat(rhs.text):
-                raise ParseError(
-                    f"{label}: reset updates are not expressible as Petri-net arcs",
-                    rhs.line, rhs.column,
-                )
-            rvar, rprimed = _mist_var(rhs, var_index, "the update source")
-            if rprimed or rvar != var:
-                raise ParseError(
-                    f"{label}: update of {tok.text!r} from {rhs.text!r} is not "
-                    "expressible as Petri-net arcs",
-                    rhs.line, rhs.column,
-                )
+                raise src.error(
+                    f"{label()}: update target must be primed, got {target!r}", i)
+            if var in deltas:
+                raise src.error(f"{label()}: variable updated twice", i)
+            if i + 1 >= e or tokens[i + 1] != "=":
+                raise src.error(f"{label()}: expected '=' in update", min(i + 1, e - 1))
+            if i + 2 >= e:
+                raise src.error(f"{label()}: unterminated update", i + 1)
+            source = tokens[i + 2]
+            if source.isdigit() and source.isascii():
+                raise src.error(
+                    f"{label()}: reset updates are not expressible as Petri-net arcs", i + 2)
+            if _mist_var(src, i + 2, e, var_index, "the update source")[0] != var:
+                raise src.error(
+                    f"{label()}: update of {target!r} from {source!r} is not "
+                    "expressible as Petri-net arcs", i + 2)
+            j = i + 3
             delta = 0
-            sign = cur.peek()
-            if sign is not None and sign.text in "+-":
-                cur.next()
-                step = _mist_nat(cur, label)
-                delta = step if sign.text == "+" else -step
+            if j < e and tokens[j] in ("+", "-"):
+                step = _mist_nat(src, j + 1, e, label)
+                delta = step if tokens[j] == "+" else -step
+                j += 2
             deltas[var] = delta
-            sep = cur.next()
-            if sep is None:
-                raise ParseError(f"{label}: unterminated rule", tok.line, tok.column)
-            if sep.text == ";":
+            if j >= e:
+                raise src.error(f"{label()}: unterminated rule", i)
+            sep = tokens[j]
+            if sep != ";" and sep != ",":
+                raise src.error(f"{label()}: expected ',' or ';', got {sep!r}", j)
+            i = j + 1
+            if sep == ";":
                 break
-            if sep.text != ",":
-                raise ParseError(f"{label}: expected ',' or ';', got {sep.text!r}",
-                                 sep.line, sep.column)
         for var, delta in deltas.items():
             if delta < 0 and guards.get(var, 0) < -delta:
-                raise ParseError(
-                    f"{label}: decrease of {-delta} is not covered by the guard, "
-                    "so the rule is not expressible as Petri-net arcs",
-                    first.line, first.column,
-                )
+                raise src.error(
+                    f"{label()}: decrease of {-delta} is not covered by the guard, "
+                    "so the rule is not expressible as Petri-net arcs", first)
         rules.append((guards, deltas))
     return rules
 
 
-def _mist_nat(cur: _Cursor, label: str) -> int:
-    tok = cur.next()
-    if tok is None:
-        raise ParseError(f"{label}: expected a number", 1, 1)
-    if not _is_nat(tok.text):
-        raise ParseError(f"{label}: expected a number, got {tok.text!r}",
-                         tok.line, tok.column)
-    return int(tok.text)
-
-
-def _mist_init(tokens: List[_Token], var_index: Dict[str, int]) -> Dict[str, int]:
-    cur = _Cursor(tokens)
-    counts: Dict[str, int] = {}
-    names = {i: v for v, i in var_index.items()}
-    while cur.peek() is not None:
-        tok = cur.next()
-        var, _ = _mist_var(tok, var_index, "an init variable")
-        op = cur.next()
-        if op is not None and op.text == ">=":
-            raise ParseError("parametric initial marking unsupported",
-                             op.line, op.column)
-        if op is None or op.text != "=":
-            bad = op if op is not None else tok
-            raise ParseError(f"expected '=' in init, got {bad.text!r}",
-                             bad.line, bad.column)
-        count = _mist_nat(cur, "init")
-        if names[var] in counts:
-            raise ParseError(f"duplicate init entry for {names[var]!r}",
-                             tok.line, tok.column)
-        counts[names[var]] = count
-        sep = cur.peek()
-        if sep is not None and sep.text == ",":
-            cur.next()
+def _mist_init(src: _Tokens, i: int, e: int, var_index: Dict[str, int]) -> Dict[int, int]:
+    tokens = src.tokens
+    counts: Dict[int, int] = {}
+    while i < e:
+        var, _ = _mist_var(src, i, e, var_index, "an init variable")
+        op = tokens[i + 1] if i + 1 < e else None
+        if op == ">=":
+            raise src.error("parametric initial marking unsupported", i + 1)
+        if op != "=":
+            bad = i if op is None else i + 1
+            raise src.error(f"expected '=' in init, got {tokens[bad]!r}", bad)
+        count = _mist_nat(src, i + 2, e, lambda: "init")
+        if var in counts:
+            raise src.error(f"duplicate init entry for {tokens[i]!r}", i)
+        counts[var] = count
+        i += 3
+        if i < e and tokens[i] == ",":
+            i += 1
     return counts
 
 
-def _mist_targets(tokens: List[_Token], var_index: Dict[str, int]):
-    if not tokens:
+def _mist_targets(src: _Tokens, i: int, e: int, var_index: Dict[str, int]):
+    if i == e:
         raise ParseError("no target declared", 1, 1)
+    tokens = src.tokens
     # One target marking per source line.
-    by_line: List[List[_Token]] = []
-    for tok in tokens:
-        if by_line and by_line[-1][0].line == tok.line:
-            by_line[-1].append(tok)
-        else:
-            by_line.append([tok])
+    cuts = [i] + sorted({s for s in src.starts if i < s < e}) + [e]
     targets = []
-    for group in by_line:
-        cur = _Cursor(group)
+    for k, stop in zip(cuts, cuts[1:]):
         atoms: Dict[int, int] = {}
-        while cur.peek() is not None:
-            tok = cur.next()
-            if tok.text == ",":
+        while k < stop:
+            if tokens[k] == ",":
+                k += 1
                 continue
-            var, primed = _mist_var(tok, var_index, "a target variable")
-            if primed:
-                raise ParseError(f"unexpected primed variable {tok.text!r}",
-                                 tok.line, tok.column)
-            op = cur.next()
-            if op is None or op.text != ">=":
-                bad = op if op is not None else tok
-                raise ParseError("targets must use '>='", bad.line, bad.column)
-            bound = _mist_nat(cur, "target")
+            var, _ = _mist_var(src, k, stop, var_index, "a target variable")
+            if k + 1 >= stop or tokens[k + 1] != ">=":
+                raise src.error("targets must use '>='", min(k + 1, stop - 1))
+            bound = _mist_nat(src, k + 2, stop, lambda: "target")
             atoms[var] = max(atoms.get(var, 0), bound)
+            k += 3
         targets.append(atoms)
     return targets

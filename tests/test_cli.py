@@ -209,6 +209,28 @@ def test_parse_error_is_positioned(capsys, tmp_path):
     assert "line 3" in err and "zzz" in err
 
 
+BAD_NUMBERS = [
+    ("sup.cover", "places: a\ninit: a=\u00b2\ntarget: a>=1\n", "line 2, column 9"),
+    ("arc.cover", "places: a\ntransitions:\nt: in a*\u00b9 ;\ntarget: a>=1\n",
+     "line 3, column 9"),
+    ("long.cover", "places: a\ninit: a=" + "7" * 5000 + "\ntarget: a>=1\n",
+     "line 2, column 9"),
+    ("sup.spec", GATE_SPEC.replace("x = 2,", "x = \u00b2,"), "line 10, column 7"),
+    ("long.spec", GATE_SPEC.replace("y >= 4", "y >= " + "7" * 5000), "line 12, column 8"),
+]
+
+
+@pytest.mark.parametrize("name, text, where", BAD_NUMBERS,
+                         ids=[name for name, _, _ in BAD_NUMBERS])
+def test_bad_number_is_positioned(capsys, tmp_path, name, text, where):
+    bad = tmp_path / name
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", "--net", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: {where}: ")
+    assert "internal error" not in err and "Traceback" not in err
+
+
 # -- preprocess -----------------------------------------------------------
 
 def test_preprocess_emits_reduced_net(capsys, stuck_file):

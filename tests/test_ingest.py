@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import pathlib
 import random
 
 import pytest
@@ -69,6 +71,12 @@ def test_each_target_section_is_one_marking():
 def test_comments_and_blank_lines_ignored():
     text = "# heading\nplaces: a # trailing\n\ntransitions:\ntarget: a>=1\n"
     assert parse_native(text).net.places == ("a",)
+    # A comment inside a transition entry ends at the line break, and
+    # no-break spaces separate tokens like spaces.
+    p = parse_native("places: a\xa0b\ntransitions:\nt: in a # ; out a\n"
+                     "  out b ;\ntarget: b>=1\n")
+    assert p.net.places == ("a", "b")
+    assert p.net.pre == ((1, 0),) and p.net.post == ((0, 1),)
 
 
 def error_of(text, fmt=parse_native):
@@ -83,33 +91,78 @@ def test_native_diagnostics_are_positioned():
     assert (err.line, err.column) == (3, 7)
 
 
+# (input, message, line, column): each diagnostic is pinned to its position.
+NATIVE_REJECTIONS = [
+    ("places:\ntransitions:\ntarget:\n", "no places declared", 1, 1),
+    ("places: a\ntransitions:\n", "no target declared", 2, 12),
+    ("", "empty input", 1, 1),
+    ("# only a comment\n  \n", "empty input", 1, 1),
+    ("places: a a\ntarget: a>=1\n", "duplicate place 'a'", 1, 11),
+    ("places: a\ntransitions:\nt: ;\nt: ;\ntarget: a>=1\n",
+     "duplicate transition 't'", 4, 1),
+    ("places: a\ntransitions:\na: ;\ntarget: a>=1\n",
+     "'a' is declared as both a place and a transition", 3, 1),
+    ("places: a\ntransitions:\nt: in a a*2 ;\ntarget: a>=1\n",
+     "duplicate arc for place 'a'", 3, 9),
+    ("places: a\ntransitions:\ninit: a=1 a=2\ntarget: a>=1\n",
+     "duplicate init entry for 'a'", 3, 11),
+    ("places: a\ntransitions:\ntarget: a>=1 a>=2\n",
+     "duplicate target entry for 'a'", 3, 14),
+    ("places: a\ntransitions:\ninit: a=-1\ntarget: a>=1\n",
+     "negative numbers are not allowed", 3, 9),
+    ("places: a\ntransitions:\nt: in a*-2 ;\ntarget: a>=1\n",
+     "negative numbers are not allowed", 3, 9),
+    ("places: target\ntransitions:\ntarget: target>=1\n",
+     "'target' is a reserved word", 1, 9),
+    ("places: a\ntransitions:\nt: out a in a ;\ntarget: a>=1\n",
+     "'in' is a reserved word", 3, 10),
+    ("places: a\ntransitions:\nt: in a\ntarget: a>=1\n",
+     "expected ';' to close transition 't', got 'target'", 4, 1),
+    # At the end of the input, on the transition's own name.
+    ("places: a\ntarget: a>=1\ntransitions:\nt: in a",
+     "expected ';' to close transition 't'", 4, 1),
+    ("places: a\ntransitions:\nt in a ;\ntarget: a>=1\n",
+     "expected ':' after transition name, got 'in'", 3, 3),
+    ("places: a\ntransitions:\ninit: b=1\ntarget: a>=1\n", "unknown place 'b'", 3, 7),
+    ("places: a@\ntransitions:\ntarget: a>=1\n", "unexpected character '@'", 1, 10),
+    ("places: a _\ntarget: a>=1\n", "unexpected character '_'", 1, 11),
+    ("platzes: a\ntarget: a>=1\n", "expected a section keyword, got 'platzes'", 1, 1),
+    ("places: a\ntarget: a 1\n", "expected '>=' in target entry, got '1'", 2, 11),
+    ("places: a\ntarget: a>=\n", "expected token count (at end of input)", 2, 10),
+    ("places: a\ninit: a=x\ntarget: a>=1\n", "expected token count, got 'x'", 2, 9),
+    ("places: a\ntransitions:\nt: in a*x ;\ntarget: a>=1\n",
+     "expected arc multiplicity, got 'x'", 3, 9),
+    # Line breaks are those of str.splitlines().
+    ("places: a\r\ntransitions:\r\nt: in zz ;\r\ntarget: a>=1\r\n",
+     "unknown place 'zz'", 3, 7),
+    ("places: a\rtransitions:\rt: in zz ;\rtarget: a>=1\r", "unknown place 'zz'", 3, 7),
+    ("places: a\x0ctransitions:\x0ct: in zz ;\x0ctarget: a>=1\n",
+     "unknown place 'zz'", 3, 7),
+    ("places: a\x85transitions:\x85t: in zz ;\x85target: a>=1\n",
+     "unknown place 'zz'", 3, 7),
+    ("places: a\u2028transitions:\u2028t: in zz ;\u2028target: a>=1\n",
+     "unknown place 'zz'", 3, 7),
+    ("places: a\n\rtransitions:\r\n\rt: in zz ;\ntarget: a>=1\n",
+     "unknown place 'zz'", 5, 7),
+    ("places: a b\ntransitions:\nt: in a # ; out b\n  out zz ;\ntarget: b>=1\n",
+     "unknown place 'zz'", 4, 7),
+    ("places:\xa0a\ntransitions:\nt:\xa0in\xa0zz ;\ntarget: a>=1\n",
+     "unknown place 'zz'", 3, 7),
+    ("\ufeffplaces: a\ntarget: a>=1\n", "unexpected character '\\ufeff'", 1, 1),
+]
+
+
+def assert_rejections(parse, table):
+    for text, message, line, column in table:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        err = info.value
+        assert (str(err), err.line, err.column) == (
+            f"line {line}, column {column}: {message}", line, column), text[:200]
+
+
 def test_native_rejections():
-    assert "no places" in str(error_of("places:\ntransitions:\ntarget:\n"))
-    assert "no target" in str(error_of("places: a\ntransitions:\n"))
-    assert "empty input" in str(error_of(""))
-    assert "duplicate place" in str(error_of("places: a a\ntarget: a>=1\n"))
-    assert "duplicate transition" in str(
-        error_of("places: a\ntransitions:\nt: ;\nt: ;\ntarget: a>=1\n"))
-    assert "both a place and a transition" in str(
-        error_of("places: a\ntransitions:\na: ;\ntarget: a>=1\n"))
-    assert "duplicate arc" in str(
-        error_of("places: a\ntransitions:\nt: in a a*2 ;\ntarget: a>=1\n"))
-    assert "duplicate init entry" in str(
-        error_of("places: a\ntransitions:\ninit: a=1 a=2\ntarget: a>=1\n"))
-    assert "duplicate target entry" in str(
-        error_of("places: a\ntransitions:\ntarget: a>=1 a>=2\n"))
-    assert "negative numbers" in str(
-        error_of("places: a\ntransitions:\ninit: a=-1\ntarget: a>=1\n"))
-    assert "reserved word" in str(
-        error_of("places: target\ntransitions:\ntarget: target>=1\n"))
-    assert "expected ';'" in str(
-        error_of("places: a\ntransitions:\nt: in a\ntarget: a>=1\n"))
-    assert "unknown place" in str(
-        error_of("places: a\ntransitions:\ninit: b=1\ntarget: a>=1\n"))
-    assert "unexpected character" in str(
-        error_of("places: a@\ntransitions:\ntarget: a>=1\n"))
-    assert "expected a section keyword" in str(
-        error_of("platzes: a\ntarget: a>=1\n"))
+    assert_rejections(parse_native, NATIVE_REJECTIONS)
 
 
 def test_emit_round_trip_pump(pump_problem):
@@ -229,34 +282,110 @@ def test_mist_transition_names_avoid_variables():
     assert p.net.transitions == ("r0_",)
 
 
-def test_mist_rejections():
-    def err(text):
-        with pytest.raises(ParseError) as info:
-            parse_mist(text)
-        return str(info.value)
+HEAD = "vars\n x y\nrules\n"
+TAIL = "init\n x = 1\ntarget\n x >= 1\n"
+NOOP = "vars\n x\nrules\n -> x' = x;\ninit\n"
+MIST_REJECTIONS = [
+    (HEAD + " x >= 1 -> x' = 3;\n" + TAIL,
+     "rule 0 (line 4): reset updates are not expressible as Petri-net arcs", 4, 17),
+    (HEAD + " x >= 1 -> x' = y;\n" + TAIL,
+     "rule 0 (line 4): update of \"x'\" from 'y' is not expressible as Petri-net arcs",
+     4, 17),
+    (HEAD + " x >= 1 -> x' = x - 2;\n" + TAIL,
+     "rule 0 (line 4): decrease of 2 is not covered by the guard, so the rule is "
+     "not expressible as Petri-net arcs", 4, 2),
+    (HEAD + " -> x' = x + 1, x' = x + 2;\n" + TAIL,
+     "rule 0 (line 4): variable updated twice", 4, 17),
+    (HEAD + " -> x = x + 1;\n" + TAIL,
+     "rule 0 (line 4): update target must be primed, got 'x'", 4, 5),
+    (HEAD + " z >= 1 -> x' = x;\n" + TAIL, "unknown variable 'z'", 4, 2),
+    (HEAD + " x >= 1 -> x' = x'\n;" + TAIL, "unexpected primed variable \"x'\"", 4, 17),
+    (HEAD + " x = 1 -> x' = x;\n" + TAIL, "rule 0 (line 4): guards must use '>='", 4, 4),
+    (HEAD + " x >= 1 x' = x;\n" + TAIL,
+     "rule 0 (line 4): expected ',' or '->', got \"x'\"", 4, 9),
+    (HEAD + " x >= 1 -> x' = x + 1\n" + TAIL, "rule 0 (line 4): unterminated rule", 4, 12),
+    (HEAD + " -> x' = x;\n -> y' = y - q;\n" + TAIL,
+     "rule 1 (line 5): expected a number, got 'q'", 5, 14),
+    (NOOP + " x >= 1\ntarget\n x >= 1\n", "parametric initial marking unsupported", 6, 4),
+    (NOOP + " x 1\ntarget\n x >= 1\n", "expected '=' in init, got '1'", 6, 4),
+    (NOOP + " x = 1, x = 2\ntarget\n x >= 1\n", "duplicate init entry for 'x'", 6, 9),
+    ("vars\n x x\nrules\n" + TAIL, "duplicate variable 'x'", 2, 4),
+    ("vars\nrules\n" + TAIL, "no variables declared", 1, 1),
+    ("vars\n 1x\nrules\n" + TAIL, "expected a variable name, got '1'", 2, 2),
+    (NOOP + " x = 1\n", "missing section 'target'", 6, 6),
+    ("rules\n -> x' = x;\n", "input must start with a 'vars' section", 1, 1),
+    ("", "empty input", 1, 1),
+    ("vars\n x\ninit\n x = 1\nrules\n -> x' = x;\ntarget\n x >= 1\n",
+     "sections must appear in the order vars, rules, init, target", 7, 1),
+    (NOOP + " x = 1\ntarget\n x = 1\n", "targets must use '>='", 8, 4),
+    (NOOP + " x = 1\ntarget\n", "no target declared", 1, 1),
+    (NOOP + " x = 1\ntarget\n x' >= 1\n", "unexpected primed variable \"x'\"", 8, 2),
+    (NOOP + " x = 1\ntarget\n x >=\n", "target: expected a number", 1, 1),
+    (NOOP + " x = 1\ntarget\n x >= 1\n x >= y\n", "target: expected a number, got 'y'",
+     9, 7),
+    (NOOP + " x = 1\ntarget\n x >= 1 @\n", "unexpected character '@'", 8, 9),
+    # A rule's line follows str.splitlines(), comments included.
+    ("vars\r\n x\r\nrules\r\n -> x' = x;\r\n x >= 1 -> x' = x - 2;\r\n" + TAIL,
+     "rule 1 (line 5): decrease of 2 is not covered by the guard, so the rule is "
+     "not expressible as Petri-net arcs", 5, 2),
+    ("vars\n x\nrules\n -> x' = x; # a\u2028 -> x' = x - 1;\n" + TAIL,
+     "rule 1 (line 5): decrease of 1 is not covered by the guard, so the rule is "
+     "not expressible as Petri-net arcs", 5, 2),
+]
 
-    head = "vars\n x y\nrules\n"
-    tail = "init\n x = 1\ntarget\n x >= 1\n"
-    assert "reset updates" in err(head + " x >= 1 -> x' = 3;\n" + tail)
-    assert "not expressible" in err(head + " x >= 1 -> x' = y;\n" + tail)
-    assert "not covered by the guard" in err(head + " x >= 1 -> x' = x - 2;\n" + tail)
-    assert "updated twice" in err(head + " -> x' = x + 1, x' = x + 2;\n" + tail)
-    assert "must be primed" in err(head + " -> x = x + 1;\n" + tail)
-    assert "unknown variable" in err(head + " z >= 1 -> x' = x;\n" + tail)
-    assert "parametric initial marking" in err(
-        "vars\n x\nrules\n -> x' = x;\ninit\n x >= 1\ntarget\n x >= 1\n")
-    assert "duplicate variable" in err("vars\n x x\nrules\n" + tail)
-    assert "missing section" in err("vars\n x\nrules\n -> x' = x;\ninit\n x = 1\n")
-    assert "must start with a 'vars' section" in err("rules\n -> x' = x;\n")
-    assert "order" in err(
-        "vars\n x\ninit\n x = 1\nrules\n -> x' = x;\ntarget\n x >= 1\n")
-    assert "guards must use '>='" in err(head + " x = 1 -> x' = x;\n" + tail)
-    assert "targets must use '>='" in err(
-        "vars\n x\nrules\n -> x' = x;\ninit\n x = 1\ntarget\n x = 1\n")
-    assert "duplicate init entry" in err(
-        "vars\n x\nrules\n -> x' = x;\ninit\n x = 1, x = 2\ntarget\n x >= 1\n")
-    assert "no target declared" in err(
-        "vars\n x\nrules\n -> x' = x;\ninit\n x = 1\ntarget\n")
+
+def test_mist_rejections():
+    assert_rejections(parse_mist, MIST_REJECTIONS)
+
+
+# Counts are ASCII digits that int() converts: anything else is a
+# positioned error, in both formats.
+LONG = "1" * 5000
+NUMBER_REJECTIONS = [
+    (parse_native, "places: a\ninit: a=\u00b2\ntarget: a>=1\n",
+     "expected token count, got '\u00b2'", 2, 9),
+    (parse_native, "places: a\ninit: a=\u0663\ntarget: a>=1\n",
+     "expected token count, got '\u0663'", 2, 9),
+    (parse_native, f"places: a\ninit: a={LONG}\ntarget: a>=1\n",
+     "number has 5000 digits; the limit is 4300", 2, 9),
+    (parse_native, "places: a\ntransitions:\nt: in a*\u00b9 ;\ntarget: a>=1\n",
+     "expected arc multiplicity, got '\u00b9'", 3, 9),
+    (parse_native, f"places: a\ntransitions:\nt: out a*{LONG} ;\ntarget: a>=1\n",
+     "number has 5000 digits; the limit is 4300", 3, 10),
+    (parse_native, f"places: a\ntarget: a>={LONG}\n",
+     "number has 5000 digits; the limit is 4300", 2, 12),
+    (parse_mist, NOOP + " x = \u00b2\ntarget\n x >= 1\n",
+     "init: expected a number, got '\u00b2'", 6, 6),
+    (parse_mist, NOOP + f" x = {LONG}\ntarget\n x >= 1\n",
+     "number has 5000 digits; the limit is 4300", 6, 6),
+    (parse_mist, HEAD + f" x >= {LONG} -> x' = x;\n" + TAIL,
+     "number has 5000 digits; the limit is 4300", 4, 7),
+    (parse_mist, HEAD + " -> x' = x + \u0663;\n" + TAIL,
+     "rule 0 (line 4): expected a number, got '\u0663'", 4, 14),
+    (parse_mist, NOOP + " x = 1\ntarget\n x >= \u00b9\n",
+     "target: expected a number, got '\u00b9'", 8, 7),
+]
+
+
+def test_bad_numbers_are_positioned_errors():
+    for parse, text, message, line, column in NUMBER_REJECTIONS:
+        assert_rejections(parse, [(text, message, line, column)])
+
+
+def test_mutation_fixture():
+    """Seeded edits of valid texts (see ``data/make_ingest_mutations.py``)
+    parse to the problem or fail with the message, line and column that
+    were recorded when the fixture was made."""
+    path = pathlib.Path(__file__).parent / "data" / "ingest_mutations.json"
+    cases = json.loads(path.read_text(encoding="utf-8"))
+    assert len(cases) == 400
+    parsers = {"native": parse_native, "mist": parse_mist}
+    for case in cases:
+        parse = parsers[case["format"]]
+        if "emit" in case:
+            assert emit_native(parse(case["input"])) == case["emit"], case["input"]
+        else:
+            assert_rejections(parse, [(case["input"], *case["error"])])
 
 
 def test_mist_accepts_bytes():
