@@ -9,10 +9,9 @@ from .invariants import (
     StateInvariant,
     TrivialInvariant,
     make_invariant,
-    propagate,
     sign_analysis,
 )
-from .net import Displacement, Marking, Ordering, PetriNet
+from .net import Marking, PetriNet
 from .preprocess import (
     PruneReport,
     PruneRound,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Basis",
-    "Displacement",
     "ExploreBound",
     "FeasibilityProblem",
     "IntersectionInvariant",
@@ -48,7 +46,6 @@ __all__ = [
     "IterationStats",
     "Marking",
     "OracleOutcome",
-    "Ordering",
     "OutcomeKind",
     "ParseError",
     "PetriNet",
@@ -69,7 +66,6 @@ __all__ = [
     "minimize",
     "parse_mist",
     "parse_native",
-    "propagate",
     "prune_dead_transitions",
     "prune_problem",
     "reachable_markings",

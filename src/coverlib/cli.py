@@ -51,6 +51,13 @@ def _read_input(path: str) -> Tuple[str, str]:
         raise CliError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
+def _write_output(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _load_problem(path: str, fmt: str) -> Problem:
     text, name = _read_input(path)
     if fmt == "auto":
@@ -212,7 +219,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_output(args.out, text)
     doc = {
         "mode": report.mode,
         "places_kept": list(reduced.net.places),
@@ -227,7 +234,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     if args.report == "-":
         print(payload, file=sys.stderr)
     else:
-        Path(args.report).write_text(payload + "\n", encoding="utf-8")
+        _write_output(args.report, payload + "\n")
     return 0
 
 

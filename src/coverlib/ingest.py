@@ -236,21 +236,19 @@ def parse_native(text: Union[str, bytes], name: str = "") -> Problem:
         if tname in places:
             raise src.error(f"{tname!r} is declared as both a place and a transition", k)
 
-    pre_arcs: Dict[Tuple[str, str], int] = {}
-    post_arcs: Dict[Tuple[str, str], int] = {}
-    for tname, ins, outs in transitions:
-        for p, w in ins.items():
-            pre_arcs[(p, tname)] = w
-        for p, w in outs.items():
-            post_arcs[(tname, p)] = w
-
-    net = PetriNet(
-        places=list(places),
-        transitions=[t for t, _, _ in transitions],
-        pre_arcs=pre_arcs,
-        post_arcs=post_arcs,
-        initial=init_counts,
-    )
+    # Every name, arc and count is checked above: build the net directly.
+    index = {p: i for i, p in enumerate(places)}
+    pre, post = [], []
+    for _, ins, outs in transitions:
+        for arcs, rows in ((ins, pre), (outs, post)):
+            row = [0] * len(places)
+            for p, w in arcs.items():
+                row[index[p]] = w
+            rows.append(row)
+    initial = [0] * len(places)
+    for p, c in init_counts.items():
+        initial[index[p]] = c
+    net = PetriNet._checked(places, [t for t, _, _ in transitions], pre, post, initial)
     targets = tuple(net.marking(atoms) for atoms in target_specs)
     return Problem(net=net, targets=targets, name=name)
 
@@ -382,26 +380,22 @@ def parse_mist(text: Union[str, bytes], name: str = "") -> Problem:
         taken.add(tname)
         tnames.append(tname)
 
-    pre_arcs: Dict[Tuple[str, str], int] = {}
-    post_arcs: Dict[Tuple[str, str], int] = {}
-    for tname, (guards, deltas) in zip(tnames, rules):
-        for v, i in var_index.items():
-            g = guards.get(i, 0)
+    # Names, counts and the guard cover of every decrease are checked
+    # above, so each rule's arcs are non-negative: build the net directly.
+    pre, post = [], []
+    for guards, deltas in rules:
+        need_row, give_row = [], []
+        for i in range(len(variables)):
             d = deltas.get(i, 0)
-            need = max(g, -d) if d < 0 else g
-            give = need + d
-            if need:
-                pre_arcs[(v, tname)] = need
-            if give:
-                post_arcs[(tname, v)] = give
-
-    net = PetriNet(
-        places=variables,
-        transitions=tnames,
-        pre_arcs=pre_arcs,
-        post_arcs=post_arcs,
-        initial={variables[i]: c for i, c in init.items()},
-    )
+            need = max(guards.get(i, 0), -d)
+            need_row.append(need)
+            give_row.append(need + d)
+        pre.append(need_row)
+        post.append(give_row)
+    initial = [0] * len(variables)
+    for i, c in init.items():
+        initial[i] = c
+    net = PetriNet._checked(variables, tnames, pre, post, initial)
     markings = tuple(
         net.marking({variables[i]: c for i, c in atoms.items()}) for atoms in targets
     )

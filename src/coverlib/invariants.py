@@ -4,7 +4,9 @@ Two non-trivial invariants are provided, plus the trivial one and
 conjunctions:
 
 * sign: a fixpoint computes the set of places that can ever carry a
-  token; the invariant requires every other place to stay empty.
+  token; the invariant requires every other place to stay empty.  The
+  fixpoint, ``sign_analysis``, runs once per net and is kept on the net,
+  so the preprocessor and the invariant built on its result share it.
 * state: a marking is admitted when the token-flow balance equations,
   relaxed to non-negative rational firing counts, can explain it from
   the initial marking.
@@ -42,41 +44,37 @@ class SignAnalysis:
         return all(m[p] == 0 for p in self.always_empty)
 
 
-def propagate(net: PetriNet, t: int, marked: FrozenSet[int]) -> FrozenSet[int]:
-    """Places that firing ``t`` can newly mark, given possibly-marked places.
-
-    If some input place of ``t`` lies outside ``marked`` the transition
-    can never fire in the abstraction and nothing propagates.
-    """
-    net._check_transition(t)
-    pre = net.pre[t]
-    for p, w in enumerate(pre):
-        if w and p not in marked:
-            return frozenset()
-    return frozenset(p for p, w in enumerate(net.post[t]) if w)
-
-
 def sign_analysis(net: PetriNet) -> SignAnalysis:
-    """Least set of possibly-marked places closed under transition effects."""
-    marked = set(p for p, c in enumerate(net.initial) if c)
-    # A transition contributes at most once: after its outputs are in the
-    # set it can be retired.  Passes repeat while the set still grows.
-    pending = list(range(len(net.transitions)))
+    """Least set of possibly-marked places closed under transition effects.
+
+    The result is computed once per net and kept on it (nets are
+    immutable), so the preprocessor and the sign invariant of the same
+    net share one fixpoint.
+    """
+    if net._sign is not None:
+        return net._sign
+    marked = {p for p, c in enumerate(net.initial) if c}
+    # Each transition as (input places, output places), built once.  A
+    # transition contributes at most once: when its inputs are marked its
+    # outputs join the set and it is retired.  Passes repeat while the
+    # set still grows.
+    pending = [({p for p, w in enumerate(pre) if w}, {p for p, w in enumerate(post) if w})
+               for pre, post in zip(net.pre, net.post)]
     grew = True
     while grew:
         grew = False
         remaining = []
-        for t in pending:
-            added = propagate(net, t, frozenset(marked)) - marked
-            if added:
-                marked.update(added)
+        for needs, gives in pending:
+            if not needs <= marked:
+                remaining.append((needs, gives))
+            elif not gives <= marked:
+                marked |= gives
                 grew = True
-            else:
-                remaining.append(t)
         pending = remaining
-    all_places = frozenset(range(len(net.places)))
     pm = frozenset(marked)
-    return SignAnalysis(possibly_marked=pm, always_empty=all_places - pm)
+    net._sign = SignAnalysis(possibly_marked=pm,
+                             always_empty=frozenset(range(len(net.places))) - pm)
+    return net._sign
 
 
 # -- invariant handles ---------------------------------------------------------

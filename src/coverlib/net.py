@@ -4,30 +4,27 @@ Markings are dense vectors of token counts indexed by place position.
 Place and transition names are interned to dense indices when a net is
 built; every core operation works on indices and plain Python integers,
 so token counts and arc weights never overflow.
+
+A net is validated once, where it enters the library: the public
+``PetriNet`` constructor checks names, arcs, weights and the initial
+marking, the parsers check the text they read, and ``restrict`` checks
+its index lists.  All three then store the net through one private
+build path, ``PetriNet._checked``, which takes dense rows and trusts
+them.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
-
-
-class Ordering(Enum):
-    """Outcome of a component-wise comparison of two markings."""
-
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
 class Marking(tuple):
     """Token counts per place, as an immutable dense vector.
 
-    The coverability order is component-wise and partial: use ``leq``,
-    ``covers`` or ``compare``.  The comparison operators inherited from
-    tuple keep their lexicographic meaning and are only used as an
-    arbitrary total order for stable display output.
+    The coverability order is component-wise and partial: use ``leq`` or
+    ``covers``.  The comparison operators inherited from tuple keep their
+    lexicographic meaning and are only used as an arbitrary total order
+    for stable display output.
     """
 
     __slots__ = ()
@@ -57,53 +54,50 @@ class Marking(tuple):
         self._check_domain(other)
         return all(a >= b for a, b in zip(self, other))
 
-    def compare(self, other: Sequence[int]) -> Ordering:
-        """Four-valued component-wise comparison.
-
-        A single pass distinguishes less/equal/greater/incomparable, which
-        is what antichain maintenance needs.
-        """
-        self._check_domain(other)
-        below = above = False
-        for a, b in zip(self, other):
-            if a < b:
-                below = True
-            elif a > b:
-                above = True
-            if below and above:
-                return Ordering.INCOMPARABLE
-        if below:
-            return Ordering.LESS
-        if above:
-            return Ordering.GREATER
-        return Ordering.EQUAL
-
     def __repr__(self) -> str:
         return f"Marking({tuple(self)})"
 
 
-class Displacement(tuple):
-    """Net token change per place caused by firing one transition."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return f"Displacement({tuple(self)})"
-
-
 MarkingLike = Union[Marking, Sequence[int], Mapping[str, int]]
+
+
+def _dense(counts: MarkingLike, places: Sequence[str],
+           index: Mapping[str, int]) -> Marking:
+    # A marking over ``places`` from any MarkingLike; see PetriNet.marking.
+    if isinstance(counts, Marking) and len(counts) == len(places):
+        return counts
+    if isinstance(counts, Mapping):
+        dense = [0] * len(places)
+        for name, c in counts.items():
+            if name not in index:
+                raise ValueError(f"unknown place: {name!r}")
+            dense[index[name]] = c
+        return Marking(dense)
+    counts = tuple(counts)
+    if counts == ():
+        return Marking((0,) * len(places))
+    if len(counts) != len(places):
+        raise ValueError(f"expected {len(places)} counts, got {len(counts)}")
+    return Marking(counts)
 
 
 class PetriNet:
     """A place/transition net with weighted arcs and an initial marking.
 
     ``pre[t]`` and ``post[t]`` are dense weight vectors over places:
-    what transition ``t`` consumes and produces.  Instances are immutable
-    after construction and safe to share between threads.
+    what transition ``t`` consumes and produces.  The constructor
+    validates its arguments once; ``_checked`` is the one build path
+    behind it, and the parsers and ``restrict`` call it directly with
+    rows they have already checked.
+
+    Instances are immutable after construction and safe to share
+    between threads.  The private slot ``_sign`` holds the net's sign
+    analysis once ``invariants.sign_analysis`` has computed it; threads
+    that race on it compute and write the same value.
     """
 
     __slots__ = ("places", "transitions", "initial", "pre", "post",
-                 "_place_index", "_transition_index")
+                 "_place_index", "_transition_index", "_sign")
 
     def __init__(
         self,
@@ -115,39 +109,55 @@ class PetriNet:
     ) -> None:
         places = tuple(places)
         transitions = tuple(transitions)
+        place_index = {p: i for i, p in enumerate(places)}
+        transition_index = {t: j for j, t in enumerate(transitions)}
         if not places:
             raise ValueError("a net needs at least one place")
-        if len(set(places)) != len(places):
+        if len(place_index) != len(places):
             raise ValueError("duplicate place names")
-        if len(set(transitions)) != len(transitions):
+        if len(transition_index) != len(transitions):
             raise ValueError("duplicate transition names")
-        clash = set(places) & set(transitions)
+        clash = place_index.keys() & transition_index.keys()
         if clash:
             raise ValueError(f"names used for both a place and a transition: {sorted(clash)}")
-        self.places = places
-        self.transitions = transitions
-        self._place_index = {p: i for i, p in enumerate(places)}
-        self._transition_index = {t: j for j, t in enumerate(transitions)}
-
         pre = [[0] * len(places) for _ in transitions]
         post = [[0] * len(places) for _ in transitions]
-        for (p, t), w in (pre_arcs or {}).items():
-            self._set_arc(pre, p, t, w, "input")
-        for (t, p), w in (post_arcs or {}).items():
-            self._set_arc(post, p, t, w, "output")
-        self.pre = tuple(tuple(row) for row in pre)
-        self.post = tuple(tuple(row) for row in post)
-        self.initial = self.marking(initial if initial is not None else ())
+        for what, arcs, rows in (("input", pre_arcs, pre), ("output", post_arcs, post)):
+            for (a, b), w in (arcs or {}).items():
+                p, t = (a, b) if rows is pre else (b, a)
+                if p not in place_index:
+                    raise ValueError(f"{what} arc names unknown place: {p!r}")
+                if t not in transition_index:
+                    raise ValueError(f"{what} arc names unknown transition: {t!r}")
+                if not isinstance(w, int) or w < 0:
+                    raise ValueError(f"arc weight must be a non-negative integer, got {w!r}")
+                rows[transition_index[t]][place_index[p]] = w
+        initial = _dense(initial if initial is not None else (), places, place_index)
+        self._store(places, transitions, pre, post, initial)
 
-    def _set_arc(self, table: list, p: str, t: str, w: int, what: str) -> None:
-        if p not in self._place_index:
-            raise ValueError(f"{what} arc names unknown place: {p!r}")
-        if t not in self._transition_index:
-            raise ValueError(f"{what} arc names unknown transition: {t!r}")
-        if not isinstance(w, int) or w < 0:
-            raise ValueError(f"arc weight must be a non-negative integer, got {w!r}")
-        if w:
-            table[self._transition_index[t]][self._place_index[p]] = w
+    @classmethod
+    def _checked(cls, places: Sequence[str], transitions: Sequence[str],
+                 pre: Iterable[Iterable[int]], post: Iterable[Iterable[int]],
+                 initial: Iterable[int]) -> "PetriNet":
+        """A net from dense rows that the caller has already validated.
+
+        The caller guarantees what the constructor checks: at least one
+        place, every name distinct, and one non-negative integer per
+        place in each row of ``pre`` and ``post`` and in ``initial``.
+        """
+        net = cls.__new__(cls)
+        net._store(places, transitions, pre, post, initial)
+        return net
+
+    def _store(self, places, transitions, pre, post, initial) -> None:
+        self.places = tuple(places)
+        self.transitions = tuple(transitions)
+        self._place_index = {p: i for i, p in enumerate(self.places)}
+        self._transition_index = {t: j for j, t in enumerate(self.transitions)}
+        self.pre = tuple(map(tuple, pre))
+        self.post = tuple(map(tuple, post))
+        self.initial = tuple.__new__(Marking, initial)
+        self._sign = None
 
     # -- name/index plumbing -------------------------------------------------
 
@@ -170,21 +180,7 @@ class PetriNet:
         where unlisted places get zero.  An empty sequence means the zero
         marking.
         """
-        if isinstance(counts, Marking) and len(counts) == len(self.places):
-            return counts
-        if isinstance(counts, Mapping):
-            dense = [0] * len(self.places)
-            for name, c in counts.items():
-                dense[self.place_index(name)] = c
-            return Marking(dense)
-        counts = tuple(counts)
-        if counts == ():
-            return Marking((0,) * len(self.places))
-        if len(counts) != len(self.places):
-            raise ValueError(
-                f"expected {len(self.places)} counts, got {len(counts)}"
-            )
-        return Marking(counts)
+        return _dense(counts, self.places, self._place_index)
 
     def _check_marking(self, m: Sequence[int]) -> None:
         if len(m) != len(self.places):
@@ -201,30 +197,26 @@ class PetriNet:
         """The subnet on the given place and transition indices, in order.
 
         Arcs between kept nodes and the initial tokens on kept places carry
-        over; everything else is dropped.
+        over; everything else is dropped.  The subnet starts without a
+        stored sign analysis.
         """
         if not all(0 <= p < len(self.places) for p in places):
             raise IndexError(f"place index out of range in {list(places)}")
         for t in transitions:
             self._check_transition(t)
-        return PetriNet(
-            places=(self.places[p] for p in places),
-            transitions=(self.transitions[t] for t in transitions),
-            pre_arcs={(self.places[p], self.transitions[t]): self.pre[t][p]
-                      for t in transitions for p in places if self.pre[t][p]},
-            post_arcs={(self.transitions[t], self.places[p]): self.post[t][p]
-                       for t in transitions for p in places if self.post[t][p]},
-            initial=Marking(self.initial[p] for p in places),
+        if not places:
+            raise ValueError("a net needs at least one place")
+        if len(set(places)) != len(places) or len(set(transitions)) != len(transitions):
+            raise ValueError("duplicate indices in a restriction")
+        return PetriNet._checked(
+            (self.places[p] for p in places),
+            (self.transitions[t] for t in transitions),
+            ([self.pre[t][p] for p in places] for t in transitions),
+            ([self.post[t][p] for p in places] for t in transitions),
+            (self.initial[p] for p in places),
         )
 
     # -- semantics -----------------------------------------------------------
-
-    def enabled(self, m: Marking, t: int) -> bool:
-        """Whether ``t`` can fire at ``m`` (every input arc is covered)."""
-        self._check_marking(m)
-        self._check_transition(t)
-        need = self.pre[t]
-        return all(c >= n for c, n in zip(m, need))
 
     def fire(self, m: Marking, t: int) -> Optional[Marking]:
         """Successor of ``m`` under ``t``, or None when ``t`` is disabled."""
@@ -247,15 +239,11 @@ class PetriNet:
             cur = nxt
         return cur
 
-    def displacement(self, t: int) -> Displacement:
-        """Net token change of ``t`` per place (produced minus consumed)."""
-        self._check_transition(t)
-        return Displacement(o - n for n, o in zip(self.pre[t], self.post[t]))
-
     def min_enabling_marking(self, t: int) -> Marking:
         """The least marking at which ``t`` is enabled (its input weights)."""
         self._check_transition(t)
-        return Marking(self.pre[t])
+        # The row was validated when the net was built.
+        return tuple.__new__(Marking, self.pre[t])
 
     def cpre(self, t: int, m: Marking) -> Marking:
         """Least marking from which firing ``t`` yields a marking covering ``m``.

@@ -15,7 +15,7 @@ from itertools import islice
 from operator import le
 from typing import Iterable, Iterator, List, Sequence
 
-from .net import Marking, Ordering
+from .net import Marking
 
 
 def _check_same_domain(elements: Sequence[Marking]) -> None:
@@ -29,7 +29,7 @@ def _check_same_domain(elements: Sequence[Marking]) -> None:
 def _is_antichain(elements: Sequence[Marking]) -> bool:
     for i, a in enumerate(elements):
         for b in elements[i + 1:]:
-            if a.compare(b) is not Ordering.INCOMPARABLE:
+            if a.leq(b) or b.leq(a):
                 return False
     return True
 

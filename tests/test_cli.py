@@ -262,6 +262,17 @@ def test_preprocess_to_files(capsys, stuck_file, tmp_path):
     assert json.loads(rep_path.read_text())["transitions_removed"] == ["t"]
 
 
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+def test_preprocess_unwritable_output(capsys, stuck_file, tmp_path, flag):
+    # a missing directory is bad usage, not an internal error
+    target = tmp_path / "missing" / "file"
+    code, out, err = run_cli(capsys, "preprocess", "--net", stuck_file,
+                             flag, str(target))
+    assert code == 2
+    assert f"error: cannot write {target}" in err
+    assert "internal error" not in err
+
+
 def test_preprocess_drop_places(capsys, tmp_path):
     path = tmp_path / "stuck.cover"
     path.write_text(

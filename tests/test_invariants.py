@@ -16,7 +16,6 @@ from coverlib import (
     PetriNet,
     SignAnalysis,
     make_invariant,
-    propagate,
     sign_analysis,
 )
 from coverlib.invariants import (
@@ -34,18 +33,7 @@ def places(net, names):
     return frozenset(net.place_index(p) for p in names)
 
 
-# -- propagation and the fixpoint -----------------------------------------
-
-def test_propagate_pump(pump_net):
-    q = places(pump_net, ["p1"])
-    assert propagate(pump_net, 0, q) == places(pump_net, ["p2"])
-    assert propagate(pump_net, 1, q) == frozenset()
-
-
-def test_propagate_no_outputs():
-    net = PetriNet(["p"], ["t"], pre_arcs={("p", "t"): 1}, initial={"p": 1})
-    assert propagate(net, 0, frozenset({0})) == frozenset()
-
+# -- the fixpoint -----------------------------------------------------------
 
 def test_sign_analysis_pump(pump_net):
     r = sign_analysis(pump_net)
@@ -88,14 +76,15 @@ def test_sign_matches_synchronous_rounds():
 
 
 def test_propagate_stays_inside_fixpoint():
-    # outputs of a transition enabled inside Q never escape Q
+    # Q is closed: a transition whose input places lie in Q has its
+    # output places in Q
     rng = random.Random(32)
     for _ in range(200):
         net = random_net(rng)
         q = sign_analysis(net).possibly_marked
-        sub = frozenset(p for p in q if rng.random() < 0.6)
-        for t in range(len(net.transitions)):
-            assert propagate(net, t, sub) <= q
+        for pre, post in zip(net.pre, net.post):
+            if all(p in q for p, w in enumerate(pre) if w):
+                assert all(p in q for p, w in enumerate(post) if w)
 
 
 def test_sign_membership_closed_under_firing():
@@ -106,7 +95,8 @@ def test_sign_membership_closed_under_firing():
         m = net.initial
         for _ in range(6):
             assert inv.member(m)
-            ts = [t for t in range(len(net.transitions)) if net.enabled(m, t)]
+            ts = [t for t in range(len(net.transitions))
+                  if net.fire(m, t) is not None]
             if not ts:
                 break
             m = net.fire(m, rng.choice(ts))
@@ -134,7 +124,7 @@ def test_state_explains_membership(pump_net):
     # re-substitute: initial + flow . displacement covers the marking
     for p in range(3):
         total = pump_net.initial[p] + sum(
-            flow[t] * pump_net.displacement(t)[p] for t in range(3)
+            flow[t] * (pump_net.post[t][p] - pump_net.pre[t][p]) for t in range(3)
         )
         assert total >= Marking((0, 2, 1))[p]
     assert inv.explain(Marking((2, 0, 0))) is None

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from coverlib import Marking, Ordering, PetriNet
+from coverlib import Marking, PetriNet, StateInvariant
 
 from corpus import random_net
 from oracles import box, fires_over
@@ -23,10 +23,8 @@ def test_marking_order_predicates():
     assert a.leq(b) and not b.leq(a)
     assert b.covers(a)
     assert a.leq(a) and a.covers(a)
-    assert a.compare(b) is Ordering.LESS
-    assert b.compare(a) is Ordering.GREATER
-    assert a.compare(a) is Ordering.EQUAL
-    assert Marking((1, 0)).compare(Marking((0, 1))) is Ordering.INCOMPARABLE
+    x, y = Marking((1, 0)), Marking((0, 1))
+    assert not x.leq(y) and not y.leq(x)  # incomparable
 
 
 def test_marking_domain_mismatch():
@@ -71,8 +69,8 @@ def test_pump_firing_semantics(pump_net):
     m0 = pump_net.initial
     assert m0 == Marking((1, 0, 0))
     t1, t2, t3 = (pump_net.transition_index(t) for t in ("t1", "t2", "t3"))
-    assert pump_net.enabled(m0, t1)
-    assert not pump_net.enabled(m0, t2)
+    assert pump_net.fire(m0, t1) is not None
+    assert pump_net.fire(m0, t2) is None
     m1 = pump_net.fire(m0, t1)
     m2 = pump_net.fire(m1, t2)
     m3 = pump_net.fire(m2, t3)
@@ -83,8 +81,9 @@ def test_pump_firing_semantics(pump_net):
 
 
 def test_displacement_and_min_enabling(pump_net):
-    cols = [tuple(pump_net.displacement(t)) for t in range(3)]
-    assert cols == [(-1, 1, 0), (0, -1, 2), (0, 2, -1)]
+    # one row per place, one column per transition: post minus pre
+    rows = StateInvariant(pump_net).displacement_rows
+    assert rows == ((-1, 0, 0), (1, -1, 2), (0, 2, -1))
     assert pump_net.min_enabling_marking(1) == Marking((0, 1, 0))
 
 

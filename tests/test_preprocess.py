@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import coverlib.invariants
 from coverlib import (
     Marking,
     PetriNet,
@@ -17,6 +18,7 @@ from coverlib import (
 )
 
 from corpus import random_instances
+from oracles import marked_rounds
 
 
 def make_cascade_net() -> PetriNet:
@@ -95,6 +97,41 @@ def test_flow_test_enables_second_round():
     assert report.rounds[1].always_empty == ("c", "d")
     # fixpoint result is a subset of the single-round result
     assert set(fix.transitions) <= set(once.transitions)
+
+
+def test_one_sign_fixpoint_per_net(monkeypatch):
+    # Each prune round analyses a new net; the last round's net is the
+    # one returned, and its sign invariant reuses that round's fixpoint.
+    built = []
+    real = coverlib.invariants.SignAnalysis
+
+    def counting(**fields):
+        built.append(fields)
+        return real(**fields)
+
+    monkeypatch.setattr(coverlib.invariants, "SignAnalysis", counting)
+    for use_state in (False, True):
+        # the acceptance corpus, generated afresh so no net has an analysis yet
+        for name, net, target in random_instances(seed=20260819, count=500):
+            built.clear()
+            problem = Problem(net=net, targets=(target,), name=name)
+            reduced, report = prune_problem(problem, use_state=use_state)
+            make_invariant(reduced.net, ["sign", "state"])
+            assert len(built) == len(report.rounds), (name, use_state)
+
+
+def test_reduced_net_gets_its_own_sign_analysis():
+    net = make_cascade_net()
+    before = sign_analysis(net)
+    problem = Problem(net=net, targets=(net.marking({"d": 1}),), name="cascade")
+    reduced, _ = prune_problem(problem, use_state=True)
+    analysis = sign_analysis(reduced.net)
+    empty = {reduced.net.place_index("c"), reduced.net.place_index("d")}
+    assert empty <= analysis.always_empty
+    assert analysis.possibly_marked == marked_rounds(reduced.net)[-1]
+    # the input net keeps its own result, in which c and d can be marked
+    assert sign_analysis(net) is before
+    assert not empty & before.always_empty
 
 
 def test_survivors_pass_the_final_analysis():

@@ -82,7 +82,7 @@ def test_two_variable_geometry():
 
 def test_pump_displacement_instances(pump_net):
     rows = tuple(
-        tuple(pump_net.displacement(t)[p] for t in range(3))
+        tuple(pump_net.post[t][p] - pump_net.pre[t][p] for t in range(3))
         for p in range(3)
     )
     reachable = (0, 2, 1)
