@@ -5,9 +5,15 @@ Subcommands: ``solve`` (backward search with invariant pruning),
 ``oracle`` (bounded forward exploration) and ``bench`` (CSV over a
 directory of problem files).
 
+``solve`` and ``bench`` share one pipeline, ``_run_instance``: every
+COVERABLE witness is replayed on the unreduced input net, with or
+without ``--witness``, and each run yields one record that the JSON and
+CSV stats and the bench rows are all rendered from.
+
 Exit codes: 0 coverable, 1 uncoverable, 2 usage or parse error,
 3 inconclusive (step budget or timeout hit), 4 internal error (for
-instance a witness that fails to replay on the input net).
+instance a witness that fails to replay on the input net; no verdict
+is printed then).
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,7 +32,7 @@ from .ingest import ParseError, Problem, emit_native, parse_mist, parse_native
 from .invariants import INVARIANT_KINDS, check_invariant_names, make_invariant
 from .preprocess import prune_problem
 from .refcheck import ExploreBound, OutcomeKind, bounded_cover
-from .solver import SolveResult, Verdict, solve
+from .solver import IterationStats, SolveResult, Verdict, solve
 
 _EXIT_BY_VERDICT = {Verdict.COVERABLE: 0, Verdict.UNCOVERABLE: 1,
                     Verdict.INCONCLUSIVE: 3}
@@ -95,52 +102,51 @@ def _run_instance(
     invariant_names: Sequence[str],
     preprocess_mode: str,
     budget_steps: Optional[int] = None,
-    deadline: Optional[float] = None,
-) -> Tuple[SolveResult, Problem, Optional[dict]]:
-    """Shared solve pipeline: optional pruning, then the backward search."""
+    timeout: Optional[float] = None,
+) -> Tuple[SolveResult, dict]:
+    """The one pipeline behind ``solve`` and ``bench``: prune, build the
+    invariant and search under one timer, which also starts the
+    ``timeout`` clock, then replay any COVERABLE witness on the unreduced
+    input net.  Returns the result and its run record.
+    """
     target = _pick_target(problem, target_index)
-    prep_doc = None
+    started = time.monotonic()
+    deadline = None if timeout is None else started + timeout
+    reduced, prep_doc = problem, None
     if preprocess_mode != "off":
-        problem, report = prune_problem(problem, mode=preprocess_mode)
-        target = problem.targets[target_index]
+        reduced, report = prune_problem(problem, mode=preprocess_mode)
         prep_doc = {
             "mode": report.mode,
             "rounds": len(report.rounds),
             "removed": list(report.removed),
             "dropped_places": list(report.dropped_places),
         }
-    invariant = make_invariant(problem.net, invariant_names)
-    result = solve(problem.net, target, invariant,
+    invariant = make_invariant(reduced.net, invariant_names)
+    result = solve(reduced.net, reduced.targets[target_index], invariant,
                    budget_steps=budget_steps, deadline=deadline)
-    return result, problem, prep_doc
+    wall_ms = round((time.monotonic() - started) * 1000.0, 3)
 
-
-def _stats_doc(problem_name: str, target_index: int, result: SolveResult,
-               net, prep_doc: Optional[dict], wall_ms: float) -> dict:
     witness = None
-    if result.witness is not None:
-        witness = [net.transitions[t] for t in result.witness]
-    return {
-        "problem": problem_name,
+    if result.verdict is Verdict.COVERABLE:
+        witness = reduced.net.transition_names(result.witness)
+        # The names are stable under pruning; the verdict must hold on
+        # the input net too.
+        net = problem.net
+        final = net.fire_sequence(net.initial, map(net.transition_index, witness))
+        if final is None or not final.covers(target):
+            raise AssertionError("witness failed to replay on the input net")
+    iterations = [asdict(s) for s in result.stats]
+    return result, {
+        "problem": problem.name,
         "target_index": target_index,
         "invariant": result.invariant_name,
         "preprocess": prep_doc,
         "verdict": result.verdict.value,
         "target_in_invariant": result.target_in_invariant,
         "witness": witness,
-        "iterations": [
-            {
-                "index": s.index,
-                "basis_size": s.basis_size,
-                "candidates_generated": s.candidates_generated,
-                "new_after_antichain": s.new_after_antichain,
-                "pruned_by_invariant": s.pruned_by_invariant,
-                "kept": s.kept,
-            }
-            for s in result.stats
-        ],
+        "iterations": iterations,
         "totals": {
-            "iterations": len(result.stats),
+            "iterations": len(iterations),
             "candidates_generated": sum(s.candidates_generated for s in result.stats),
             "new_after_antichain": sum(s.new_after_antichain for s in result.stats),
             "pruned_by_invariant": result.pruned_total,
@@ -154,58 +160,29 @@ def _stats_doc(problem_name: str, target_index: int, result: SolveResult,
     }
 
 
-def _print_stats_csv(doc: dict) -> None:
-    print("index,basis_size,candidates_generated,new_after_antichain,"
-          "pruned_by_invariant,kept")
-    for s in doc["iterations"]:
-        print(f"{s['index']},{s['basis_size']},{s['candidates_generated']},"
-              f"{s['new_after_antichain']},{s['pruned_by_invariant']},{s['kept']}")
-    print()
-    t = doc["totals"]
-    print("iterations,candidates_generated,new_after_antichain,"
-          "pruned_by_invariant,kept,pruned_including_target,lp_calls,"
-          "sign_checks,final_basis_size,wall_ms")
-    print(f"{t['iterations']},{t['candidates_generated']},"
-          f"{t['new_after_antichain']},{t['pruned_by_invariant']},{t['kept']},"
-          f"{t['pruned_including_target']},{t['lp_calls']},{t['sign_checks']},"
-          f"{t['final_basis_size']},{t['wall_ms']}")
+def _print_stats_csv(record: dict) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(f.name for f in fields(IterationStats))
+    writer.writerows(s.values() for s in record["iterations"])
+    writer.writerow(())
+    writer.writerow(record["totals"])
+    writer.writerow(record["totals"].values())
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.budget_steps is not None and args.budget_steps < 0:
         raise CliError(f"--budget-steps must be >= 0, got {args.budget_steps}")
     problem = _load_problem(args.net, args.format)
-    original_net = problem.net
     names = _parse_invariant_list(args.invariant)
-    started = time.monotonic()
-    result, reduced, prep_doc = _run_instance(
-        problem, args.target_index, names, args.preprocess,
-        budget_steps=args.budget_steps,
-    )
-    wall_ms = round((time.monotonic() - started) * 1000.0, 3)
-
-    witness_line = None
-    if args.witness and result.verdict is Verdict.COVERABLE:
-        names_seq = [reduced.net.transitions[t] for t in result.witness]
-        # Replay on the unreduced net: the names are stable, the verdict
-        # must hold there too.  A failure is an internal error (exit 4),
-        # reported before any verdict is printed.
-        idx = [original_net.transition_index(n) for n in names_seq]
-        final = original_net.fire_sequence(original_net.initial, idx)
-        target = _pick_target(problem, args.target_index)
-        if final is None or not final.covers(target):
-            raise AssertionError("witness failed to replay on the input net")
-        witness_line = " ".join(["witness:"] + names_seq)
-    print(result.verdict.value)
-    if witness_line is not None:
-        print(witness_line)
-    if args.stats != "none":
-        doc = _stats_doc(problem.name, args.target_index, result,
-                         reduced.net, prep_doc, wall_ms)
-        if args.stats == "json":
-            print(json.dumps(doc, indent=2))
-        else:
-            _print_stats_csv(doc)
+    result, record = _run_instance(problem, args.target_index, names,
+                                   args.preprocess, budget_steps=args.budget_steps)
+    print(record["verdict"])
+    if args.witness and record["witness"] is not None:
+        print(" ".join(["witness:"] + record["witness"]))
+    if args.stats == "json":
+        print(json.dumps(record, indent=2))
+    elif args.stats == "csv":
+        _print_stats_csv(record)
     return _EXIT_BY_VERDICT[result.verdict]
 
 
@@ -215,11 +192,6 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         problem, mode=args.mode, use_state=args.use_state,
         drop_places=args.drop_places,
     )
-    text = emit_native(reduced)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        _write_output(args.out, text)
     doc = {
         "mode": report.mode,
         "places_kept": list(reduced.net.places),
@@ -230,11 +202,22 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
             for r in report.rounds
         ],
     }
-    payload = json.dumps(doc, indent=2)
-    if args.report == "-":
-        print(payload, file=sys.stderr)
-    else:
-        _write_output(args.report, payload + "\n")
+    outputs = [(args.out, emit_native(reduced), sys.stdout),
+               (args.report, json.dumps(doc, indent=2) + "\n", sys.stderr)]
+    # Files first, streams last, so a failed write leaves no partial result.
+    written = []
+    try:
+        for path, text, _ in outputs:
+            if path != "-":
+                _write_output(path, text)
+                written.append(path)
+    except CliError:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
+    for path, text, stream in outputs:
+        if path == "-":
+            stream.write(text)
     return 0
 
 
@@ -303,21 +286,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _bench_row(problem: Problem, target_index: int, names: Sequence[str],
                label: str, args: argparse.Namespace) -> list:
-    deadline = None
-    started = time.monotonic()
-    if args.timeout_secs is not None:
-        deadline = started + args.timeout_secs
-    result, _, _ = _run_instance(problem, target_index, names,
-                                 args.preprocess, deadline=deadline)
-    millis = round((time.monotonic() - started) * 1000.0, 3)
-    verdict = result.verdict.value
-    if (result.verdict is Verdict.INCONCLUSIVE
-            and result.inconclusive_reason == "deadline"):
+    result, record = _run_instance(problem, target_index, names,
+                                   args.preprocess, timeout=args.timeout_secs)
+    verdict = record["verdict"]
+    if result.inconclusive_reason == "deadline":
         verdict = "TIMEOUT"
-    return [label, ",".join(names), verdict, len(result.stats),
-            result.final_basis_size,
-            sum(s.candidates_generated for s in result.stats),
-            result.discarded_including_target, result.lp_calls, millis]
+    t = record["totals"]
+    return [label, record["invariant"], verdict, t["iterations"],
+            t["final_basis_size"], t["candidates_generated"],
+            t["pruned_including_target"], t["lp_calls"], t["wall_ms"]]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -341,8 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--invariant", default="sign,state",
                          help=f"comma list from {{{kinds}}}, "
                               "meaning their conjunction")
-    p_solve.add_argument("--preprocess", choices=("once", "fixpoint", "off"),
-                         default="fixpoint")
     p_solve.add_argument("--stats", choices=("json", "csv", "none"),
                          default="none")
     p_solve.add_argument("--witness", action="store_true",
@@ -381,9 +356,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="semicolon-separated configurations, "
                               "each a comma list")
     p_bench.add_argument("--timeout-secs", type=float, default=None)
-    p_bench.add_argument("--preprocess", choices=("once", "fixpoint", "off"),
-                         default="fixpoint")
     p_bench.set_defaults(func=_cmd_bench)
+    for p in (p_solve, p_bench):
+        p.add_argument("--preprocess", choices=("once", "fixpoint", "off"),
+                       default="fixpoint")
     return parser
 
 

@@ -81,6 +81,12 @@ def _dense(counts: MarkingLike, places: Sequence[str],
     return Marking(counts)
 
 
+def _check_index(i: int, count: int, what: str) -> None:
+    # bool is a subclass of int but no index: type(i), not isinstance.
+    if type(i) is not int or not 0 <= i < count:
+        raise IndexError(f"{what} index {i!r} is not an int in range({count})")
+
+
 class PetriNet:
     """A place/transition net with weighted arcs and an initial marking.
 
@@ -188,10 +194,6 @@ class PetriNet:
                 f"marking has {len(m)} entries but the net has {len(self.places)} places"
             )
 
-    def _check_transition(self, t: int) -> None:
-        if not isinstance(t, int) or not 0 <= t < len(self.transitions):
-            raise IndexError(f"transition index out of range: {t!r}")
-
     def restrict(self, places: Sequence[int],
                  transitions: Sequence[int]) -> "PetriNet":
         """The subnet on the given place and transition indices, in order.
@@ -200,10 +202,10 @@ class PetriNet:
         over; everything else is dropped.  The subnet starts without a
         stored sign analysis.
         """
-        if not all(0 <= p < len(self.places) for p in places):
-            raise IndexError(f"place index out of range in {list(places)}")
+        for p in places:
+            _check_index(p, len(self.places), "place")
         for t in transitions:
-            self._check_transition(t)
+            _check_index(t, len(self.transitions), "transition")
         if not places:
             raise ValueError("a net needs at least one place")
         if len(set(places)) != len(places) or len(set(transitions)) != len(transitions):
@@ -221,7 +223,7 @@ class PetriNet:
     def fire(self, m: Marking, t: int) -> Optional[Marking]:
         """Successor of ``m`` under ``t``, or None when ``t`` is disabled."""
         self._check_marking(m)
-        self._check_transition(t)
+        _check_index(t, len(self.transitions), "transition")
         need = self.pre[t]
         out = self.post[t]
         for c, n in zip(m, need):
@@ -241,7 +243,7 @@ class PetriNet:
 
     def min_enabling_marking(self, t: int) -> Marking:
         """The least marking at which ``t`` is enabled (its input weights)."""
-        self._check_transition(t)
+        _check_index(t, len(self.transitions), "transition")
         # The row was validated when the net was built.
         return tuple.__new__(Marking, self.pre[t])
 
@@ -252,7 +254,7 @@ class PetriNet:
         that reach the upward closure of ``m`` in one firing of ``t``.
         """
         self._check_marking(m)
-        self._check_transition(t)
+        _check_index(t, len(self.transitions), "transition")
         need = self.pre[t]
         out = self.post[t]
         counts = (n + (c - o if c > o else 0) for n, o, c in zip(need, out, m))

@@ -5,10 +5,12 @@ a few shell out to exercise the real entry point.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -201,6 +203,22 @@ def test_unreplayable_witness_is_internal_error(capsys, pump_file, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_solve_replays_without_witness_flag(capsys, pump_file, monkeypatch):
+    monkeypatch.setattr(PetriNet, "fire_sequence", lambda self, m, ts: None)
+    code, out, err = run_cli(capsys, "solve", "--net", pump_file)
+    assert code == 4 and out == ""
+    assert err.startswith("internal error:") and "replay" in err
+
+
+def test_bench_replays_witnesses(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(PetriNet, "fire_sequence", lambda self, m, ts: None)
+    (tmp_path / "pump.cover").write_text(PUMP_TEXT)
+    code, _, err = run_cli(capsys, "bench", "--dir", str(tmp_path))
+    assert code == 4
+    assert err.startswith("internal error:") and "replay" in err
+    assert "Traceback" not in err
+
+
 def test_parse_error_is_positioned(capsys, tmp_path):
     bad = tmp_path / "bad.cover"
     bad.write_text("places: a\ntransitions:\nt: in zzz ;\ntarget: a>=1\n")
@@ -271,6 +289,16 @@ def test_preprocess_unwritable_output(capsys, stuck_file, tmp_path, flag):
     assert code == 2
     assert f"error: cannot write {target}" in err
     assert "internal error" not in err
+
+
+def test_preprocess_leaves_no_partial_result(capsys, stuck_file, tmp_path):
+    out_path = tmp_path / "reduced.cover"
+    for out in (str(out_path), "-"):
+        code, stdout, err = run_cli(capsys, "preprocess", "--net", stuck_file,
+                                    "--out", out,
+                                    "--report", str(tmp_path / "no" / "r.json"))
+        assert code == 2 and "cannot write" in err
+        assert stdout == "" and not out_path.exists()
 
 
 def test_preprocess_drop_places(capsys, tmp_path):
@@ -411,3 +439,49 @@ def test_missing_required_flag_exits_2():
     proc = subprocess.run(module_cmd("solve"), capture_output=True, text=True)
     assert proc.returncode == 2
 
+
+# -- golden outputs ----------------------------------------------------------
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
+
+
+def write_golden_files(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(exist_ok=True)
+        # The texts are ASCII but for one "é", which must be a lone
+        # 0xE9 byte so that its file is not UTF-8.
+        path.write_bytes(text.encode("latin-1"))
+
+
+def mask_timing(argv, text):
+    """The output ``text`` of ``argv`` with its timings masked: the
+    ``wall_ms`` value of the JSON stats, the last field of the CSV totals
+    row and the bench ``millis`` column, which ``ERROR`` rows leave empty."""
+    text = re.sub(r'("wall_ms": )[^\n]+', r"\1<ms>", text)
+    lines = text.split("\n")
+    for i in range(1, len(lines)):
+        bench_row = argv[0] == "bench" and lines[i] and not lines[i].endswith(",")
+        if bench_row or lines[i - 1].startswith("iterations,"):
+            lines[i] = lines[i].rsplit(",", 1)[0] + ",<ms>"
+    return "\n".join(lines)
+
+
+def golden_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "exit": code,
+            "stdout": mask_timing(argv, out.getvalue()), "stderr": err.getvalue()}
+
+
+def test_cli_golden(tmp_path, monkeypatch):
+    """Every command line in ``data/cli_golden.json`` (written by
+    ``data/make_cli_golden.py``) prints what it printed when the fixture
+    was made, timings aside."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    write_golden_files(tmp_path, golden["files"])
+    monkeypatch.chdir(tmp_path)
+    for case in golden["cases"]:
+        assert golden_run(case["argv"]) == case

@@ -178,3 +178,9 @@ def test_restrict_rejects_bad_indices(pump_net):
         pump_net.restrict([], [0])
     with pytest.raises(ValueError):
         pump_net.restrict([0, 0], [0])
+    # places and transitions take the same rule: ints only, bools excluded
+    for bad in (0.0, True):
+        with pytest.raises(IndexError):
+            pump_net.restrict([bad], [0])
+        with pytest.raises(IndexError):
+            pump_net.restrict([0], [bad])
