@@ -187,6 +187,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
+    if args.out != "-" and args.report != "-" and (
+            Path(args.out).resolve() == Path(args.report).resolve()):
+        raise CliError("--out and --report name the same file")
     problem = _load_problem(args.net, args.format)
     reduced, report = prune_problem(
         problem, mode=args.mode, use_state=args.use_state,

@@ -97,13 +97,17 @@ class PetriNet:
     rows they have already checked.
 
     Instances are immutable after construction and safe to share
-    between threads.  The private slot ``_sign`` holds the net's sign
-    analysis once ``invariants.sign_analysis`` has computed it; threads
-    that race on it compute and write the same value.
+    between threads.  Two private slots are filled lazily, and threads
+    that race on one compute and write the same value: ``_sign`` holds
+    the net's sign analysis once ``invariants.sign_analysis`` has
+    computed it, and ``_arcs[t]`` holds the ``(place, pre, post)``
+    triples of the places where transition ``t`` has a nonzero ``pre``
+    or ``post`` weight, once ``cpre`` has needed them (None before).
+    ``restrict`` starts a subnet with both slots empty.
     """
 
     __slots__ = ("places", "transitions", "initial", "pre", "post",
-                 "_place_index", "_transition_index", "_sign")
+                 "_place_index", "_transition_index", "_sign", "_arcs")
 
     def __init__(
         self,
@@ -164,6 +168,7 @@ class PetriNet:
         self.post = tuple(map(tuple, post))
         self.initial = tuple.__new__(Marking, initial)
         self._sign = None
+        self._arcs = [None] * len(self.transitions)
 
     # -- name/index plumbing -------------------------------------------------
 
@@ -200,7 +205,7 @@ class PetriNet:
 
         Arcs between kept nodes and the initial tokens on kept places carry
         over; everything else is dropped.  The subnet starts without a
-        stored sign analysis.
+        stored sign analysis or arc list.
         """
         for p in places:
             _check_index(p, len(self.places), "place")
@@ -252,17 +257,24 @@ class PetriNet:
 
         The upward closure of the result is exactly the set of markings
         that reach the upward closure of ``m`` in one firing of ``t``.
+        Only the places ``t`` has arcs on differ from ``m``.
         """
         self._check_marking(m)
         _check_index(t, len(self.transitions), "transition")
-        need = self.pre[t]
-        out = self.post[t]
-        counts = (n + (c - o if c > o else 0) for n, o, c in zip(need, out, m))
-        if isinstance(m, Marking):
-            # m's counts were validated when it was built, and so are
-            # these: each is an arc weight plus a non-negative difference.
-            return tuple.__new__(Marking, counts)
-        return Marking(counts)
+        if not isinstance(m, Marking):
+            m = Marking(m)
+        arcs = self._arcs[t]
+        if arcs is None:
+            arcs = self._arcs[t] = [
+                (p, n, o) for p, n, o in zip(range(len(m)), self.pre[t], self.post[t])
+                if n or o]
+        counts = list(m)
+        for p, n, o in arcs:
+            c = m[p]
+            counts[p] = n + c - o if c > o else n
+        # m's counts were validated when it was built, and so are these:
+        # each is an arc weight plus a non-negative difference.
+        return tuple.__new__(Marking, counts)
 
     # -- value semantics -----------------------------------------------------
 

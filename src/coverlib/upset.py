@@ -1,19 +1,30 @@
 """Antichain bases for upward-closed sets of markings.
 
 An upward-closed set is represented by its finite set of minimal
-elements.  Maintenance is a plain pairwise dominance sweep over a flat
-list, kept cheap: the domain is checked once per incoming marking, not
-per comparison; comparisons run as ``all(map(le, ...))``; and a
-membership test skips every element whose token sum exceeds the
-candidate's, since x <= m implies sum(x) <= sum(m).
+elements, kept in insertion order.  Dominance queries go through a
+per-place bitmask index (after Bentley's multidimensional dominance
+queries and the covering sharing trees of Delzanno, Raskin and Van
+Begin): bit i of a mask stands for element i.  For each place the index
+holds the distinct counts of the elements on that place in increasing
+order and, per count, the mask of the elements holding at most that
+many tokens there.  A candidate m is covered iff the AND over all
+places of the mask at m's count is nonzero.  An element lies above m
+iff it holds fewer tokens than m on no place, so the elements a new
+minimal element m makes redundant are the AND over places of the
+complements of the masks below m's counts.  Counts are looked up by
+rank, with a binary search, so a count of any size costs no more table
+space than a small one.
+
+A basis is immutable, so it builds its index lazily, once, on its
+first query.  The domain of a marking is checked once, when it enters
+a query, not per comparison.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import islice
+from bisect import bisect_left, bisect_right
 from operator import le
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .net import Marking
 
@@ -50,22 +61,53 @@ def _insert(kept: List[Marking], m: Marking) -> List[Marking]:
     return out
 
 
-def _minimal(elements: Sequence[Marking], new: Iterable[Marking]) -> "Basis":
-    # The basis of the antichain ``elements`` plus the markings ``new``.
-    kept = list(elements)
+def _minimal(new: Iterable[Marking]) -> List[Marking]:
+    # The minimal markings of ``new``, in insertion order; each is checked
+    # against the domain of the first element kept.
+    kept: List[Marking] = []
     for m in new:
         if kept:
             kept[0]._check_domain(m)
         kept = _insert(kept, m)
-    b = Basis.__new__(Basis)
-    b.elements = tuple(kept)
-    return b
+    return kept
+
+
+def _build_index(elements: Sequence[Marking]) -> Tuple[List[tuple], List[int]]:
+    # (columns, zeros).  A column is (p, counts, masks) for a place p where
+    # some element holds a token: ``counts`` are the distinct counts on p
+    # in increasing order, and masks[k] holds the elements whose count on
+    # p is at most counts[k - 1] (masks[0] == 0).  So the elements at most
+    # c on p are masks[bisect_right(counts, c)], and those below c are
+    # masks[bisect_left(counts, c)].  ``zeros`` lists the other places.
+    bits = [1 << i for i in range(len(elements))]
+    columns: List[tuple] = []
+    zeros: List[int] = []
+    for p, column in enumerate(zip(*elements)):
+        if not any(column):
+            zeros.append(p)
+            continue
+        by_count: dict = {}
+        for c, b in zip(column, bits):
+            by_count[c] = by_count.get(c, 0) | b
+        counts = sorted(by_count)
+        masks = [0]
+        acc = 0
+        for c in counts:
+            acc |= by_count[c]
+            masks.append(acc)
+        columns.append((p, counts, masks))
+    return columns, zeros
 
 
 class Basis:
-    """Minimal elements of an upward-closed set, in insertion order."""
+    """Minimal elements of an upward-closed set, in insertion order.
 
-    __slots__ = ("elements",)
+    Instances are immutable.  The private slot ``_index`` holds the
+    dominance index once a query has built it; threads that race on it
+    compute and write the same value.
+    """
+
+    __slots__ = ("elements", "_index")
 
     def __init__(self, elements: Iterable[Marking] = ()) -> None:
         elements = tuple(elements)
@@ -73,34 +115,75 @@ class Basis:
         if __debug__ and not _is_antichain(elements):
             raise ValueError("basis elements must be pairwise incomparable")
         self.elements = elements
+        self._index = None
+
+    @classmethod
+    def _of(cls, elements: Sequence[Marking]) -> "Basis":
+        # A basis of elements known to form an antichain over one domain.
+        b = cls.__new__(cls)
+        b.elements = tuple(elements)
+        b._index = None
+        return b
+
+    def _columns(self) -> Tuple[List[tuple], List[int]]:
+        if self._index is None:
+            self._index = _build_index(self.elements)
+        return self._index
+
+    def _uncovered(self, candidates: Iterable[Marking]) -> List[Marking]:
+        # The candidates outside the upward closure, in order; every
+        # candidate's domain is checked, covered or not.
+        if not self.elements:
+            return list(candidates)
+        first = self.elements[0]
+        columns = self._columns()[0]
+        full = (1 << len(self.elements)) - 1
+        out: List[Marking] = []
+        for m in candidates:
+            first._check_domain(m)
+            # Bit i survives while element i is at most m on every place;
+            # every element holds 0 on the places without a column.
+            below = full
+            for p, counts, masks in columns:
+                below &= masks[bisect_right(counts, m[p])]
+                if not below:
+                    out.append(m)
+                    break
+        return out
 
     def contains(self, m: Marking) -> bool:
         """Whether ``m`` lies in the upward closure of this basis."""
         return not self.filter_uncovered((m,))
 
     def union(self, new: Iterable[Marking]) -> "Basis":
-        """Minimal elements of (this set) union (upward closure of ``new``)."""
-        return _minimal(self.elements, new)
+        """Minimal elements of (this set) union (upward closure of ``new``).
+
+        The surviving elements keep their order, and the new minimal
+        elements follow in the order given.
+        """
+        fresh = self._uncovered(new)
+        columns, zeros = self._columns()
+        full = (1 << len(self.elements)) - 1
+        # Old elements above some fresh marking leave the basis.
+        dead = 0
+        for m in fresh:
+            if any(m[p] for p in zeros):
+                continue  # no element holds a token there
+            above = full
+            for p, counts, masks in columns:
+                c = m[p]
+                if c:
+                    # Drop the elements holding fewer than c tokens on p.
+                    above &= ~masks[bisect_left(counts, c)]
+                    if not above:
+                        break
+            dead |= above
+        old = [x for i, x in enumerate(self.elements) if not dead >> i & 1]
+        return Basis._of(old + _minimal(fresh))
 
     def filter_uncovered(self, candidates: Iterable[Marking]) -> List[Marking]:
         """The candidates that are not already in this upward-closed set."""
-        if not self.elements:
-            return list(candidates)
-        first = self.elements[0]
-        # Largest token sum first: on backward searches the elements of
-        # the largest sum not above a candidate's cover it most often.
-        ordered = sorted(self.elements, key=sum, reverse=True)
-        neg_sums = [-sum(x) for x in ordered]
-        out: List[Marking] = []
-        for m in candidates:
-            first._check_domain(m)
-            # Skip the elements whose token sum exceeds m's.
-            for x in islice(ordered, bisect_left(neg_sums, -sum(m)), None):
-                if all(map(le, x, m)):
-                    break
-            else:
-                out.append(m)
-        return out
+        return self._uncovered(candidates)
 
     def is_antichain(self) -> bool:
         return _is_antichain(self.elements)
@@ -133,4 +216,4 @@ class Basis:
 
 def minimize(markings: Iterable[Marking]) -> Basis:
     """Drop every marking that lies above another one."""
-    return _minimal((), markings)
+    return Basis._of(_minimal(markings))

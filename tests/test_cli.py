@@ -301,6 +301,20 @@ def test_preprocess_leaves_no_partial_result(capsys, stuck_file, tmp_path):
         assert stdout == "" and not out_path.exists()
 
 
+def test_preprocess_out_and_report_same_file(capsys, stuck_file, tmp_path,
+                                             monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    same = tmp_path / "same.txt"
+    (tmp_path / "link.txt").symlink_to(same)
+    # the same file under any spelling is refused before anything is written
+    for report in ("same.txt", str(same), "./sub/../same.txt", "link.txt"):
+        code, out, err = run_cli(capsys, "preprocess", "--net", stuck_file,
+                                 "--out", "same.txt", "--report", report)
+        assert code == 2
+        assert err == "error: --out and --report name the same file\n"
+        assert out == "" and not same.exists()
+
+
 def test_preprocess_drop_places(capsys, tmp_path):
     path = tmp_path / "stuck.cover"
     path.write_text(

@@ -122,6 +122,79 @@ def test_cpre_box_characterization_random():
             assert base.leq(point) == fires_over(net, point, t, target)
 
 
+def _dense_cpre(net, t, m):
+    return tuple(n + max(c - o, 0) for n, o, c in zip(net.pre[t], net.post[t], m))
+
+
+def _arc_mix_net(rng):
+    # Every transition is one of: no arcs at all, self-loops only, or a
+    # random mix of input, output and self-loop arcs.
+    places = ["p%d" % i for i in range(rng.randint(1, 7))]
+    transitions = ["t%d" % j for j in range(rng.randint(1, 6))]
+    pre, post = {}, {}
+    for t in transitions:
+        kind = rng.choice(("none", "loops", "mixed", "mixed"))
+        for p in places:
+            if kind == "none" or rng.random() < 0.4:
+                continue
+            if kind == "loops" or rng.random() < 0.3:
+                pre[(p, t)] = rng.randint(1, 3)
+                post[(t, p)] = rng.randint(1, 3)
+            elif rng.random() < 0.5:
+                pre[(p, t)] = rng.randint(1, 3)
+            else:
+                post[(t, p)] = rng.randint(1, 3)
+    initial = {p: rng.randint(0, 2) for p in places}
+    return PetriNet(places, transitions, pre, post, initial)
+
+
+def test_sparse_cpre_matches_dense_formula():
+    rng = random.Random(406)
+    no_arcs = loops = 0
+    for _ in range(300):
+        net = _arc_mix_net(rng)
+        for t in range(len(net.transitions)):
+            no_arcs += not any(net.pre[t]) and not any(net.post[t])
+            loops += any(n and o for n, o in zip(net.pre[t], net.post[t]))
+            for _ in range(5):
+                m = Marking(rng.randint(0, 5) for _ in net.places)
+                got = net.cpre(t, m)
+                assert type(got) is Marking
+                assert got == _dense_cpre(net, t, m)
+                # a plain sequence is validated, then treated the same
+                assert net.cpre(t, list(m)) == got
+    assert no_arcs and loops  # both corner cases were drawn
+
+
+def test_cpre_validates_plain_sequences(pump_net):
+    # place p1 has arcs under t1, place p3 has none
+    for bad in ((-1, 0, 0), (0, 0, -1), (0.5, 0, 0), (0, 0, 2.0), (0, "1", 0)):
+        with pytest.raises(ValueError):
+            pump_net.cpre(0, bad)
+    with pytest.raises(ValueError):
+        pump_net.cpre(0, (0, 0))
+    with pytest.raises(IndexError):
+        pump_net.cpre(3, Marking((0, 0, 0)))
+    with pytest.raises(IndexError):
+        pump_net.cpre(True, Marking((0, 0, 0)))
+
+
+def test_restricted_net_uses_its_own_arcs():
+    rng = random.Random(407)
+    for _ in range(100):
+        net = _arc_mix_net(rng)
+        m = Marking(rng.randint(0, 5) for _ in net.places)
+        for t in range(len(net.transitions)):
+            net.cpre(t, m)  # fills the parent's arc lists first
+        places = rng.sample(range(len(net.places)), rng.randint(1, len(net.places)))
+        transitions = rng.sample(range(len(net.transitions)),
+                                 rng.randint(0, len(net.transitions)))
+        sub = net.restrict(places, transitions)
+        sm = Marking(rng.randint(0, 5) for _ in sub.places)
+        for t in range(len(sub.transitions)):
+            assert sub.cpre(t, sm) == _dense_cpre(sub, t, sm)
+
+
 def test_index_lookup_errors(pump_net):
     with pytest.raises(ValueError):
         pump_net.place_index("q")

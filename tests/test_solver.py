@@ -10,6 +10,7 @@ from coverlib import (
     ExploreBound,
     Marking,
     OutcomeKind,
+    PetriNet,
     Verdict,
     bounded_cover,
     extract_witness,
@@ -243,3 +244,64 @@ def test_matches_full_reexpansion_on_acceptance_corpus():
                                                    ref.sign_checks), where
             assert [b.elements for b in r.bases] == ref.bases, where
             assert r.backlinks == ref.backlinks, where
+
+
+def _mutex(n):
+    """N processes cycling idle -> wait -> crit -> idle around one lock."""
+    places = ["lock"] + [f"{s}{i}" for i in range(n)
+                         for s in ("idle", "wait", "crit")]
+    transitions, pre, post = [], {}, {}
+    for i in range(n):
+        transitions += [f"req{i}", f"enter{i}", f"exit{i}"]
+        pre.update({(f"idle{i}", f"req{i}"): 1, (f"wait{i}", f"enter{i}"): 1,
+                    ("lock", f"enter{i}"): 1, (f"crit{i}", f"exit{i}"): 1})
+        post.update({(f"req{i}", f"wait{i}"): 1, (f"enter{i}", f"crit{i}"): 1,
+                     (f"exit{i}", f"idle{i}"): 1, (f"exit{i}", "lock"): 1})
+    net = PetriNet(places, transitions, pre, post,
+                   {"lock": 1, **{f"idle{i}": 1 for i in range(n)}})
+    targets = [({"crit0": 1, "crit1": 1}, "UNCOVERABLE"),
+               ({"lock": 1, "crit0": 1}, "UNCOVERABLE"),
+               ({"crit0": 1, "wait1": 1, "wait2": 1}, "COVERABLE")]
+    return net, targets
+
+
+def _pipeline(k, n):
+    """K buffers of capacity N, each guarded by a count of free slots."""
+    places = [f"buf{s}" for s in range(k)] + [f"free{s}" for s in range(k)]
+    transitions = ["put"] + [f"mv{s}" for s in range(k - 1)] + ["get"]
+    pre = {("free0", "put"): 1, (f"buf{k - 1}", "get"): 1}
+    post = {("put", "buf0"): 1, ("get", f"free{k - 1}"): 1}
+    for s in range(k - 1):
+        pre.update({(f"buf{s}", f"mv{s}"): 1, (f"free{s + 1}", f"mv{s}"): 1})
+        post.update({(f"mv{s}", f"free{s}"): 1, (f"mv{s}", f"buf{s + 1}"): 1})
+    net = PetriNet(places, transitions, pre, post,
+                   {f"free{s}": n for s in range(k)})
+    targets = []
+    for s in range(k):
+        targets += [({f"buf{s}": n + 1}, "UNCOVERABLE"),
+                    ({f"buf{s}": 1, f"free{s}": n}, "UNCOVERABLE"),
+                    ({f"buf{s}": n}, "COVERABLE")]
+    return net, targets
+
+
+def test_matches_full_reexpansion_on_large_bases():
+    """The comparison of the acceptance-corpus test, on mutual exclusion
+    and pipeline nets whose bases grow to tens of elements: more than
+    the 64 bits of one machine word in the antichain's masks."""
+    peak = 0
+    for net, targets in (_mutex(4), _mutex(5), _mutex(6), _pipeline(3, 4),
+                         _pipeline(4, 3), _pipeline(5, 3), _pipeline(6, 2)):
+        for counts, verdict in targets:
+            target = net.marking(counts)
+            r = solve(net, target, make_invariant(net, ["trivial"]),
+                      record_bases=True)
+            ref = full_backward_search(net, target,
+                                       make_invariant(net, ["trivial"]))
+            where = (net, counts)
+            assert r.verdict.value == ref.verdict == verdict, where
+            assert r.witness == ref.witness, where
+            assert [tuple(vars(s).values()) for s in r.stats] == ref.stats, where
+            assert [b.elements for b in r.bases] == ref.bases, where
+            assert r.backlinks == ref.backlinks, where
+            peak = max(peak, max(map(len, r.bases)))
+    assert peak > 64

@@ -6,6 +6,8 @@ import pytest
 
 from coverlib import Basis, Marking, minimize
 
+from oracles import _add_minimal, _leq
+
 
 def M(*counts):
     return Marking(counts)
@@ -102,10 +104,11 @@ def test_domain_mismatch_raises():
 
 def test_token_sum_prefilter():
     b = minimize([M(0, 5), M(3, 0), M(1, 1)])
-    # (0, 5) has a larger token sum than (2, 0) and is skipped; it is
-    # incomparable anyway, and no other element lies below (2, 0)
+    # at most 2 on the first place leaves (0, 5) and (1, 1), at most 0 on
+    # the second leaves (3, 0): no element lies below (2, 0), though the
+    # token sums of (3, 0) and (1, 1) do not exceed its own
     assert b.filter_uncovered([M(2, 0)]) == [M(2, 0)]
-    # elements of equal token sum are compared, not skipped
+    # a candidate equal to an element is covered by it
     assert b.filter_uncovered([M(1, 1), M(0, 2), M(3, 0)]) == [M(0, 2)]
     assert b.contains(M(0, 5)) and not b.contains(M(0, 4))
 
@@ -122,3 +125,82 @@ def test_filter_uncovered_agrees_with_pairwise_leq():
         expected = [m for m in cands if not any(x.leq(m) for x in pool)]
         assert b.filter_uncovered(cands) == expected
         assert [m for m in cands if not b.contains(m)] == expected
+
+
+def _random_antichain(rng, dims):
+    # Columns listed in ``zeros`` hold 0 in every element; counts are
+    # small, with an occasional huge one.
+    zeros = {p for p in range(dims) if rng.random() < 0.3}
+
+    def count(p):
+        if p in zeros:
+            return 0
+        return 10 ** 40 + rng.randint(0, 2) if rng.random() < 0.05 else rng.randint(0, 4)
+
+    basis = []
+    for _ in range(rng.choice((0, 1, rng.randint(2, 40)))):
+        basis = _add_minimal(basis, Marking(count(p) for p in range(dims)))
+    return basis
+
+
+def _random_candidates(rng, dims, basis):
+    tops = [max((x[p] for x in basis), default=0) for p in range(dims)]
+    out = []
+    for _ in range(rng.randint(0, 25)):
+        kind = rng.random()
+        if kind < 0.2 and basis:
+            out.append(rng.choice(basis))  # a duplicate of an element
+        elif kind < 0.35:
+            # above every element's count, on one place or on all
+            above = [c + 1 for c in tops]
+            if rng.random() < 0.5:
+                p = rng.randrange(dims)
+                above = [rng.randint(0, 4) for _ in range(dims)]
+                above[p] = tops[p] + rng.randint(1, 10 ** 41)
+            out.append(Marking(above))
+        else:
+            out.append(Marking(rng.randint(0, 5) for _ in range(dims)))
+    return out
+
+
+def test_index_matches_pairwise_reference():
+    rng = random.Random(79)
+    for _ in range(600):
+        dims = rng.randint(1, 6)
+        ref = _random_antichain(rng, dims)
+        b = minimize(ref)
+        assert b.elements == tuple(ref)
+        cands = _random_candidates(rng, dims, ref)
+        expected = [m for m in cands if not any(_leq(x, m) for x in ref)]
+        assert b.filter_uncovered(cands) == expected
+        assert [m for m in cands if not b.contains(m)] == expected
+        # union: survivors in their order, then the new minimal elements
+        merged = ref
+        for m in cands:
+            merged = _add_minimal(merged, m)
+        assert b.union(cands).elements == tuple(merged)
+        # the same basis answers again from its kept index
+        assert b.filter_uncovered(cands) == expected
+        assert b.union(cands).elements == tuple(merged)
+        assert b.union(cands).filter_uncovered(cands) == []
+
+
+def test_domain_mismatch_raises_covered_or_not():
+    b = minimize([M(1, 1), M(0, 3)])
+    covered = M(2, 2, 0)   # its first two counts lie above (1, 1)
+    uncovered = M(0, 0, 0)
+    for m in (covered, uncovered):
+        with pytest.raises(ValueError):
+            b.filter_uncovered([m])
+        with pytest.raises(ValueError):
+            b.union([m])
+        with pytest.raises(ValueError):
+            b.filter_uncovered([M(5, 5), m])
+        with pytest.raises(ValueError):
+            b.union([M(0, 0), m])
+    with pytest.raises(ValueError):
+        b.union([M(1)])
+    # an empty basis has no domain of its own, but the markings it
+    # gains must share one
+    with pytest.raises(ValueError):
+        minimize([]).union([M(0, 1), M(1, 0, 0)])
