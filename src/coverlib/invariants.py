@@ -9,18 +9,26 @@ conjunctions:
   so the preprocessor and the invariant built on its result share it.
 * state: a marking is admitted when the token-flow balance equations,
   relaxed to non-negative rational firing counts, can explain it from
-  the initial marking.
+  the initial marking.  Each handle keeps the evidence of its own exact
+  LP answers: the Farkas vector y of each rejected query is a cut that
+  rejects every later m with y . m > y . initial, and the witness lam
+  of each admitted query admits every later m below initial + D lam.
+  Only a query that neither list answers solves a new LP.
 
 Every invariant contains all reachable markings and is closed downward,
 so it is sound for pruning a backward coverability search.  Handles are
 built once per net; ``member`` is cheap to call repeatedly and keeps a
-query counter for statistics.
+query counter for statistics, which counts every query, whether a cached
+cut or top or a new LP answered it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence
+from fractions import Fraction
+from math import lcm
+from operator import le, mul, sub
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .net import Marking, PetriNet
 from .ratlp import FeasibilityProblem, feasible
@@ -135,8 +143,22 @@ class StateInvariant(Invariant):
     A marking m passes when some non-negative rational vector of firing
     counts lam satisfies  initial + D lam >= m  component-wise, where
     column t of D is the displacement of transition t.  The displacement
-    matrix is computed once per handle; each query solves one small
-    exact feasibility problem.
+    matrix is computed once per handle.
+
+    Each handle keeps the evidence of its own LP answers and reuses it,
+    in the manner of a lazily built cutting-plane method (Kelley, 1960):
+
+    * cuts: a rejected query's Farkas vector y has y >= 0 and y D <= 0,
+      so y . (initial + D lam) <= y . initial for every lam >= 0, and a
+      later m with y . m > y . initial is rejected too;
+    * tops: an admitted query's witness lam also admits every later m
+      with m <= initial + D lam.  Markings are integral, so m is compared
+      with the floor of that top, computed in integers over lam's common
+      denominator the first time a later query scans it.
+
+    A query scans the cuts, then the tops, and solves one exact
+    feasibility problem only when neither answers it.  Every cached
+    answer equals the LP's, and no marking can hit both lists.
     """
 
     kind = "state"
@@ -148,17 +170,46 @@ class StateInvariant(Invariant):
             tuple(net.post[t][p] - net.pre[t][p] for t in range(nt))
             for p in range(len(net.places))
         )
+        self._cuts: List[Tuple[List[int], int]] = []  # (y, y . initial)
+        self._tops: List[list] = []  # [floor top or None until scanned, lam]
 
     def member(self, m: Marking) -> bool:
         self.queries += 1
         return self.explain(m) is not None
 
-    def explain(self, m: Marking):
-        """The firing-count witness for a member, or None."""
+    def explain(self, m: Marking) -> Optional[Tuple[Fraction, ...]]:
+        """A firing-count witness for a member, or None.
+
+        The witness lam >= 0 meets  initial + D lam >= m; it may be the
+        witness found for an earlier query of this handle whose top
+        initial + D lam lies above m.
+        """
         self._check(m)
-        bounds = tuple(c - i for c, i in zip(m, self.net.initial))
-        ok, lam = feasible(FeasibilityProblem(self.displacement_rows, bounds))
-        return lam if ok else None
+        for y, bound in self._cuts:
+            if sum(map(mul, y, m)) > bound:
+                return None
+        for entry in self._tops:
+            top = entry[0]
+            if top is None:
+                top = entry[0] = self._floor_top(entry[1])
+            if all(map(le, m, top)):
+                return entry[1]
+        initial = self.net.initial
+        ok, evidence = feasible(FeasibilityProblem(
+            self.displacement_rows, tuple(map(sub, m, initial))))
+        if not ok:
+            self._cuts.append((evidence, sum(map(mul, evidence, initial))))
+            return None
+        lam = tuple(evidence)
+        self._tops.append([None, lam])
+        return lam
+
+    def _floor_top(self, lam: Tuple[Fraction, ...]) -> List[int]:
+        """floor(initial + D lam), as (den * initial + D nums) // den."""
+        den = lcm(*(x.denominator for x in lam))
+        nums = [x.numerator * (den // x.denominator) for x in lam]
+        return [(den * i + sum(map(mul, row, nums))) // den
+                for i, row in zip(self.net.initial, self.displacement_rows)]
 
 
 class IntersectionInvariant(Invariant):

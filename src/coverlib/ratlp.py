@@ -12,6 +12,16 @@ smallest-index rule prevents cycling.  Only the witness is built as
 ``fractions.Fraction`` (``rhs_i / row_i[col]``), it satisfies the system
 exactly, and no floating point ever enters the decision path.
 
+Both answers carry evidence.  A feasible system returns its witness x.
+An infeasible one returns a Farkas vector y: integers with y >= 0,
+y a <= 0 and y b > 0, so y a x <= 0 < y b for every x >= 0 and no x
+meets a x >= b.  It is read off the final tableau at no extra cost: the
+objective row is a positive multiple of sum_i y_i (a_i x - s_i - b_i)
+(a row negated at construction enters with the opposite sign, its
+surplus too), and surplus s_i appears in row i only, so the surplus
+columns of the objective row hold -y.  Both answers are checked in integer arithmetic
+before they are returned; a failed check raises ``ArithmeticError``.
+
 Construction of the tableau, per inequality row:
 
 * ``b_i <= 0``: the row holds at x = 0, so it only needs a surplus
@@ -32,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import List, Optional, Tuple
+from typing import List, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -96,11 +106,23 @@ def _pivot(rows: List[List[int]], obj: List[int], r: int, c: int) -> None:
         obj[:] = _reduce([piv * v - f * pv for v, pv in zip(obj, prow)])
 
 
-def feasible(problem: FeasibilityProblem) -> Tuple[bool, Optional[List[Fraction]]]:
-    """Decide the system; on success also return one exact solution.
+def _farkas(obj: List[int], n: int, m: int) -> List[int]:
+    """The Farkas vector read off a final phase-one objective row."""
+    return [-v for v in obj[n:n + m]]
+
+
+def feasible(
+    problem: FeasibilityProblem,
+) -> Tuple[bool, Union[List[Fraction], List[int]]]:
+    """Decide the system and return the evidence for the answer.
 
     Returns ``(True, witness)`` with ``witness[j] >= 0`` satisfying every
-    row of ``a . witness >= b``, or ``(False, None)``.
+    row of ``a . witness >= b``, or ``(False, y)`` with a list of
+    integers ``y[i] >= 0`` such that ``y . a[:, j] <= 0`` for every
+    column j and ``y . b > 0`` (a Farkas certificate of infeasibility,
+    read off the surplus columns of the final objective row).  Either is
+    re-checked exactly; ``ArithmeticError`` means the simplex went wrong,
+    never that the input was bad.
     """
     m = len(problem.a)
     n = problem.num_vars
@@ -155,7 +177,15 @@ def feasible(problem: FeasibilityProblem) -> Tuple[bool, Optional[List[Fraction]
         basis[leave] = enter
 
     if obj[total] != 0:
-        return False, None
+        # No column improves, so y >= 0 and y a <= 0, and obj[total] is
+        # a positive multiple of y b > 0.  Exactness guard, as for the
+        # witness below: a failure means a bug, not an infeasible system.
+        y = _farkas(obj, n, m)
+        if (any(v < 0 for v in y)
+                or any(sum(map(mul, col, y)) > 0 for col in zip(*problem.a))
+                or sum(map(mul, problem.b, y)) <= 0):
+            raise ArithmeticError("simplex produced an invalid Farkas vector")
+        return False, y
 
     witness = [Fraction(0)] * n
     for row, col in zip(rows, basis):

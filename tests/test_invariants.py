@@ -11,12 +11,16 @@ import random
 
 import pytest
 
+import coverlib.invariants
 from coverlib import (
+    FeasibilityProblem,
     Marking,
     PetriNet,
     SignAnalysis,
+    feasible,
     make_invariant,
     sign_analysis,
+    solve,
 )
 from coverlib.invariants import (
     IntersectionInvariant,
@@ -25,8 +29,9 @@ from coverlib.invariants import (
     TrivialInvariant,
 )
 
-from corpus import random_net
+from corpus import random_instances, random_net
 from oracles import marked_rounds
+from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 
 
 def places(net, names):
@@ -198,3 +203,67 @@ def test_query_counters(pump_net):
     inv.member(Marking((0, 0, 0)))
     inv.member(Marking((0, 2, 1)))
     assert inv.query_counts() == {"state": 2}
+
+
+def _explains(net, rows, m, lam):
+    """lam >= 0 and initial + D lam >= m, re-substituted exactly."""
+    return all(x >= 0 for x in lam) and all(
+        i + sum(d * x for d, x in zip(row, lam)) >= c
+        for i, row, c in zip(net.initial, rows, m))
+
+
+def test_cached_answers_equal_a_fresh_lp(monkeypatch):
+    """Every state query of every acceptance-corpus search, under state and
+    sign,state, is asked again of a fresh LP.  The handle's answers, from
+    a cached cut, a cached top or its own LP, must equal the fresh LP's,
+    its witnesses must re-substitute, the same queries in shuffled order
+    on a fresh handle must get the same answers, and the cache must save
+    LP solves."""
+    solves = {True: 0, False: 0}
+    lp = coverlib.invariants.feasible
+
+    def counted(problem):
+        result = lp(problem)
+        solves[result[0]] += 1
+        return result
+
+    asked = []
+    explain = StateInvariant.explain
+
+    def recorded(self, m):
+        lam = explain(self, m)
+        asked.append((m, lam))
+        return lam
+
+    monkeypatch.setattr(coverlib.invariants, "feasible", counted)
+    monkeypatch.setattr(StateInvariant, "explain", recorded)
+    rng = random.Random(36)
+    queries = rejected = lp_admitted = lp_rejected = 0
+    for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
+        rows = tuple(tuple(post[p] - pre[p] for pre, post in zip(net.pre, net.post))
+                     for p in range(len(net.places)))
+        for names in (("state",), ("sign", "state")):
+            del asked[:]
+            before = dict(solves)
+            solve(net, target, make_invariant(net, names), budget_steps=500)
+            lp_admitted += solves[True] - before[True]
+            lp_rejected += solves[False] - before[False]
+            sequence = list(asked)
+            queries += len(sequence)
+            for m, lam in sequence:
+                bounds = tuple(c - i for c, i in zip(m, net.initial))
+                ok, _ = feasible(FeasibilityProblem(rows, bounds))
+                assert (lam is not None) == ok, (name, names, m)
+                assert lam is None or _explains(net, rows, m, lam), (name, m)
+                rejected += not ok
+            rng.shuffle(sequence)
+            fresh = StateInvariant(net)
+            for m, lam in sequence:
+                again = fresh.explain(m)
+                assert (again is None) == (lam is None), (name, names, m)
+                assert again is None or _explains(net, rows, m, again)
+    # Both answers occur, and both lists hit: some rejections came from a
+    # cut and some admissions from a top, not from the handle's own LP.
+    assert 0 < rejected < queries
+    assert lp_rejected < rejected
+    assert lp_admitted < queries - rejected

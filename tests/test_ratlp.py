@@ -19,7 +19,14 @@ def check(a, b):
         for row, bound in zip(a, b):
             assert sum(c * x for c, x in zip(row, witness)) >= bound
     else:
-        assert witness is None
+        # independent check of the Farkas vector y: y >= 0 and y a <= 0
+        # column by column, yet y b > 0, so no x >= 0 meets a x >= b
+        y = witness
+        assert len(y) == len(b)
+        assert all(isinstance(v, int) and v >= 0 for v in y)
+        for j in range(len(a[0]) if a else 0):
+            assert sum(v * row[j] for v, row in zip(y, a)) <= 0
+        assert sum(v * bound for v, bound in zip(y, b)) > 0
     return ok
 
 
@@ -45,6 +52,25 @@ def test_exactness_guard_rejects_a_witness_off_by_a_hair(monkeypatch):
     # (1 - hair, -hair) meets x0 - x1 >= 1 exactly but is negative
     with pytest.raises(ArithmeticError, match="negative witness"):
         feasible(FeasibilityProblem(a=((1, -1),), b=(1,)))
+
+
+def test_farkas_guard_rejects_a_vector_off_by_one(monkeypatch):
+    """An infeasible answer is re-checked like a feasible one: a Farkas
+    vector with one entry off by one raises, it is never returned."""
+    # x >= 2, x <= 1 and 0 >= -5: y = (1, 1, 0) proves it, with y a = 0
+    # and y b = 1.  Each skew breaks one of the three conditions: y a <= 0
+    # (entry 0 up), y b > 0 (entry 1 up) or y >= 0 (entry 2 down).
+    problem = FeasibilityProblem(a=((1,), (-1,), (0,)), b=(2, -1, -5))
+    assert feasible(problem) == (False, [1, 1, 0])
+    extract = coverlib.ratlp._farkas
+    for entry, delta in ((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1)):
+        def skewed(obj, n, m, entry=entry, delta=delta):
+            y = extract(obj, n, m)
+            y[entry] += delta
+            return y
+        monkeypatch.setattr(coverlib.ratlp, "_farkas", skewed)
+        with pytest.raises(ArithmeticError, match="invalid Farkas vector"):
+            feasible(problem)
 
 
 def test_single_variable_bounds():
