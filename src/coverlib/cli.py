@@ -88,8 +88,6 @@ def _pick_target(problem: Problem, index: int):
 
 def _parse_invariant_list(text: str) -> List[str]:
     names = [n.strip() for n in text.split(",") if n.strip()]
-    if not names:
-        raise CliError("empty invariant list")
     try:
         return check_invariant_names(names)
     except ValueError as exc:

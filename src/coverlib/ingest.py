@@ -150,11 +150,11 @@ def _nat(src: _Tokens, k: int) -> Optional[int]:
         raise src.error(f"number has {len(text)} digits; the limit is {limit}", k) from None
 
 
-def _expected(src: _Tokens, k: int, what: str) -> ParseError:
+def _expected(src: _Tokens, k: int, what: str, prefix: str = "") -> ParseError:
     text = src.tokens[k]
     if not text:
-        return src.error(f"expected {what} but the input ended", k)
-    return src.error(f"expected {what}, got {text!r}", k)
+        return src.error(f"{prefix}expected {what} but the input ended", k)
+    return src.error(f"{prefix}expected {what}, got {text!r}", k)
 
 
 def _native_ident(src: _Tokens, k: int, what: str) -> str:
@@ -402,11 +402,13 @@ def parse_mist(text: Union[str, bytes], name: str = "") -> Problem:
     return Problem(net=net, targets=markings, name=name)
 
 
-# The section parsers below read tokens ``i`` up to, not including, ``e``.
+# The section parsers below read tokens ``i`` up to, not including, ``e``:
+# the keyword of the next section, or the end marker.  What a section
+# lacks at its end is reported at token ``e``.
 
 def _mist_vars(src: _Tokens, i: int, e: int) -> Tuple[str, ...]:
     if i == e:
-        raise ParseError("no variables declared", 1, 1)
+        raise src.error("no variables declared", i - 1)
     names: Dict[str, None] = {}
     for k in range(i, e):
         text = src.tokens[k]
@@ -421,7 +423,7 @@ def _mist_vars(src: _Tokens, i: int, e: int) -> Tuple[str, ...]:
 def _mist_var(src: _Tokens, k: int, e: int, var_index: Dict[str, int],
               what: str, allow_prime: bool = False) -> Tuple[int, bool]:
     if k >= e:
-        raise ParseError(f"expected {what} but the input ended", 1, 1)
+        raise _expected(src, e, what)
     text = src.tokens[k]
     primed = text.endswith("'")
     if primed and not allow_prime:
@@ -434,11 +436,9 @@ def _mist_var(src: _Tokens, k: int, e: int, var_index: Dict[str, int],
 
 
 def _mist_nat(src: _Tokens, k: int, e: int, label: Callable[[], str]) -> int:
-    if k >= e:
-        raise ParseError(f"{label()}: expected a number", 1, 1)
-    value = _nat(src, k)
+    value = _nat(src, k) if k < e else None
     if value is None:
-        raise src.error(f"{label()}: expected a number, got {src.tokens[k]!r}", k)
+        raise _expected(src, min(k, e), "a number", f"{label()}: ")
     return value
 
 
@@ -528,8 +528,7 @@ def _mist_init(src: _Tokens, i: int, e: int, var_index: Dict[str, int]) -> Dict[
         if op == ">=":
             raise src.error("parametric initial marking unsupported", i + 1)
         if op != "=":
-            bad = i if op is None else i + 1
-            raise src.error(f"expected '=' in init, got {tokens[bad]!r}", bad)
+            raise _expected(src, min(i + 1, e), "'=' in init")
         count = _mist_nat(src, i + 2, e, lambda: "init")
         if var in counts:
             raise src.error(f"duplicate init entry for {tokens[i]!r}", i)
@@ -542,7 +541,7 @@ def _mist_init(src: _Tokens, i: int, e: int, var_index: Dict[str, int]) -> Dict[
 
 def _mist_targets(src: _Tokens, i: int, e: int, var_index: Dict[str, int]):
     if i == e:
-        raise ParseError("no target declared", 1, 1)
+        raise src.error("no target declared", i - 1)
     tokens = src.tokens
     # One target marking per source line.
     cuts = [i] + sorted({s for s in src.starts if i < s < e}) + [e]

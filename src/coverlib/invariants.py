@@ -17,9 +17,9 @@ conjunctions:
 
 Every invariant contains all reachable markings and is closed downward,
 so it is sound for pruning a backward coverability search.  Handles are
-built once per net; ``member`` is cheap to call repeatedly and keeps a
-query counter for statistics, which counts every query, whether a cached
-cut or top or a new LP answered it.
+built once per net; ``member`` is cheap to call repeatedly.  Each
+trivial, sign and state handle counts its queries for statistics,
+whether a cached cut or top or a new LP answered them.
 """
 
 from __future__ import annotations
@@ -62,12 +62,12 @@ def sign_analysis(net: PetriNet) -> SignAnalysis:
     if net._sign is not None:
         return net._sign
     marked = {p for p, c in enumerate(net.initial) if c}
-    # Each transition as (input places, output places), built once.  A
-    # transition contributes at most once: when its inputs are marked its
-    # outputs join the set and it is retired.  Passes repeat while the
-    # set still grows.
-    pending = [({p for p, w in enumerate(pre) if w}, {p for p, w in enumerate(post) if w})
-               for pre, post in zip(net.pre, net.post)]
+    # Each transition as (input places, output places), read off the
+    # net's arc rows.  A transition contributes at most once: when its
+    # inputs are marked its outputs join the set and it is retired.
+    # Passes repeat while the set still grows.
+    pending = [({p for p, n, _ in arcs if n}, {p for p, _, o in arcs if o})
+               for arcs in net._arcs]
     grew = True
     while grew:
         grew = False
@@ -107,9 +107,6 @@ class Invariant:
         """Membership queries so far, keyed by invariant kind."""
         return {self.kind: self.queries}
 
-    def _check(self, m: Sequence[int]) -> None:
-        self.net._check_marking(m)
-
 
 class TrivialInvariant(Invariant):
     """Admits every marking (no pruning)."""
@@ -117,7 +114,7 @@ class TrivialInvariant(Invariant):
     kind = "trivial"
 
     def member(self, m: Marking) -> bool:
-        self._check(m)
+        self.net._check_marking(m)
         self.queries += 1
         return True
 
@@ -132,7 +129,7 @@ class SignInvariant(Invariant):
         self.analysis = sign_analysis(net)
 
     def member(self, m: Marking) -> bool:
-        self._check(m)
+        self.net._check_marking(m)
         self.queries += 1
         return self.analysis.member(m)
 
@@ -184,7 +181,7 @@ class StateInvariant(Invariant):
         witness found for an earlier query of this handle whose top
         initial + D lam lies above m.
         """
-        self._check(m)
+        self.net._check_marking(m)
         for y, bound in self._cuts:
             if sum(map(mul, y, m)) > bound:
                 return None
@@ -236,11 +233,10 @@ class IntersectionInvariant(Invariant):
         return ",".join(p.name for p in self.parts)
 
     def member(self, m: Marking) -> bool:
-        self.queries += 1
         return all(p.member(m) for p in self.parts)
 
     def query_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {self.kind: self.queries}
+        counts: Dict[str, int] = {}
         for p in self.parts:
             for k, v in p.query_counts().items():
                 counts[k] = counts.get(k, 0) + v
@@ -256,8 +252,10 @@ INVARIANT_KINDS = tuple(_FACTORIES)
 
 
 def check_invariant_names(names: Iterable[str]) -> List[str]:
-    """The names as a list; ValueError on an unknown or repeated name."""
+    """The names as a list; ValueError if it is empty or a name is unknown or repeated."""
     names = list(names)
+    if not names:
+        raise ValueError("empty invariant list")
     for i, name in enumerate(names):
         if name not in _FACTORIES:
             kinds = ", ".join(INVARIANT_KINDS)
@@ -273,8 +271,6 @@ def make_invariant(net: PetriNet, names: Iterable[str]) -> Invariant:
     Several names mean their conjunction, tested in the given order.
     """
     names = check_invariant_names(names)
-    if not names:
-        raise ValueError("no invariant names given")
     parts = [_FACTORIES[name](net) for name in names]
     if len(parts) == 1:
         return parts[0]

@@ -96,14 +96,14 @@ class PetriNet:
     behind it, and the parsers and ``restrict`` call it directly with
     rows they have already checked.
 
-    Instances are immutable after construction and safe to share
-    between threads.  Two private slots are filled lazily, and threads
-    that race on one compute and write the same value: ``_sign`` holds
-    the net's sign analysis once ``invariants.sign_analysis`` has
-    computed it, and ``_arcs[t]`` holds the ``(place, pre, post)``
-    triples of the places where transition ``t`` has a nonzero ``pre``
-    or ``post`` weight, once ``cpre`` has needed them (None before).
-    ``restrict`` starts a subnet with both slots empty.
+    ``_arcs[t]``, built with the net, lists the ``(place, pre, post)``
+    triples of the places where transition ``t`` has a nonzero weight,
+    for ``cpre`` and the sign fixpoint.  Instances are immutable after
+    construction and safe to share between threads.  The private slot
+    ``_sign`` is filled lazily with the net's sign analysis, once
+    ``invariants.sign_analysis`` has computed it; threads that race on
+    it compute and write the same value.  ``restrict`` starts a subnet
+    with it empty.
     """
 
     __slots__ = ("places", "transitions", "initial", "pre", "post",
@@ -168,7 +168,9 @@ class PetriNet:
         self.post = tuple(map(tuple, post))
         self.initial = tuple.__new__(Marking, initial)
         self._sign = None
-        self._arcs = [None] * len(self.transitions)
+        self._arcs = tuple(
+            [(p, n, o) for p, n, o in zip(range(len(self.places)), need, give) if n or o]
+            for need, give in zip(self.pre, self.post))
 
     # -- name/index plumbing -------------------------------------------------
 
@@ -205,7 +207,7 @@ class PetriNet:
 
         Arcs between kept nodes and the initial tokens on kept places carry
         over; everything else is dropped.  The subnet starts without a
-        stored sign analysis or arc list.
+        stored sign analysis and builds its own arc rows.
         """
         for p in places:
             _check_index(p, len(self.places), "place")
@@ -263,13 +265,8 @@ class PetriNet:
         _check_index(t, len(self.transitions), "transition")
         if not isinstance(m, Marking):
             m = Marking(m)
-        arcs = self._arcs[t]
-        if arcs is None:
-            arcs = self._arcs[t] = [
-                (p, n, o) for p, n, o in zip(range(len(m)), self.pre[t], self.post[t])
-                if n or o]
         counts = list(m)
-        for p, n, o in arcs:
+        for p, n, o in self._arcs[t]:
             c = m[p]
             counts[p] = n + c - o if c > o else n
         # m's counts were validated when it was built, and so are these:

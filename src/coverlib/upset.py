@@ -17,7 +17,8 @@ space than a small one.
 
 A basis is immutable, so it builds its index lazily, once, on its
 first query.  The domain of a marking is checked once, when it enters
-a query, not per comparison.
+a query, not per comparison.  ``Basis(elements)`` checks that its
+elements form an antichain, ``python -O`` or not.
 """
 
 from __future__ import annotations
@@ -27,14 +28,6 @@ from operator import le
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .net import Marking
-
-
-def _check_same_domain(elements: Sequence[Marking]) -> None:
-    if elements:
-        n = len(elements[0])
-        for m in elements:
-            if len(m) != n:
-                raise ValueError("markings with different domains in one basis")
 
 
 def _is_antichain(elements: Sequence[Marking]) -> bool:
@@ -111,8 +104,8 @@ class Basis:
 
     def __init__(self, elements: Iterable[Marking] = ()) -> None:
         elements = tuple(elements)
-        _check_same_domain(elements)
-        if __debug__ and not _is_antichain(elements):
+        # Marking.leq raises ValueError on markings of different domains.
+        if not _is_antichain(elements):
             raise ValueError("basis elements must be pairwise incomparable")
         self.elements = elements
         self._index = None

@@ -318,12 +318,22 @@ MIST_REJECTIONS = [
     ("vars\n x\ninit\n x = 1\nrules\n -> x' = x;\ntarget\n x >= 1\n",
      "sections must appear in the order vars, rules, init, target", 7, 1),
     (NOOP + " x = 1\ntarget\n x = 1\n", "targets must use '>='", 8, 4),
-    (NOOP + " x = 1\ntarget\n", "no target declared", 1, 1),
+    (NOOP + " x = 1\ntarget\n", "no target declared", 7, 1),
     (NOOP + " x = 1\ntarget\n x' >= 1\n", "unexpected primed variable \"x'\"", 8, 2),
-    (NOOP + " x = 1\ntarget\n x >=\n", "target: expected a number", 1, 1),
+    (NOOP + " x = 1\ntarget\n x >=\n",
+     "target: expected a number but the input ended", 8, 4),
     (NOOP + " x = 1\ntarget\n x >= 1\n x >= y\n", "target: expected a number, got 'y'",
      9, 7),
     (NOOP + " x = 1\ntarget\n x >= 1 @\n", "unexpected character '@'", 8, 9),
+    # What a section lacks at its end is reported at the next section's
+    # keyword, and an empty section at its own.
+    ("vars\n x\nrules\n x >=\n" + TAIL,
+     "rule 0 (line 4): expected a number, got 'init'", 5, 1),
+    ("vars\n x\nrules\n x >= 1 ->\n" + TAIL,
+     "expected an update variable, got 'init'", 5, 1),
+    (NOOP + " x =\ntarget\n x >= 1\n", "init: expected a number, got 'target'", 7, 1),
+    (NOOP + " x\ntarget\n x >= 1\n", "expected '=' in init, got 'target'", 7, 1),
+    ("\n\nvars\nrules\n" + TAIL, "no variables declared", 3, 1),
     # A rule's line follows str.splitlines(), comments included.
     ("vars\r\n x\r\nrules\r\n -> x' = x;\r\n x >= 1 -> x' = x - 2;\r\n" + TAIL,
      "rule 1 (line 5): decrease of 2 is not covered by the guard, so the rule is "

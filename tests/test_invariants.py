@@ -205,6 +205,18 @@ def test_query_counters(pump_net):
     assert inv.query_counts() == {"state": 2}
 
 
+def test_intersection_counts_only_its_parts(pump_net):
+    inv = make_invariant(pump_net, ["sign", "state"])
+    inv.member(Marking((0, 0, 0)))
+    assert inv.query_counts() == {"sign": 1, "state": 1}
+
+
+def test_empty_name_list_has_one_rule(pump_net):
+    # the same message as the CLI's exit-2 diagnostic
+    with pytest.raises(ValueError, match="^empty invariant list$"):
+        make_invariant(pump_net, [])
+
+
 def _explains(net, rows, m, lam):
     """lam >= 0 and initial + D lam >= m, re-substituted exactly."""
     return all(x >= 0 for x in lam) and all(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -58,6 +60,23 @@ def test_basis_constructor_rejects_non_antichain():
         Basis([M(1, 1), M(1, 1, 1)])
 
 
+def test_basis_constructor_checks_under_optimize():
+    # python -O drops assert statements and __debug__ blocks; the
+    # constructor's check must not be one of them.
+    code = (
+        "from coverlib import Basis, Marking as M\n"
+        "for bad in ([M((1, 1)), M((1, 2))], [M((1, 1)), M((1, 1, 1))]):\n"
+        "    try:\n"
+        "        Basis(bad)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'accepted {bad}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_equality_ignores_order():
     assert Basis([M(1, 0), M(0, 1)]) == Basis([M(0, 1), M(1, 0)])
     assert hash(Basis([M(1, 0), M(0, 1)])) == hash(Basis([M(0, 1), M(1, 0)]))
@@ -102,11 +121,11 @@ def test_domain_mismatch_raises():
         b.union([M(1, 1, 1)])
 
 
-def test_token_sum_prefilter():
+def test_place_masks_decide_coverage_not_token_sums():
     b = minimize([M(0, 5), M(3, 0), M(1, 1)])
     # at most 2 on the first place leaves (0, 5) and (1, 1), at most 0 on
-    # the second leaves (3, 0): no element lies below (2, 0), though the
-    # token sums of (3, 0) and (1, 1) do not exceed its own
+    # the second leaves (3, 0): the masks share no element, so (2, 0) is
+    # uncovered, though (1, 1) holds no more tokens than it in total
     assert b.filter_uncovered([M(2, 0)]) == [M(2, 0)]
     # a candidate equal to an element is covered by it
     assert b.filter_uncovered([M(1, 1), M(0, 2), M(3, 0)]) == [M(0, 2)]
