@@ -58,7 +58,7 @@ class Problem:
     name: str = ""
 
     def __post_init__(self) -> None:
-        targets = tuple(self.net.marking(m) for m in self.targets)
+        targets = tuple([self.net.marking(m) for m in self.targets])
         if not targets:
             raise ValueError("a problem needs at least one target")
         object.__setattr__(self, "targets", targets)
@@ -249,7 +249,7 @@ def parse_native(text: Union[str, bytes], name: str = "") -> Problem:
     for p, c in init_counts.items():
         initial[index[p]] = c
     net = PetriNet._checked(places, [t for t, _, _ in transitions], pre, post, initial)
-    targets = tuple(net.marking(atoms) for atoms in target_specs)
+    targets = tuple([net.marking(atoms) for atoms in target_specs])
     return Problem(net=net, targets=targets, name=name)
 
 
@@ -396,9 +396,9 @@ def parse_mist(text: Union[str, bytes], name: str = "") -> Problem:
     for i, c in init.items():
         initial[i] = c
     net = PetriNet._checked(variables, tnames, pre, post, initial)
-    markings = tuple(
+    markings = tuple([
         net.marking({variables[i]: c for i, c in atoms.items()}) for atoms in targets
-    )
+    ])
     return Problem(net=net, targets=markings, name=name)
 
 
@@ -459,7 +459,7 @@ def _mist_rules(src: _Tokens, i: int, e: int, var_index: Dict[str, int]):
             while True:
                 var, _ = _mist_var(src, i, e, var_index, "a guard variable")
                 if i + 1 >= e or tokens[i + 1] != ">=":
-                    raise src.error(f"{label()}: guards must use '>='", min(i + 1, e - 1))
+                    raise src.error(f"{label()}: guards must use '>='", min(i + 1, e))
                 bound = _mist_nat(src, i + 2, e, label)
                 guards[var] = max(guards.get(var, 0), bound)
                 if i + 3 >= e:
@@ -484,7 +484,7 @@ def _mist_rules(src: _Tokens, i: int, e: int, var_index: Dict[str, int]):
             if var in deltas:
                 raise src.error(f"{label()}: variable updated twice", i)
             if i + 1 >= e or tokens[i + 1] != "=":
-                raise src.error(f"{label()}: expected '=' in update", min(i + 1, e - 1))
+                raise src.error(f"{label()}: expected '=' in update", min(i + 1, e))
             if i + 2 >= e:
                 raise src.error(f"{label()}: unterminated update", i + 1)
             source = tokens[i + 2]

@@ -163,10 +163,10 @@ class StateInvariant(Invariant):
     def __init__(self, net: PetriNet) -> None:
         super().__init__(net)
         nt = len(net.transitions)
-        self.displacement_rows = tuple(
-            tuple(net.post[t][p] - net.pre[t][p] for t in range(nt))
+        self.displacement_rows = tuple([
+            tuple([net.post[t][p] - net.pre[t][p] for t in range(nt)])
             for p in range(len(net.places))
-        )
+        ])
         self._cuts: List[Tuple[List[int], int]] = []  # (y, y . initial)
         self._tops: List[list] = []  # [floor top or None until scanned, lam]
 
@@ -193,7 +193,7 @@ class StateInvariant(Invariant):
                 return entry[1]
         initial = self.net.initial
         ok, evidence = feasible(FeasibilityProblem(
-            self.displacement_rows, tuple(map(sub, m, initial))))
+            self.displacement_rows, list(map(sub, m, initial))))
         if not ok:
             self._cuts.append((evidence, sum(map(mul, evidence, initial))))
             return None

@@ -164,13 +164,13 @@ class PetriNet:
         self.transitions = tuple(transitions)
         self._place_index = {p: i for i, p in enumerate(self.places)}
         self._transition_index = {t: j for j, t in enumerate(self.transitions)}
-        self.pre = tuple(map(tuple, pre))
-        self.post = tuple(map(tuple, post))
+        self.pre = tuple([tuple(row) for row in pre])
+        self.post = tuple([tuple(row) for row in post])
         self.initial = tuple.__new__(Marking, initial)
         self._sign = None
-        self._arcs = tuple(
+        self._arcs = tuple([
             [(p, n, o) for p, n, o in zip(range(len(self.places)), need, give) if n or o]
-            for need, give in zip(self.pre, self.post))
+            for need, give in zip(self.pre, self.post)])
 
     # -- name/index plumbing -------------------------------------------------
 
@@ -218,11 +218,11 @@ class PetriNet:
         if len(set(places)) != len(places) or len(set(transitions)) != len(transitions):
             raise ValueError("duplicate indices in a restriction")
         return PetriNet._checked(
-            (self.places[p] for p in places),
-            (self.transitions[t] for t in transitions),
-            ([self.pre[t][p] for p in places] for t in transitions),
-            ([self.post[t][p] for p in places] for t in transitions),
-            (self.initial[p] for p in places),
+            [self.places[p] for p in places],
+            [self.transitions[t] for t in transitions],
+            [[self.pre[t][p] for p in places] for t in transitions],
+            [[self.post[t][p] for p in places] for t in transitions],
+            [self.initial[p] for p in places],
         )
 
     # -- semantics -----------------------------------------------------------
@@ -236,7 +236,7 @@ class PetriNet:
         for c, n in zip(m, need):
             if c < n:
                 return None
-        return Marking(c - n + o for c, n, o in zip(m, need, out))
+        return Marking([c - n + o for c, n, o in zip(m, need, out)])
 
     def fire_sequence(self, m: Marking, ts: Iterable[int]) -> Optional[Marking]:
         """Fire ``ts`` in order from ``m``; None on the first disabled step."""

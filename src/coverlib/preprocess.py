@@ -53,13 +53,13 @@ def _one_round(net: PetriNet, use_state: bool) -> Tuple[PetriNet, PruneRound]:
             dead.append(t)
         elif state is not None and not state.member(threshold):
             dead.append(t)
-    empty_names = tuple(net.places[p] for p in sorted(analysis.always_empty))
+    empty_names = tuple([net.places[p] for p in sorted(analysis.always_empty)])
     if not dead:
         return net, PruneRound(removed=(), always_empty=empty_names)
     gone = set(dead)
     keep = [t for t in range(len(net.transitions)) if t not in gone]
     reduced = net.restrict(range(len(net.places)), keep)
-    removed_names = tuple(net.transitions[t] for t in dead)
+    removed_names = tuple([net.transitions[t] for t in dead])
     return reduced, PruneRound(removed=removed_names, always_empty=empty_names)
 
 
@@ -120,7 +120,7 @@ def prune_problem(
             gone = set(droppable)
             keep = [p for p in range(len(net.places)) if p not in gone]
             net = net.restrict(keep, range(len(net.transitions)))
-            targets = tuple(Marking(m[p] for p in keep) for m in targets)
-            dropped = tuple(problem.net.places[p] for p in droppable)
+            targets = tuple([Marking([m[p] for p in keep]) for m in targets])
+            dropped = tuple([problem.net.places[p] for p in droppable])
     report = replace(report, dropped_places=dropped)
     return Problem(net=net, targets=targets, name=problem.name), report

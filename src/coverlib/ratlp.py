@@ -59,7 +59,7 @@ class FeasibilityProblem:
     b: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        a = tuple(tuple(row) for row in self.a)
+        a = tuple([tuple(row) for row in self.a])
         b = tuple(self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

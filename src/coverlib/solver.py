@@ -18,6 +18,12 @@ whole basis would do.  So the per-round counters, the query counts, the
 bases and the witness equal those of the full re-expansion, and
 ``candidates_generated`` is |T| times the basis size.
 
+Only productive pairs are expanded: (t, m) is skipped unless some place
+p has post_t(p) > pre_t(p) and m(p) > pre_t(p).  On any other pair
+cpre(t, m) covers m, which is in the basis, so the antichain filter
+would drop the candidate anyway.  Skipping it changes no counter, and
+the per-transition lists of such places are built once per search.
+
 Soundness of pruning needs the invariant to contain every reachable
 marking and to be downward closed; all handles in
 :mod:`coverlib.invariants` qualify.  With the trivial invariant the
@@ -38,7 +44,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .invariants import Invariant, TrivialInvariant
 from .net import Marking, PetriNet
-from .upset import Basis, minimize
+from .upset import Basis
 
 
 class Verdict(Enum):
@@ -128,6 +134,14 @@ def extract_witness(backlinks: Mapping, start: Marking) -> List[int]:
         node = nxt
 
 
+def _gains(net: PetriNet) -> List[List[Tuple[int, int]]]:
+    # Per transition t, (p, pre_t(p)) for the places p with
+    # post_t(p) > pre_t(p).  cpre(t, m) lies below m on such a p iff
+    # m(p) > pre_t(p), and nowhere else; so the pair (t, m) is productive
+    # iff some entry has m(p) > pre_t(p), else cpre(t, m) covers m.
+    return [[(p, n) for p, n, o in arcs if o > n] for arcs in net._arcs]
+
+
 def solve(
     net: PetriNet,
     target: Marking,
@@ -161,7 +175,7 @@ def solve(
     backlinks: BackLinks = {}
     if target_admitted:
         backlinks[target] = None
-        basis = minimize([target])
+        basis = Basis((target,))
     else:
         basis = Basis()
 
@@ -171,6 +185,7 @@ def solve(
     witness: Optional[Tuple[int, ...]] = None
     reason: Optional[str] = None
     nt = len(net.transitions)
+    gains = None  # built by the first round that expands
     k = 0
     # The elements that entered the basis in the last round.
     frontier: List[Marking] = list(basis)
@@ -203,11 +218,19 @@ def solve(
         # round, first occurrence first.
         candidates: Dict[Marking, List[Tuple[int, Marking]]] = {}
         expired = False
+        if gains is None:
+            gains = _gains(net)
         for t in range(nt):
             if deadline is not None and time.monotonic() >= deadline:
                 expired = True
                 break
+            gain = gains[t]
             for m in frontier:
+                for p, n in gain:
+                    if m[p] > n:
+                        break
+                else:
+                    continue  # cpre(t, m) covers m, an element
                 c = net.cpre(t, m)
                 seen = candidates.get(c)
                 if seen is None:

@@ -4,28 +4,37 @@ An upward-closed set is represented by its finite set of minimal
 elements, kept in insertion order.  Dominance queries go through a
 per-place bitmask index (after Bentley's multidimensional dominance
 queries and the covering sharing trees of Delzanno, Raskin and Van
-Begin): bit i of a mask stands for element i.  For each place the index
-holds the distinct counts of the elements on that place in increasing
-order and, per count, the mask of the elements holding at most that
-many tokens there.  A candidate m is covered iff the AND over all
-places of the mask at m's count is nonzero.  An element lies above m
-iff it holds fewer tokens than m on no place, so the elements a new
-minimal element m makes redundant are the AND over places of the
-complements of the masks below m's counts.  Counts are looked up by
-rank, with a binary search, so a count of any size costs no more table
-space than a small one.
+Begin): bit i of a mask stands for the i-th marking indexed.  For each
+place where some indexed marking holds a token, the index holds the
+distinct counts on that place in increasing order and, per count, the
+mask of the markings holding more than that many tokens there.  A
+candidate m is covered iff the AND over all places of the complement of
+the mask at m's count, cut to the live bits, is nonzero.  The elements
+a new minimal element m makes redundant, those holding at least m's
+count on every place, are the AND of the masks at the counts just below
+m's.  A marking lies in no mask of a place where it holds no token, so
+inserting it touches only the places where it does.  Counts are looked
+up by rank, with a binary search, so a count of any size costs no more
+table space than a small one.
 
-A basis is immutable, so it builds its index lazily, once, on its
-first query.  The domain of a marking is checked once, when it enters
-a query, not per comparison.  ``Basis(elements)`` checks that its
-elements form an antichain, ``python -O`` or not.
+The index is carried forward, not built per basis.  ``union`` copies
+it and inserts the new markings one at a time, so the batch is
+minimized through the index too (after Kung, Luccio and Preparata's
+maxima of a set of vectors): a covered marking is dropped, the elements
+above an uncovered one leave, and it takes the next bit.  Elements keep
+their bits, so bit order is insertion order; an int ``live`` cuts off
+the bits of the elements that left.  Once fewer than half of the bits
+are live, and for a basis made any other way, the index is built on the
+first query by inserting the elements in order.  The domain of a
+marking is checked once, when it enters a query, not per comparison.
+``Basis(elements)`` checks that its elements form an antichain,
+``python -O`` or not.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import le
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .net import Marking
 
@@ -38,66 +47,62 @@ def _is_antichain(elements: Sequence[Marking]) -> bool:
     return True
 
 
-def _insert(kept: List[Marking], m: Marking) -> List[Marking]:
-    # kept is an antichain over m's domain; returns an antichain
-    # representing kept + {m}.
-    out: List[Marking] = []
-    for x in kept:
-        if all(map(le, x, m)):
-            # Some x <= m already: m adds nothing.  No other element can
-            # be above m, or it would be comparable with x.
-            return kept
-        if all(map(le, m, x)):
-            continue  # m strictly below x: x is now redundant
-        out.append(x)
-    out.append(m)
-    return out
+# A column is (p, counts, masks) for a place p where some indexed marking
+# holds a token: ``counts`` are the distinct counts on p in increasing
+# order, counts[0] == 0, and masks[k] holds the markings with more than
+# counts[k - 1] tokens on p (masks[0] is unused).  So the markings above
+# c on p are masks[bisect_right(counts, c)], and for c > 0 those holding
+# at least c are masks[bisect_left(counts, c)].  ``zeros`` lists the
+# other places.
+
+def _below(columns: List[tuple], live: int, m: Marking) -> int:
+    # The live markings at most m on every place.
+    for p, counts, masks in columns:
+        live &= ~masks[bisect_right(counts, m[p])]
+        if not live:
+            break
+    return live
 
 
-def _minimal(new: Iterable[Marking]) -> List[Marking]:
-    # The minimal markings of ``new``, in insertion order; each is checked
-    # against the domain of the first element kept.
-    kept: List[Marking] = []
-    for m in new:
-        if kept:
-            kept[0]._check_domain(m)
-        kept = _insert(kept, m)
-    return kept
+def _above(columns: List[tuple], zeros: List[int], live: int, m: Marking) -> int:
+    # The live markings at least m on every place.
+    for p in zeros:
+        if m[p]:
+            return 0  # no marking holds a token there
+    for p, counts, masks in columns:
+        c = m[p]
+        if c:
+            live &= masks[bisect_left(counts, c)]
+            if not live:
+                break
+    return live
 
 
-def _build_index(elements: Sequence[Marking]) -> Tuple[List[tuple], List[int]]:
-    # (columns, zeros).  A column is (p, counts, masks) for a place p where
-    # some element holds a token: ``counts`` are the distinct counts on p
-    # in increasing order, and masks[k] holds the elements whose count on
-    # p is at most counts[k - 1] (masks[0] == 0).  So the elements at most
-    # c on p are masks[bisect_right(counts, c)], and those below c are
-    # masks[bisect_left(counts, c)].  ``zeros`` lists the other places.
-    bits = [1 << i for i in range(len(elements))]
-    columns: List[tuple] = []
-    zeros: List[int] = []
-    for p, column in enumerate(zip(*elements)):
-        if not any(column):
-            zeros.append(p)
-            continue
-        by_count: dict = {}
-        for c, b in zip(column, bits):
-            by_count[c] = by_count.get(c, 0) | b
-        counts = sorted(by_count)
-        masks = [0]
-        acc = 0
-        for c in counts:
-            acc |= by_count[c]
-            masks.append(acc)
-        columns.append((p, counts, masks))
-    return columns, zeros
+def _add(columns: List[tuple], zeros: List[int], bit: int, m: Marking) -> None:
+    # Index m under ``bit``, which lies above the bits of every marking
+    # indexed so far.
+    for p, counts, masks in columns:
+        c = m[p]
+        if c:
+            k = bisect_left(counts, c)
+            if k == len(counts) or counts[k] != c:
+                counts.insert(k, c)
+                masks.insert(k + 1, masks[k])
+            masks[1:k + 1] = [x | bit for x in masks[1:k + 1]]
+    if not columns and not zeros:
+        zeros.extend(range(len(m)))  # the first marking indexed
+    if any(m[p] for p in zeros):
+        columns += [(p, [0, m[p]], [0, bit, 0]) for p in zeros if m[p]]
+        zeros[:] = [p for p in zeros if not m[p]]
 
 
 class Basis:
     """Minimal elements of an upward-closed set, in insertion order.
 
     Instances are immutable.  The private slot ``_index`` holds the
-    dominance index once a query has built it; threads that race on it
-    compute and write the same value.
+    dominance index: every marking indexed, by bit, the live bits, the
+    columns and the places without one.  Threads that race on its first
+    build compute and write equal values.
     """
 
     __slots__ = ("elements", "_index")
@@ -111,38 +116,20 @@ class Basis:
         self._index = None
 
     @classmethod
-    def _of(cls, elements: Sequence[Marking]) -> "Basis":
+    def _of(cls, elements: Tuple[Marking, ...], index: Optional[tuple] = None) -> "Basis":
         # A basis of elements known to form an antichain over one domain.
         b = cls.__new__(cls)
-        b.elements = tuple(elements)
-        b._index = None
+        b.elements = elements
+        b._index = index
         return b
 
-    def _columns(self) -> Tuple[List[tuple], List[int]]:
+    def _indexed(self) -> tuple:
         if self._index is None:
-            self._index = _build_index(self.elements)
+            columns, zeros = [], []
+            for i, m in enumerate(self.elements):
+                _add(columns, zeros, 1 << i, m)
+            self._index = (self.elements, (1 << len(self.elements)) - 1, columns, zeros)
         return self._index
-
-    def _uncovered(self, candidates: Iterable[Marking]) -> List[Marking]:
-        # The candidates outside the upward closure, in order; every
-        # candidate's domain is checked, covered or not.
-        if not self.elements:
-            return list(candidates)
-        first = self.elements[0]
-        columns = self._columns()[0]
-        full = (1 << len(self.elements)) - 1
-        out: List[Marking] = []
-        for m in candidates:
-            first._check_domain(m)
-            # Bit i survives while element i is at most m on every place;
-            # every element holds 0 on the places without a column.
-            below = full
-            for p, counts, masks in columns:
-                below &= masks[bisect_right(counts, m[p])]
-                if not below:
-                    out.append(m)
-                    break
-        return out
 
     def contains(self, m: Marking) -> bool:
         """Whether ``m`` lies in the upward closure of this basis."""
@@ -152,31 +139,44 @@ class Basis:
         """Minimal elements of (this set) union (upward closure of ``new``).
 
         The surviving elements keep their order, and the new minimal
-        elements follow in the order given.
+        elements follow in the order given.  The domain of every marking
+        in ``new`` is checked, covered or not.
         """
-        fresh = self._uncovered(new)
-        columns, zeros = self._columns()
-        full = (1 << len(self.elements)) - 1
-        # Old elements above some fresh marking leave the basis.
-        dead = 0
-        for m in fresh:
-            if any(m[p] for p in zeros):
-                continue  # no element holds a token there
-            above = full
-            for p, counts, masks in columns:
-                c = m[p]
-                if c:
-                    # Drop the elements holding fewer than c tokens on p.
-                    above &= ~masks[bisect_left(counts, c)]
-                    if not above:
-                        break
-            dead |= above
-        old = [x for i, x in enumerate(self.elements) if not dead >> i & 1]
-        return Basis._of(old + _minimal(fresh))
+        marks, live, columns, zeros = self._indexed()
+        marks = list(marks)
+        columns = [(p, counts[:], masks[:]) for p, counts, masks in columns]
+        zeros = zeros[:]
+        first = self.elements[0] if self.elements else None
+        for m in new:
+            if first is None:
+                first = m
+            first._check_domain(m)
+            if _below(columns, live, m):
+                continue
+            bit = 1 << len(marks)
+            live = live & ~_above(columns, zeros, live, m) | bit
+            _add(columns, zeros, bit, m)
+            marks.append(m)
+        if live == (1 << len(marks)) - 1:
+            elements = tuple(marks)
+        else:
+            elements = tuple([x for x, bit in zip(marks, bin(live)[:1:-1]) if bit == "1"])
+        if 2 * len(elements) < len(marks):
+            return Basis._of(elements)  # its first query rebuilds the index
+        return Basis._of(elements, (marks, live, columns, zeros))
 
     def filter_uncovered(self, candidates: Iterable[Marking]) -> List[Marking]:
         """The candidates that are not already in this upward-closed set."""
-        return self._uncovered(candidates)
+        if not self.elements:
+            return list(candidates)
+        first = self.elements[0]
+        _, live, columns, _ = self._indexed()
+        out: List[Marking] = []
+        for m in candidates:
+            first._check_domain(m)
+            if not _below(columns, live, m):
+                out.append(m)
+        return out
 
     def is_antichain(self) -> bool:
         return _is_antichain(self.elements)
@@ -209,4 +209,4 @@ class Basis:
 
 def minimize(markings: Iterable[Marking]) -> Basis:
     """Drop every marking that lies above another one."""
-    return Basis._of(_minimal(markings))
+    return Basis().union(markings)

@@ -331,6 +331,9 @@ MIST_REJECTIONS = [
      "rule 0 (line 4): expected a number, got 'init'", 5, 1),
     ("vars\n x\nrules\n x >= 1 ->\n" + TAIL,
      "expected an update variable, got 'init'", 5, 1),
+    ("vars\n x\nrules\n x\n" + TAIL, "rule 0 (line 4): guards must use '>='", 5, 1),
+    ("vars\n x\nrules\n -> x'\n" + TAIL,
+     "rule 0 (line 4): expected '=' in update", 5, 1),
     (NOOP + " x =\ntarget\n x >= 1\n", "init: expected a number, got 'target'", 7, 1),
     (NOOP + " x\ntarget\n x >= 1\n", "expected '=' in init, got 'target'", 7, 1),
     ("\n\nvars\nrules\n" + TAIL, "no variables declared", 3, 1),

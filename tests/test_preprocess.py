@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import sys
 
 import pytest
 
@@ -10,7 +12,9 @@ from coverlib import (
     PetriNet,
     Problem,
     Verdict,
+    emit_native,
     make_invariant,
+    parse_native,
     prune_dead_transitions,
     prune_problem,
     sign_analysis,
@@ -208,3 +212,32 @@ def test_drop_places_preserves_verdicts():
         after = solve(pruned.net, pruned.targets[0],
                       make_invariant(pruned.net, ["sign", "state"]))
         assert before.verdict is after.verdict, name
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython",
+                    reason="counts CPython's allocated memory blocks")
+def test_parse_and_prune_passes_leave_no_blocks_behind():
+    """Repeated parse + prune passes over the same texts keep the number
+    of allocated blocks flat.  A tuple built from a generator or a map
+    is allocated oversized and then resized, and such tuples pile up on
+    CPython's tuple free lists, which only a full collection empties.
+    Built from sized lists, they do not.  gc stays off, as it nearly
+    does in a long search that allocates few tracked objects."""
+    texts = [emit_native(Problem(net, (target,), name))
+             for name, net, target in random_instances(seed=5, count=200)]
+
+    def one_pass():
+        for text in texts:
+            prune_problem(parse_native(text), mode="fixpoint")
+
+    gc.collect()
+    gc.disable()
+    try:
+        one_pass()
+        before = sys.getallocatedblocks()
+        for _ in range(10):
+            one_pass()
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 1000, grown

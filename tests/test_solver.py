@@ -305,3 +305,56 @@ def test_matches_full_reexpansion_on_large_bases():
             assert r.backlinks == ref.backlinks, where
             peak = max(peak, max(map(len, r.bases)))
     assert peak > 64
+
+
+def _weighted_net(rng):
+    """A random net with every arc weight drawn from 0-3."""
+    places = [f"p{i}" for i in range(rng.randint(1, 5))]
+    transitions = [f"t{j}" for j in range(rng.randint(1, 5))]
+    pre = {(p, t): rng.randint(0, 3) for p in places for t in transitions}
+    post = {(t, p): rng.randint(0, 3) for p in places for t in transitions}
+    return PetriNet(places, transitions, pre, post,
+                    {p: rng.randint(0, 2) for p in places})
+
+
+def test_productive_pairs_are_those_cpre_moves_below():
+    """(t, m) is productive, and expanded, iff cpre(t, m) does not
+    cover m."""
+    rng = random.Random(2011)
+    for _ in range(400):
+        net = _weighted_net(rng)
+        gains = coverlib.solver._gains(net)
+        for t in range(len(net.transitions)):
+            for _ in range(10):
+                m = Marking([rng.randint(0, 4) for _ in net.places])
+                productive = any(m[p] > n for p, n in gains[t])
+                assert productive == (not net.cpre(t, m).covers(m)), (
+                    net.pre[t], net.post[t], m)
+
+
+def test_search_expands_only_productive_pairs(monkeypatch):
+    """Every cpre the search asks for lies below its element somewhere,
+    and skipping the others leaves the full re-expansion's verdict,
+    witness, counters, bases and links as they were."""
+    productive = []
+    original = PetriNet.cpre
+
+    def cpre(self, t, m):
+        c = original(self, t, m)
+        productive.append(not c.covers(m))
+        return c
+
+    monkeypatch.setattr(PetriNet, "cpre", cpre)
+    rng = random.Random(2012)
+    for _ in range(200):
+        net = _weighted_net(rng)
+        target = Marking([rng.randint(0, 3) for _ in net.places])
+        r = solve(net, target, budget_steps=20, record_bases=True)
+        ref = full_backward_search(net, target, make_invariant(net, ["trivial"]),
+                                   budget_steps=20)
+        assert r.verdict.value == ref.verdict
+        assert r.witness == ref.witness
+        assert [tuple(vars(s).values()) for s in r.stats] == ref.stats
+        assert [b.elements for b in r.bases] == ref.bases
+        assert r.backlinks == ref.backlinks
+    assert productive and all(productive)

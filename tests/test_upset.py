@@ -223,3 +223,40 @@ def test_domain_mismatch_raises_covered_or_not():
     # gains must share one
     with pytest.raises(ValueError):
         minimize([]).union([M(0, 1), M(1, 0, 0)])
+
+
+def test_union_chains_through_compaction_match_pairwise_reference():
+    """Long chains of unions, in which most elements leave again, give
+    the reference's bases in order, and every basis of the chain still
+    answers from its own index, and grows a branch of its own, after the
+    later unions copied it."""
+    rng = random.Random(80)
+    compactions = 0
+    for _ in range(60):
+        dims = rng.randint(1, 5)
+        ref: list = []
+        basis = minimize([])
+        chain = []
+        for _ in range(rng.randint(10, 40)):
+            # Markings that shrink over the chain push earlier ones out.
+            cap = rng.randint(0, 6)
+            batch = [Marking(rng.randint(0, cap) for _ in range(dims))
+                     for _ in range(rng.randint(0, 6))]
+            for m in batch:
+                ref = _add_minimal(ref, m)
+            basis = basis.union(batch)
+            assert basis.elements == tuple(ref)
+            # A compacted basis drops its index until its first query.
+            compactions += basis._index is None
+            chain.append((basis, tuple(ref)))
+        probes = [Marking(rng.randint(0, 6) for _ in range(dims)) for _ in range(30)]
+        for old, elements in chain:
+            assert old.elements == elements
+            expected = [m for m in probes if not any(_leq(x, m) for x in elements)]
+            assert old.filter_uncovered(probes) == expected
+            assert [m for m in probes if not old.contains(m)] == expected
+            branch = list(elements)
+            for m in probes[:8]:
+                branch = _add_minimal(branch, m)
+            assert old.union(probes[:8]).elements == tuple(branch)
+    assert compactions > 20
