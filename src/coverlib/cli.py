@@ -251,11 +251,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     root = Path(args.dir)
     if not root.is_dir():
         raise CliError(f"not a directory: {args.dir}")
-    configs = []
-    for chunk in args.invariants.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            configs.append(_parse_invariant_list(chunk))
+    configs = [_parse_invariant_list(chunk)
+               for chunk in args.invariants.split(";") if chunk.strip()]
     if not configs:
         raise CliError("no invariant configurations given")
 

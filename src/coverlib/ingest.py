@@ -100,7 +100,11 @@ class _Tokens:
 
     def __init__(self, text: Union[str, bytes], pattern: re.Pattern) -> None:
         if isinstance(text, bytes):
-            text = text.decode("utf-8")
+            try:
+                text = text.decode("utf-8")
+            except UnicodeDecodeError as exc:  # placed like a bad character
+                lines = (text[:exc.start].decode("utf-8") + "?").splitlines()
+                raise ParseError("not valid UTF-8", len(lines), len(lines[-1])) from None
         lines = text.splitlines()
         if "#" in text:
             lines = [line.partition("#")[0] for line in lines]
@@ -199,7 +203,7 @@ def parse_native(text: Union[str, bytes], name: str = "") -> Problem:
     transition_seen: Dict[str, int] = {}
     init_counts: Dict[str, int] = {}
     target_specs: List[Dict[str, int]] = []
-    refs: List[int] = []  # token index of every place use, for diagnostics
+    refs: List[int] = []  # token index of each use of a place not yet declared
 
     i = 0
     while i < end:
@@ -262,7 +266,7 @@ def _native_counts(src: _Tokens, i: int, op: str, section: str, counts: Dict[str
         place = tokens[i]
         if place not in places:
             _native_ident(src, i, "place name")
-        refs.append(i)
+            refs.append(i)
         if tokens[i + 1] != op:
             raise _expected(src, i + 1, f"'{op}' in {section} entry")
         count = _native_nat(src, i + 2, "token count")
@@ -303,7 +307,7 @@ def _native_arcs(src: _Tokens, i: int, keyword: str, places: Dict[str, int],
         place = tokens[i]
         if place not in places:
             _native_ident(src, i, "place name in arc list")
-        refs.append(i)
+            refs.append(i)
         weight = 1
         step = 1
         if tokens[i + 1] == "*":

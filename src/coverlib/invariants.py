@@ -6,14 +6,16 @@ conjunctions:
 * sign: a fixpoint computes the set of places that can ever carry a
   token; the invariant requires every other place to stay empty.  The
   fixpoint, ``sign_analysis``, runs once per net and is kept on the net,
-  so the preprocessor and the invariant built on its result share it.
+  so the preprocessor and the invariant built on its result share it;
+  it also records the transitions it never fired, the sign-dead ones.
 * state: a marking is admitted when the token-flow balance equations,
   relaxed to non-negative rational firing counts, can explain it from
-  the initial marking.  Each handle keeps the evidence of its own exact
-  LP answers: the Farkas vector y of each rejected query is a cut that
-  rejects every later m with y . m > y . initial, and the witness lam
-  of each admitted query admits every later m below initial + D lam.
-  Only a query that neither list answers solves a new LP.
+  the initial marking.  Each handle validates the displacement matrix
+  D once and keeps the evidence of its own exact LP answers: the Farkas
+  vector y of each rejected query is a cut that rejects every later m
+  with y . m > y . initial, and the witness lam of each admitted query
+  admits every later m below initial + D lam.  Only a query that
+  neither list answers solves a new LP.
 
 Every invariant contains all reachable markings and is closed downward,
 so it is sound for pruning a backward coverability search.  Handles are
@@ -26,12 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import le, mul, sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .net import Marking, PetriNet
-from .ratlp import FeasibilityProblem, feasible
+from .ratlp import FeasibilityProblem, common_denominator, feasible
 
 
 # -- sign analysis ------------------------------------------------------------
@@ -43,10 +44,12 @@ class SignAnalysis:
     ``possibly_marked`` holds the place indices that may ever be
     non-empty; ``always_empty`` is its complement.  Membership of a
     marking only requires the always-empty places to hold zero tokens.
+    ``dead`` lists, ascending, the transitions with an always-empty input.
     """
 
     possibly_marked: FrozenSet[int]
     always_empty: FrozenSet[int]
+    dead: Tuple[int, ...]
 
     def member(self, m: Sequence[int]) -> bool:
         return all(m[p] == 0 for p in self.always_empty)
@@ -65,23 +68,25 @@ def sign_analysis(net: PetriNet) -> SignAnalysis:
     # Each transition as (input places, output places), read off the
     # net's arc rows.  A transition contributes at most once: when its
     # inputs are marked its outputs join the set and it is retired.
-    # Passes repeat while the set still grows.
-    pending = [({p for p, n, _ in arcs if n}, {p for p, _, o in arcs if o})
-               for arcs in net._arcs]
+    # Passes repeat while the set still grows; the transitions still
+    # pending then have an input outside the set, so they are dead.
+    pending = [(t, {p for p, n, _ in arcs if n}, {p for p, _, o in arcs if o})
+               for t, arcs in enumerate(net._arcs)]
     grew = True
     while grew:
         grew = False
         remaining = []
-        for needs, gives in pending:
+        for t, needs, gives in pending:
             if not needs <= marked:
-                remaining.append((needs, gives))
+                remaining.append((t, needs, gives))
             elif not gives <= marked:
                 marked |= gives
                 grew = True
         pending = remaining
     pm = frozenset(marked)
     net._sign = SignAnalysis(possibly_marked=pm,
-                             always_empty=frozenset(range(len(net.places))) - pm)
+                             always_empty=frozenset(range(len(net.places))) - pm,
+                             dead=tuple([t for t, _, _ in pending]))
     return net._sign
 
 
@@ -129,7 +134,7 @@ class SignInvariant(Invariant):
         self.analysis = sign_analysis(net)
 
     def member(self, m: Marking) -> bool:
-        self.net._check_marking(m)
+        m = self.net._check_marking(m)
         self.queries += 1
         return self.analysis.member(m)
 
@@ -139,8 +144,8 @@ class StateInvariant(Invariant):
 
     A marking m passes when some non-negative rational vector of firing
     counts lam satisfies  initial + D lam >= m  component-wise, where
-    column t of D is the displacement of transition t.  The displacement
-    matrix is computed once per handle.
+    column t of D is the displacement of transition t.  D is validated
+    once per handle, as ``system``; an LP passes only m - initial.
 
     Each handle keeps the evidence of its own LP answers and reuses it,
     in the manner of a lazily built cutting-plane method (Kelley, 1960):
@@ -163,10 +168,10 @@ class StateInvariant(Invariant):
     def __init__(self, net: PetriNet) -> None:
         super().__init__(net)
         nt = len(net.transitions)
-        self.displacement_rows = tuple([
+        self.system = FeasibilityProblem(tuple([
             tuple([net.post[t][p] - net.pre[t][p] for t in range(nt)])
             for p in range(len(net.places))
-        ])
+        ]))
         self._cuts: List[Tuple[List[int], int]] = []  # (y, y . initial)
         self._tops: List[list] = []  # [floor top or None until scanned, lam]
 
@@ -181,7 +186,7 @@ class StateInvariant(Invariant):
         witness found for an earlier query of this handle whose top
         initial + D lam lies above m.
         """
-        self.net._check_marking(m)
+        m = self.net._check_marking(m)
         for y, bound in self._cuts:
             if sum(map(mul, y, m)) > bound:
                 return None
@@ -192,8 +197,7 @@ class StateInvariant(Invariant):
             if all(map(le, m, top)):
                 return entry[1]
         initial = self.net.initial
-        ok, evidence = feasible(FeasibilityProblem(
-            self.displacement_rows, list(map(sub, m, initial))))
+        ok, evidence = feasible(self.system, list(map(sub, m, initial)))
         if not ok:
             self._cuts.append((evidence, sum(map(mul, evidence, initial))))
             return None
@@ -203,10 +207,9 @@ class StateInvariant(Invariant):
 
     def _floor_top(self, lam: Tuple[Fraction, ...]) -> List[int]:
         """floor(initial + D lam), as (den * initial + D nums) // den."""
-        den = lcm(*(x.denominator for x in lam))
-        nums = [x.numerator * (den // x.denominator) for x in lam]
+        den, nums = common_denominator(lam)
         return [(den * i + sum(map(mul, row, nums))) // den
-                for i, row in zip(self.net.initial, self.displacement_rows)]
+                for i, row in zip(self.net.initial, self.system.a)]
 
 
 class IntersectionInvariant(Invariant):

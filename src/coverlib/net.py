@@ -195,11 +195,15 @@ class PetriNet:
         """
         return _dense(counts, self.places, self._place_index)
 
-    def _check_marking(self, m: Sequence[int]) -> None:
+    def _check_marking(self, m: Sequence[int]) -> Marking:
+        """``m`` as a Marking of this net: the check of every public entry."""
+        if not isinstance(m, Marking):
+            m = Marking(m)
         if len(m) != len(self.places):
             raise ValueError(
                 f"marking has {len(m)} entries but the net has {len(self.places)} places"
             )
+        return m
 
     def restrict(self, places: Sequence[int],
                  transitions: Sequence[int]) -> "PetriNet":
@@ -229,7 +233,7 @@ class PetriNet:
 
     def fire(self, m: Marking, t: int) -> Optional[Marking]:
         """Successor of ``m`` under ``t``, or None when ``t`` is disabled."""
-        self._check_marking(m)
+        m = self._check_marking(m)
         _check_index(t, len(self.transitions), "transition")
         need = self.pre[t]
         out = self.post[t]
@@ -261,10 +265,8 @@ class PetriNet:
         that reach the upward closure of ``m`` in one firing of ``t``.
         Only the places ``t`` has arcs on differ from ``m``.
         """
-        self._check_marking(m)
+        m = self._check_marking(m)
         _check_index(t, len(self.transitions), "transition")
-        if not isinstance(m, Marking):
-            m = Marking(m)
         counts = list(m)
         for p, n, o in self._arcs[t]:
             c = m[p]

@@ -6,11 +6,12 @@ invariants are downward closed and contain all reachable markings.
 Dropping dead transitions changes neither the reachable markings nor
 any coverability answer.
 
-The default test uses the sign invariant.  ``use_state`` additionally
-tests against the relaxed token-flow invariant, which can remove more;
-only then can a second round find new victims, since transitions that
-fail the sign test never contributed to the sign fixpoint in the first
-place.
+The default test uses the sign invariant; the sign fixpoint already
+lists the transitions that fail it.  ``use_state`` additionally tests
+the other transitions against the relaxed token-flow invariant, which
+can remove more; only then can a second round find new victims, since
+transitions that fail the sign test never contributed to the sign
+fixpoint in the first place.
 """
 
 from __future__ import annotations
@@ -45,14 +46,11 @@ class PruneReport:
 
 def _one_round(net: PetriNet, use_state: bool) -> Tuple[PetriNet, PruneRound]:
     analysis = sign_analysis(net)
-    state = StateInvariant(net) if use_state else None
-    dead: List[int] = []
-    for t in range(len(net.transitions)):
-        threshold = net.min_enabling_marking(t)
-        if not analysis.member(threshold):
-            dead.append(t)
-        elif state is not None and not state.member(threshold):
-            dead.append(t)
+    dead = analysis.dead
+    if use_state:
+        state = StateInvariant(net)
+        dead = [t for t in range(len(net.transitions)) if t in analysis.dead
+                or not state.member(net.min_enabling_marking(t))]
     empty_names = tuple([net.places[p] for p in sorted(analysis.always_empty)])
     if not dead:
         return net, PruneRound(removed=(), always_empty=empty_names)

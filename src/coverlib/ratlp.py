@@ -1,5 +1,6 @@
 """Exact rational feasibility of systems  { x >= 0,  A x >= b }.
 
+A is validated once, as a ``FeasibilityProblem``; ``feasible`` takes b.
 Decided with a fraction-free phase-one simplex (Bareiss, Math. Comp. 22,
 1968): tableau entries are Python integers, and row i stands for
 (1/s_i) times the rational row for some s_i > 0.  A pivot on (r, c)
@@ -42,45 +43,41 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import List, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 
 @dataclass(frozen=True)
 class FeasibilityProblem:
-    """Integer data of the system  { x >= 0, a x >= b }.
+    """The integer matrix ``a`` of the systems  { x >= 0, a x >= b }.
 
-    ``a`` is a tuple of rows (one inequality each); all rows must have
-    the same number of columns, one per variable.  ``b`` holds one bound
-    per row.  A system with zero columns is legal and constrains nothing
-    beyond the signs of ``b``.
+    ``a`` is a tuple of rows (one inequality each), all with the same
+    number of columns, one per variable.  It is validated once, here;
+    ``feasible`` takes the bounds ``b`` per call and checks only those.
+    A system with zero columns is legal and constrains nothing beyond
+    the signs of ``b``.
     """
 
     a: Tuple[Tuple[int, ...], ...]
-    b: Tuple[int, ...]
 
     def __post_init__(self) -> None:
         a = tuple([tuple(row) for row in self.a])
-        b = tuple(self.b)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        if len(a) != len(b):
-            raise ValueError(f"{len(a)} rows but {len(b)} bounds")
-        if a:
-            width = len(a[0])
-            for row in a:
-                if len(row) != width:
-                    raise ValueError("ragged constraint matrix")
         for row in a:
+            if len(row) != len(a[0]):
+                raise ValueError("ragged constraint matrix")
             for v in row:
                 if not isinstance(v, int):
                     raise ValueError(f"matrix entries must be integers, got {v!r}")
-        for v in b:
-            if not isinstance(v, int):
-                raise ValueError(f"bounds must be integers, got {v!r}")
 
     @property
     def num_vars(self) -> int:
         return len(self.a[0]) if self.a else 0
+
+
+def common_denominator(xs: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """``(den, nums)`` with ``den > 0`` and ``xs[j] == nums[j] / den``."""
+    den = lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
 def _reduce(row: List[int]) -> List[int]:
@@ -112,9 +109,9 @@ def _farkas(obj: List[int], n: int, m: int) -> List[int]:
 
 
 def feasible(
-    problem: FeasibilityProblem,
+    problem: FeasibilityProblem, b: Sequence[int],
 ) -> Tuple[bool, Union[List[Fraction], List[int]]]:
-    """Decide the system and return the evidence for the answer.
+    """Decide ``problem.a x >= b``, one integer bound per row, with evidence.
 
     Returns ``(True, witness)`` with ``witness[j] >= 0`` satisfying every
     row of ``a . witness >= b``, or ``(False, y)`` with a list of
@@ -122,12 +119,15 @@ def feasible(
     column j and ``y . b > 0`` (a Farkas certificate of infeasibility,
     read off the surplus columns of the final objective row).  Either is
     re-checked exactly; ``ArithmeticError`` means the simplex went wrong,
-    never that the input was bad.
+    never that the input was bad (bad bounds raise ``ValueError``).
     """
-    m = len(problem.a)
+    a = problem.a
+    m = len(a)
     n = problem.num_vars
+    if len(b) != m or not all(isinstance(v, int) for v in b):
+        raise ValueError(f"expected {m} integer bounds, got {b!r}")
 
-    if all(bi <= 0 for bi in problem.b):
+    if all(bi <= 0 for bi in b):
         return True, [Fraction(0)] * n
 
     total = n + m  # lambdas, surpluses; the right-hand side sits at total
@@ -135,7 +135,7 @@ def feasible(
     basis: List[int] = []
     obj = [0] * (total + 1)
     next_art = n + m  # artificial columns are numbered but not stored
-    for i, (ai, bi) in enumerate(zip(problem.a, problem.b)):
+    for i, (ai, bi) in enumerate(zip(a, b)):
         if bi <= 0:
             row = [-aij for aij in ai] + [0] * m + [-bi]
             row[n + i] = 1
@@ -182,8 +182,8 @@ def feasible(
         # witness below: a failure means a bug, not an infeasible system.
         y = _farkas(obj, n, m)
         if (any(v < 0 for v in y)
-                or any(sum(map(mul, col, y)) > 0 for col in zip(*problem.a))
-                or sum(map(mul, problem.b, y)) <= 0):
+                or any(sum(map(mul, col, y)) > 0 for col in zip(*a))
+                or sum(map(mul, b, y)) <= 0):
             raise ArithmeticError("simplex produced an invalid Farkas vector")
         return False, y
 
@@ -196,9 +196,8 @@ def feasible(
     # re-substitute cleanly.  A failure here means a bug, not bad input.
     # Over the common denominator den > 0, witness = nums / den and the
     # test  a . witness >= b  is exactly  a . nums >= b * den.
-    den = lcm(*(xj.denominator for xj in witness))
-    nums = [xj.numerator * (den // xj.denominator) for xj in witness]
-    for row, bi in zip(problem.a, problem.b):
+    den, nums = common_denominator(witness)
+    for row, bi in zip(a, b):
         if sum(map(mul, row, nums)) < bi * den:
             raise ArithmeticError("simplex produced an invalid witness")
     for v in nums:

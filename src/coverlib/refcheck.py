@@ -74,12 +74,9 @@ def bfs_tree(
             succ = net.fire(m, t)
             if succ is None:
                 continue
-            if any(c > cap for c in succ):
-                complete = False
+            if succ in tree:  # so it lies inside the box
                 continue
-            if succ in tree:
-                continue
-            if len(tree) >= bound.node_cap:
+            if any(c > cap for c in succ) or len(tree) >= bound.node_cap:
                 complete = False
                 continue
             tree[succ] = (t, m)
@@ -113,7 +110,7 @@ def bounded_cover(
     so that verdict is exact.  COVERABLE comes with a shortest firing
     sequence.  Anything else is BOUND_HIT.
     """
-    net._check_marking(target)
+    target = net._check_marking(target)
     tree, closed, hit = bfs_tree(net, bound, target)
     if hit is not None:
         return OracleOutcome(OutcomeKind.COVERABLE, tuple(_path(tree, hit)))

@@ -33,6 +33,15 @@ def test_parse_accepts_bytes():
     assert parse_native(PUMP_TEXT.encode()).net == make_pump_net()
 
 
+def test_parse_rejects_bytes_that_are_not_utf8():
+    # The bad byte is placed like a bad character: its column counts the
+    # characters before it on its line, a two-byte letter as one.
+    assert_rejections(parse_native, [
+        (b"places: a\xff b\n", "not valid UTF-8", 1, 10),
+        (b"places: a\r\ntarget: \xc3\xa9 \xc3 >= 1\n", "not valid UTF-8", 2, 11),
+    ])
+
+
 def test_init_section_optional():
     p = parse_native("places: a b\ntransitions:\ntarget: b>=1\n")
     assert p.net.initial == Marking((0, 0))
@@ -403,3 +412,9 @@ def test_mutation_fixture():
 
 def test_mist_accepts_bytes():
     assert parse_mist(TOKEN_PASS.encode()).net.places == ("x1", "x2")
+
+
+def test_mist_rejects_bytes_that_are_not_utf8():
+    assert_rejections(parse_mist, [
+        (TOKEN_PASS.encode().replace(b"x1 >=", b"x1 \xfe>="), "not valid UTF-8", 4, 6),
+    ])

@@ -17,6 +17,7 @@ from coverlib import (
     Marking,
     PetriNet,
     SignAnalysis,
+    bounded_cover,
     feasible,
     make_invariant,
     sign_analysis,
@@ -78,6 +79,20 @@ def test_sign_matches_synchronous_rounds():
         assert len(rounds) - 1 <= len(net.places)
         for earlier, later in zip(rounds, rounds[1:]):
             assert earlier < later
+
+
+def test_sign_dead_are_the_transitions_failing_the_sign_test():
+    """The transitions the fixpoint never fired are exactly those whose
+    least enabling marking the sign analysis rejects."""
+    dead = total = 0
+    for name, net, _ in random_instances(CORPUS_SEED, CORPUS_SIZE):
+        analysis = sign_analysis(net)
+        expected = tuple(t for t in range(len(net.transitions))
+                         if not analysis.member(net.min_enabling_marking(t)))
+        assert analysis.dead == expected, name
+        dead += len(expected)
+        total += len(net.transitions)
+    assert 0 < dead < total
 
 
 def test_propagate_stays_inside_fixpoint():
@@ -198,6 +213,27 @@ def test_member_checks_domain(pump_net):
         inv.member(Marking((1, 0)))
 
 
+_MARKING_ENTRIES = {
+    "fire": lambda net, m: net.fire(m, 0),
+    "cpre": lambda net, m: net.cpre(0, m),
+    "trivial.member": lambda net, m: TrivialInvariant(net).member(m),
+    "sign.member": lambda net, m: SignInvariant(net).member(m),
+    "state.member": lambda net, m: StateInvariant(net).member(m),
+    "state.explain": lambda net, m: StateInvariant(net).explain(m),
+    "bounded_cover": lambda net, m: bounded_cover(net, m),
+    "solve": lambda net, m: solve(net, m),
+}
+
+
+@pytest.mark.parametrize("bad", [(0, -1), (0, 1.5)])
+@pytest.mark.parametrize("entry", sorted(_MARKING_ENTRIES))
+def test_entries_reject_non_markings(stuck_net, entry, bad):
+    """Every public entry that takes a marking refuses a non-marking
+    instead of answering for it."""
+    with pytest.raises(ValueError, match="non-negative integers"):
+        _MARKING_ENTRIES[entry](stuck_net, bad)
+
+
 def test_query_counters(pump_net):
     inv = StateInvariant(pump_net)
     inv.member(Marking((0, 0, 0)))
@@ -230,12 +266,18 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
     a cached cut, a cached top or its own LP, must equal the fresh LP's,
     its witnesses must re-substitute, the same queries in shuffled order
     on a fresh handle must get the same answers, and the cache must save
-    LP solves."""
+    LP solves.  Each handle passes its one FeasibilityProblem, with a
+    column per transition, to every LP it solves."""
     solves = {True: 0, False: 0}
     lp = coverlib.invariants.feasible
+    asking = []  # the handle whose explain is running
+    systems = {}  # handle -> the FeasibilityProblem of its first LP
 
-    def counted(problem):
-        result = lp(problem)
+    def counted(problem, b):
+        handle = asking[-1]
+        assert systems.setdefault(handle, problem) is problem
+        assert problem.num_vars == len(handle.net.transitions)
+        result = lp(problem, b)
         solves[result[0]] += 1
         return result
 
@@ -243,7 +285,9 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
     explain = StateInvariant.explain
 
     def recorded(self, m):
+        asking.append(self)
         lam = explain(self, m)
+        asking.pop()
         asked.append((m, lam))
         return lam
 
@@ -254,6 +298,7 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
     for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
         rows = tuple(tuple(post[p] - pre[p] for pre, post in zip(net.pre, net.post))
                      for p in range(len(net.places)))
+        system = FeasibilityProblem(rows)
         for names in (("state",), ("sign", "state")):
             del asked[:]
             before = dict(solves)
@@ -264,7 +309,7 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
             queries += len(sequence)
             for m, lam in sequence:
                 bounds = tuple(c - i for c, i in zip(m, net.initial))
-                ok, _ = feasible(FeasibilityProblem(rows, bounds))
+                ok, _ = feasible(system, bounds)
                 assert (lam is not None) == ok, (name, names, m)
                 assert lam is None or _explains(net, rows, m, lam), (name, m)
                 rejected += not ok
@@ -279,3 +324,4 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
     assert 0 < rejected < queries
     assert lp_rejected < rejected
     assert lp_admitted < queries - rejected
+    assert systems

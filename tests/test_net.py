@@ -82,7 +82,7 @@ def test_pump_firing_semantics(pump_net):
 
 def test_displacement_and_min_enabling(pump_net):
     # one row per place, one column per transition: post minus pre
-    rows = StateInvariant(pump_net).displacement_rows
+    rows = StateInvariant(pump_net).system.a
     assert rows == ((-1, 0, 0), (1, -1, 2), (0, 2, -1))
     assert pump_net.min_enabling_marking(1) == Marking((0, 1, 0))
 

@@ -12,7 +12,7 @@ from fourier_motzkin import fm_feasible
 
 
 def check(a, b):
-    ok, witness = feasible(FeasibilityProblem(a=tuple(a), b=tuple(b)))
+    ok, witness = feasible(FeasibilityProblem(a), b)
     if ok:
         # independent re-substitution, not trusting the solver's own guard
         assert all(x >= 0 for x in witness)
@@ -31,12 +31,12 @@ def check(a, b):
 
 
 def test_empty_system_is_feasible():
-    ok, witness = feasible(FeasibilityProblem(a=(), b=()))
+    ok, witness = feasible(FeasibilityProblem(()), ())
     assert ok and witness == []
 
 
 def test_nonpositive_bounds_short_circuit():
-    ok, witness = feasible(FeasibilityProblem(a=((1, -2), (-3, 0)), b=(0, -5)))
+    ok, witness = feasible(FeasibilityProblem(((1, -2), (-3, 0))), (0, -5))
     assert ok and witness == [0, 0]
 
 
@@ -48,10 +48,10 @@ def test_exactness_guard_rejects_a_witness_off_by_a_hair(monkeypatch):
                         lambda *args: Fraction(*args) - hair)
     # squeezed to the single point 1/2, so 1/2 - hair violates 2x >= 1
     with pytest.raises(ArithmeticError, match="invalid witness"):
-        feasible(FeasibilityProblem(a=((2,), (-2,)), b=(1, -1)))
+        feasible(FeasibilityProblem(((2,), (-2,))), (1, -1))
     # (1 - hair, -hair) meets x0 - x1 >= 1 exactly but is negative
     with pytest.raises(ArithmeticError, match="negative witness"):
-        feasible(FeasibilityProblem(a=((1, -1),), b=(1,)))
+        feasible(FeasibilityProblem(((1, -1),)), (1,))
 
 
 def test_farkas_guard_rejects_a_vector_off_by_one(monkeypatch):
@@ -60,8 +60,8 @@ def test_farkas_guard_rejects_a_vector_off_by_one(monkeypatch):
     # x >= 2, x <= 1 and 0 >= -5: y = (1, 1, 0) proves it, with y a = 0
     # and y b = 1.  Each skew breaks one of the three conditions: y a <= 0
     # (entry 0 up), y b > 0 (entry 1 up) or y >= 0 (entry 2 down).
-    problem = FeasibilityProblem(a=((1,), (-1,), (0,)), b=(2, -1, -5))
-    assert feasible(problem) == (False, [1, 1, 0])
+    problem = FeasibilityProblem(((1,), (-1,), (0,)))
+    assert feasible(problem, (2, -1, -5)) == (False, [1, 1, 0])
     extract = coverlib.ratlp._farkas
     for entry, delta in ((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1)):
         def skewed(obj, n, m, entry=entry, delta=delta):
@@ -70,7 +70,7 @@ def test_farkas_guard_rejects_a_vector_off_by_one(monkeypatch):
             return y
         monkeypatch.setattr(coverlib.ratlp, "_farkas", skewed)
         with pytest.raises(ArithmeticError, match="invalid Farkas vector"):
-            feasible(problem)
+            feasible(problem, (2, -1, -5))
 
 
 def test_single_variable_bounds():
@@ -81,7 +81,7 @@ def test_single_variable_bounds():
 
 
 def test_fractional_vertex_is_exact():
-    ok, witness = feasible(FeasibilityProblem(a=((2,), (-2,)), b=(1, -1)))
+    ok, witness = feasible(FeasibilityProblem(((2,), (-2,))), (1, -1))
     assert ok and witness == [Fraction(1, 2)]
 
 
@@ -119,15 +119,20 @@ def test_pump_displacement_instances(pump_net):
     assert not check(rows, b2)
 
 
-def test_validation():
-    with pytest.raises(ValueError):
-        FeasibilityProblem(a=((1, 2), (1,)), b=(0, 0))
-    with pytest.raises(ValueError):
-        FeasibilityProblem(a=((1,),), b=(0, 0))
-    with pytest.raises(ValueError):
-        FeasibilityProblem(a=((1.5,),), b=(0,))
-    with pytest.raises(ValueError):
-        FeasibilityProblem(a=((1,),), b=(0.5,))
+def test_matrix_validation():
+    with pytest.raises(ValueError, match="ragged"):
+        FeasibilityProblem(((1, 2), (1,)))
+    with pytest.raises(ValueError, match="integers"):
+        FeasibilityProblem(((1.5,),))
+    assert FeasibilityProblem([[1, 2], [3, 4]]).a == ((1, 2), (3, 4))
+    assert FeasibilityProblem(((), ())).num_vars == 0
+
+
+def test_bounds_validation():
+    problem = FeasibilityProblem(((1,),))
+    for b in ((0, 0), (), (0.5,), (Fraction(1),)):
+        with pytest.raises(ValueError):
+            feasible(problem, b)
 
 
 def test_agrees_with_elimination_oracle():
