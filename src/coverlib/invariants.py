@@ -11,17 +11,14 @@ conjunctions:
 * state: a marking is admitted when the token-flow balance equations,
   relaxed to non-negative rational firing counts, can explain it from
   the initial marking.  Each handle validates the displacement matrix
-  D once and keeps the evidence of its own exact LP answers: the Farkas
-  vector y of each rejected query is a cut that rejects every later m
-  with y . m > y . initial, and the witness lam of each admitted query
-  admits every later m below initial + D lam.  Only a query that
-  neither list answers solves a new LP.
+  D once and reuses its own exact LP answers as cuts, tops and cones
+  (see ``StateInvariant``); only a query none answers solves a new LP.
 
 Every invariant contains all reachable markings and is closed downward,
 so it is sound for pruning a backward coverability search.  Handles are
 built once per net; ``member`` is cheap to call repeatedly.  Each
 trivial, sign and state handle counts its queries for statistics,
-whether a cached cut or top or a new LP answered them.
+whether a cached cut, top or cone or a new LP answered them.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from operator import le, mul, sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .net import Marking, PetriNet
-from .ratlp import FeasibilityProblem, common_denominator, feasible
+from .ratlp import Cone, FeasibilityProblem, common_denominator, feasible
 
 
 # -- sign analysis ------------------------------------------------------------
@@ -156,11 +153,13 @@ class StateInvariant(Invariant):
     * tops: an admitted query's witness lam also admits every later m
       with m <= initial + D lam.  Markings are integral, so m is compared
       with the floor of that top, computed in integers over lam's common
-      denominator the first time a later query scans it.
+      denominator the first time a later query scans it;
+    * cones: an admitted query's final simplex basis (``ratlp.Cone``)
+      admits every later m with m - initial in its cone, by a lam that
+      passes the LP's exactness guard and is kept as a top.
 
-    A query scans the cuts, then the tops, and solves one exact
-    feasibility problem only when neither answers it.  Every cached
-    answer equals the LP's, and no marking can hit both lists.
+    A query scans the cuts, tops, then cones and solves an LP only when
+    none answers it, so no kept basis recurs.  Cached answers equal the LP's.
     """
 
     kind = "state"
@@ -174,6 +173,7 @@ class StateInvariant(Invariant):
         ]))
         self._cuts: List[Tuple[List[int], int]] = []  # (y, y . initial)
         self._tops: List[list] = []  # [floor top or None until scanned, lam]
+        self._cones: List[Cone] = []
 
     def member(self, m: Marking) -> bool:
         self.queries += 1
@@ -182,9 +182,8 @@ class StateInvariant(Invariant):
     def explain(self, m: Marking) -> Optional[Tuple[Fraction, ...]]:
         """A firing-count witness for a member, or None.
 
-        The witness lam >= 0 meets  initial + D lam >= m; it may be the
-        witness found for an earlier query of this handle whose top
-        initial + D lam lies above m.
+        The witness lam >= 0 meets  initial + D lam >= m; it may be an
+        earlier query's, from a top above m, or read off a kept basis.
         """
         m = self.net._check_marking(m)
         for y, bound in self._cuts:
@@ -197,10 +196,18 @@ class StateInvariant(Invariant):
             if all(map(le, m, top)):
                 return entry[1]
         initial = self.net.initial
-        ok, evidence = feasible(self.system, list(map(sub, m, initial)))
-        if not ok:
-            self._cuts.append((evidence, sum(map(mul, evidence, initial))))
-            return None
+        b = list(map(sub, m, initial))
+        for cone in self._cones:
+            evidence = cone.admit(b)
+            if evidence is not None:
+                break
+        else:
+            ok, evidence, cone = feasible(self.system, b)
+            if not ok:
+                self._cuts.append((evidence, sum(map(mul, evidence, initial))))
+                return None
+            if cone is not None:
+                self._cones.append(cone)
         lam = tuple(evidence)
         self._tops.append([None, lam])
         return lam

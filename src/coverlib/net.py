@@ -32,7 +32,7 @@ class Marking(tuple):
     def __new__(cls, counts: Iterable[int] = ()) -> "Marking":
         self = super().__new__(cls, counts)
         for c in self:
-            if not isinstance(c, int) or c < 0:
+            if type(c) is not int or c < 0:  # bool is no count: see _check_index
                 raise ValueError(
                     f"token counts must be non-negative integers, got {c!r}"
                 )
@@ -139,7 +139,7 @@ class PetriNet:
                     raise ValueError(f"{what} arc names unknown place: {p!r}")
                 if t not in transition_index:
                     raise ValueError(f"{what} arc names unknown transition: {t!r}")
-                if not isinstance(w, int) or w < 0:
+                if type(w) is not int or w < 0:
                     raise ValueError(f"arc weight must be a non-negative integer, got {w!r}")
                 rows[transition_index[t]][place_index[p]] = w
         initial = _dense(initial if initial is not None else (), places, place_index)

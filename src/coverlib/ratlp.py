@@ -35,6 +35,13 @@ Phase one minimises the sum of artificials; the system is feasible
 exactly when that minimum is zero.  Artificial columns never re-enter
 the basis, so they are not stored; each artificial keeps its column
 number (after every real column) as a basis label for Bland's rule.
+
+A feasible answer also returns its final basis B as a ``Cone`` unless an
+artificial stayed basic.  Row i, built from a_i x - (surplus i) = b_i,
+ends as S B^-1 [a | -I] over the stored columns whatever its sign, S the
+positive scales s_i = ``rows[i][basis[i]]``, so ``rows[i][n:n+m]`` is
+-s_i (B^-1)_i.  B solves b' iff every v_i = ``rows[i][n:n+m]`` . b' <= 0,
+and then x[basis[i]] = -v_i / s_i for basic columns below n, else 0.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,7 @@ class FeasibilityProblem:
             if len(row) != len(a[0]):
                 raise ValueError("ragged constraint matrix")
             for v in row:
-                if not isinstance(v, int):
+                if type(v) is not int:  # bool is an int subclass, no count
                     raise ValueError(f"matrix entries must be integers, got {v!r}")
 
     @property
@@ -110,25 +117,27 @@ def _farkas(obj: List[int], n: int, m: int) -> List[int]:
 
 def feasible(
     problem: FeasibilityProblem, b: Sequence[int],
-) -> Tuple[bool, Union[List[Fraction], List[int]]]:
+) -> Tuple[bool, Union[List[Fraction], List[int]], Optional[Cone]]:
     """Decide ``problem.a x >= b``, one integer bound per row, with evidence.
 
-    Returns ``(True, witness)`` with ``witness[j] >= 0`` satisfying every
-    row of ``a . witness >= b``, or ``(False, y)`` with a list of
-    integers ``y[i] >= 0`` such that ``y . a[:, j] <= 0`` for every
+    Returns ``(True, witness, cone)`` with ``witness[j] >= 0`` satisfying
+    every row of ``a . witness >= b``, or ``(False, y, None)`` with a list
+    of integers ``y[i] >= 0`` such that ``y . a[:, j] <= 0`` for every
     column j and ``y . b > 0`` (a Farkas certificate of infeasibility,
     read off the surplus columns of the final objective row).  Either is
     re-checked exactly; ``ArithmeticError`` means the simplex went wrong,
     never that the input was bad (bad bounds raise ``ValueError``).
+    ``cone`` answers other bounds without a solve; it is None when an
+    artificial stayed basic or no tableau was needed (every b_i <= 0).
     """
     a = problem.a
     m = len(a)
     n = problem.num_vars
-    if len(b) != m or not all(isinstance(v, int) for v in b):
+    if len(b) != m or not all(type(v) is int for v in b):
         raise ValueError(f"expected {m} integer bounds, got {b!r}")
 
     if all(bi <= 0 for bi in b):
-        return True, [Fraction(0)] * n
+        return True, [Fraction(0)] * n, None
 
     total = n + m  # lambdas, surpluses; the right-hand side sits at total
     rows: List[List[int]] = []
@@ -178,29 +187,53 @@ def feasible(
 
     if obj[total] != 0:
         # No column improves, so y >= 0 and y a <= 0, and obj[total] is
-        # a positive multiple of y b > 0.  Exactness guard, as for the
-        # witness below: a failure means a bug, not an infeasible system.
+        # a positive multiple of y b > 0.  Exactness guard, as for a
+        # witness: a failure means a bug, not an infeasible system.
         y = _farkas(obj, n, m)
         if (any(v < 0 for v in y)
                 or any(sum(map(mul, col, y)) > 0 for col in zip(*a))
                 or sum(map(mul, b, y)) <= 0):
             raise ArithmeticError("simplex produced an invalid Farkas vector")
-        return False, y
+        return False, y, None
 
     witness = [Fraction(0)] * n
     for row, col in zip(rows, basis):
         if col < n:
             witness[col] = Fraction(row[total], row[col])
+    cone = Cone(problem, basis, rows) if max(basis) < total else None
+    return True, _checked_witness(a, b, witness), cone
 
-    # Exactness guard: the arithmetic is rational, so a true verdict must
-    # re-substitute cleanly.  A failure here means a bug, not bad input.
-    # Over the common denominator den > 0, witness = nums / den and the
-    # test  a . witness >= b  is exactly  a . nums >= b * den.
+
+def _checked_witness(a: Tuple[Tuple[int, ...], ...], b: Sequence[int],
+                     witness: List[Fraction]) -> List[Fraction]:
+    # Exactness guard: a . witness >= b iff a . nums >= b * den over a
+    # common denominator den > 0.  A failure means a bug, not bad input.
     den, nums = common_denominator(witness)
-    for row, bi in zip(a, b):
-        if sum(map(mul, row, nums)) < bi * den:
-            raise ArithmeticError("simplex produced an invalid witness")
-    for v in nums:
-        if v < 0:
-            raise ArithmeticError("simplex produced a negative witness entry")
-    return True, witness
+    if any(sum(map(mul, row, nums)) < bi * den for row, bi in zip(a, b)):
+        raise ArithmeticError("simplex produced an invalid witness")
+    if any(v < 0 for v in nums):
+        raise ArithmeticError("simplex produced a negative witness entry")
+    return witness
+
+
+class Cone:
+    """A final feasible basis B: it solves every b' with B^-1 b' >= 0."""
+
+    def __init__(self, problem: FeasibilityProblem, basis: list, rows: list) -> None:
+        self.problem, self.basis = problem, basis
+        self._rows, self._scan = rows, None  # sliced on the first admit
+
+    def admit(self, b: Sequence[int]) -> Optional[List[Fraction]]:
+        """A witness of ``problem.a x >= b`` on B, or None; b is unchecked."""
+        n = self.problem.num_vars
+        if self._scan is None:
+            self._scan = [(row[n:n + len(self._rows)], row[col], col)
+                          for row, col in zip(self._rows, self.basis)]
+        witness = [Fraction(0)] * n
+        for surplus, scale, col in self._scan:
+            v = sum(map(mul, surplus, b))
+            if v > 0:
+                return None
+            if col < n:
+                witness[col] = Fraction(-v, scale)
+        return _checked_witness(self.problem.a, b, witness)

@@ -19,14 +19,15 @@ from .net import Marking, PetriNet
 
 @dataclass(frozen=True)
 class ExploreBound:
-    """Limits for the exploration; both must be positive."""
+    """Limits for the exploration; both must be positive ints."""
 
     per_place_cap: int = 10
     node_cap: int = 200000
 
     def __post_init__(self) -> None:
-        if self.per_place_cap < 1 or self.node_cap < 1:
-            raise ValueError("exploration bounds must be positive")
+        for cap in (self.per_place_cap, self.node_cap):
+            if type(cap) is not int or cap < 1:
+                raise ValueError("exploration bounds must be positive integers")
 
 
 class OutcomeKind(Enum):

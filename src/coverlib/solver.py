@@ -79,8 +79,8 @@ class SolveResult:
     """What one search found and what it cost.
 
     ``lp_calls`` counts the token-flow queries the search made, not
-    simplex solves: a query that the state invariant answers from a cut
-    or witness it learned earlier counts the same as one it solves, so
+    simplex solves: a query that the state invariant answers from a cut,
+    top or basis it learned earlier counts the same as one it solves, so
     the count does not depend on that cache.  ``sign_checks`` counts the
     sign-analysis queries.  ``bases`` and ``backlinks`` are kept only
     with ``record_bases``.

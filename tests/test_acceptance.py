@@ -265,7 +265,7 @@ def test_criterion_08_rational_feasibility_vs_elimination():
             a = tuple(tuple(rng.randint(-3, 3) for _ in range(n))
                       for _ in range(rows))
             b = tuple(rng.randint(-4, 4) for _ in range(rows))
-            ok, witness = feasible(FeasibilityProblem(a), b)
+            ok, witness, _ = feasible(FeasibilityProblem(a), b)
             assert ok == fm_feasible(a, b), (a, b)
             if ok:
                 feasible_seen += 1

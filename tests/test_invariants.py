@@ -12,6 +12,7 @@ import random
 import pytest
 
 import coverlib.invariants
+import coverlib.ratlp
 from coverlib import (
     FeasibilityProblem,
     Marking,
@@ -225,7 +226,7 @@ _MARKING_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("bad", [(0, -1), (0, 1.5)])
+@pytest.mark.parametrize("bad", [(0, -1), (0, 1.5), (0, True)])
 @pytest.mark.parametrize("entry", sorted(_MARKING_ENTRIES))
 def test_entries_reject_non_markings(stuck_net, entry, bad):
     """Every public entry that takes a marking refuses a non-marking
@@ -263,13 +264,16 @@ def _explains(net, rows, m, lam):
 def test_cached_answers_equal_a_fresh_lp(monkeypatch):
     """Every state query of every acceptance-corpus search, under state and
     sign,state, is asked again of a fresh LP.  The handle's answers, from
-    a cached cut, a cached top or its own LP, must equal the fresh LP's,
+    a cached cut, top or cone or its own LP, must equal the fresh LP's,
     its witnesses must re-substitute, the same queries in shuffled order
-    on a fresh handle must get the same answers, and the cache must save
-    LP solves.  Each handle passes its one FeasibilityProblem, with a
-    column per transition, to every LP it solves."""
+    on a fresh handle must get the same answers, and each of the three
+    caches must save LP solves.  Each handle passes its one
+    FeasibilityProblem, with a column per transition, to every LP it
+    solves, and keeps no final basis twice."""
     solves = {True: 0, False: 0}
     lp = coverlib.invariants.feasible
+    admit = coverlib.ratlp.Cone.admit
+    cone_admitted = [0]
     asking = []  # the handle whose explain is running
     systems = {}  # handle -> the FeasibilityProblem of its first LP
 
@@ -280,6 +284,11 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
         result = lp(problem, b)
         solves[result[0]] += 1
         return result
+
+    def admitting(cone, b):
+        lam = admit(cone, b)
+        cone_admitted[0] += lam is not None
+        return lam
 
     asked = []
     explain = StateInvariant.explain
@@ -292,9 +301,10 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
         return lam
 
     monkeypatch.setattr(coverlib.invariants, "feasible", counted)
+    monkeypatch.setattr(coverlib.ratlp.Cone, "admit", admitting)
     monkeypatch.setattr(StateInvariant, "explain", recorded)
     rng = random.Random(36)
-    queries = rejected = lp_admitted = lp_rejected = 0
+    queries = rejected = lp_admitted = lp_rejected = by_cone = 0
     for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
         rows = tuple(tuple(post[p] - pre[p] for pre, post in zip(net.pre, net.post))
                      for p in range(len(net.places)))
@@ -302,14 +312,16 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
         for names in (("state",), ("sign", "state")):
             del asked[:]
             before = dict(solves)
+            from_cones = cone_admitted[0]
             solve(net, target, make_invariant(net, names), budget_steps=500)
             lp_admitted += solves[True] - before[True]
             lp_rejected += solves[False] - before[False]
+            by_cone += cone_admitted[0] - from_cones
             sequence = list(asked)
             queries += len(sequence)
             for m, lam in sequence:
                 bounds = tuple(c - i for c, i in zip(m, net.initial))
-                ok, _ = feasible(system, bounds)
+                ok, _, _ = feasible(system, bounds)
                 assert (lam is not None) == ok, (name, names, m)
                 assert lam is None or _explains(net, rows, m, lam), (name, m)
                 rejected += not ok
@@ -319,9 +331,14 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
                 again = fresh.explain(m)
                 assert (again is None) == (lam is None), (name, names, m)
                 assert again is None or _explains(net, rows, m, again)
-    # Both answers occur, and both lists hit: some rejections came from a
-    # cut and some admissions from a top, not from the handle's own LP.
+    # Both answers occur, and all three caches hit: some rejections came
+    # from a cut, some admissions from a cone and some from a top, not
+    # from the handle's own LP.
     assert 0 < rejected < queries
     assert lp_rejected < rejected
-    assert lp_admitted < queries - rejected
+    assert 0 < by_cone
+    assert lp_admitted + by_cone < queries - rejected
     assert systems
+    for handle in systems:
+        bases = [frozenset(cone.basis) for cone in handle._cones]
+        assert len(set(bases)) == len(bases)

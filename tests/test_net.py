@@ -15,6 +15,8 @@ def test_marking_rejects_negative_and_nonint():
         Marking((1, -1))
     with pytest.raises(ValueError):
         Marking((1, 2.0))
+    with pytest.raises(ValueError):
+        Marking((True, 0))  # bool is an int subclass, but no token count
 
 
 def test_marking_order_predicates():
@@ -47,6 +49,10 @@ def test_net_construction_validation():
         PetriNet(["p"], ["t"], pre_arcs={("p", "u"): 1})
     with pytest.raises(ValueError):
         PetriNet(["p"], ["t"], pre_arcs={("p", "t"): -1})
+    with pytest.raises(ValueError, match="arc weight"):
+        PetriNet(["p"], ["t"], pre_arcs={("p", "t"): True})
+    with pytest.raises(ValueError, match="arc weight"):
+        PetriNet(["p"], ["t"], post_arcs={("t", "p"): False})
 
 
 def test_zero_weight_arcs_are_dropped():

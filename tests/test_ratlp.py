@@ -11,14 +11,26 @@ from coverlib import FeasibilityProblem, feasible
 from fourier_motzkin import fm_feasible
 
 
-def check(a, b):
-    ok, witness = feasible(FeasibilityProblem(a), b)
+def assert_solves(a, b, witness):
+    """Independent re-substitution, not trusting the solver's own guard."""
+    assert len(witness) == (len(a[0]) if a else 0)
+    assert all(x >= 0 for x in witness)
+    for row, bound in zip(a, b):
+        assert sum(c * x for c, x in zip(row, witness)) >= bound
+
+
+def solved(a, b):
+    """``feasible(a, b)`` checked part by part: ``(ok, cone)``."""
+    ok, witness, cone = feasible(FeasibilityProblem(a), b)
     if ok:
-        # independent re-substitution, not trusting the solver's own guard
-        assert all(x >= 0 for x in witness)
-        for row, bound in zip(a, b):
-            assert sum(c * x for c, x in zip(row, witness)) >= bound
+        assert_solves(a, b, witness)
+        if cone is not None:
+            # no artificial column (numbered from n + m up) stayed basic,
+            # and the final basis solves its own b
+            assert all(col < len(witness) + len(b) for col in cone.basis)
+            assert_solves(a, b, cone.admit(b))
     else:
+        assert cone is None
         # independent check of the Farkas vector y: y >= 0 and y a <= 0
         # column by column, yet y b > 0, so no x >= 0 meets a x >= b
         y = witness
@@ -27,17 +39,54 @@ def check(a, b):
         for j in range(len(a[0]) if a else 0):
             assert sum(v * row[j] for v, row in zip(y, a)) <= 0
         assert sum(v * bound for v, bound in zip(y, b)) > 0
-    return ok
+    return ok, cone
+
+
+def check(a, b):
+    return solved(a, b)[0]
+
+
+def check_cone(a, cone, others):
+    """Every bound vector in ``others`` that ``cone`` admits is feasible by
+    elimination, and the cone's witness for it re-substitutes.  Returns
+    how many it admitted."""
+    admitted = 0
+    for b in others:
+        witness = cone.admit(b)
+        if witness is not None:
+            assert fm_feasible(a, b), (a, b)
+            assert_solves(a, b, witness)
+            admitted += 1
+    return admitted
 
 
 def test_empty_system_is_feasible():
-    ok, witness = feasible(FeasibilityProblem(()), ())
-    assert ok and witness == []
+    ok, witness, cone = feasible(FeasibilityProblem(()), ())
+    assert ok and witness == [] and cone is None
 
 
 def test_nonpositive_bounds_short_circuit():
-    ok, witness = feasible(FeasibilityProblem(((1, -2), (-3, 0))), (0, -5))
-    assert ok and witness == [0, 0]
+    # no tableau is built, so there is no final basis to hand back
+    ok, witness, cone = feasible(FeasibilityProblem(((1, -2), (-3, 0))), (0, -5))
+    assert ok and witness == [0, 0] and cone is None
+
+
+def test_no_cone_while_an_artificial_stays_basic():
+    # 2x >= 1 and 2x <= 1: x enters on a tie of ratios, Bland's rule
+    # makes the second row's surplus leave, and the first row's artificial
+    # stays basic at level zero, so the final basis is no basis of a x >= b
+    ok, witness, cone = feasible(FeasibilityProblem(((2,), (-2,))), (1, -1))
+    assert ok and witness == [Fraction(1, 2)] and cone is None
+
+
+def test_cone_admits_the_bounds_its_basis_solves():
+    # x >= 1 and y >= 2 end on the basis {x, y}: it solves every b' >= 0,
+    # with the witness b' itself, and no b' with a negative entry
+    ok, witness, cone = feasible(FeasibilityProblem(((1, 0), (0, 1))), (1, 2))
+    assert ok and witness == [1, 2] and sorted(cone.basis) == [0, 1]
+    assert cone.admit((5, 3)) == [5, 3]
+    assert cone.admit((0, 0)) == [0, 0]
+    assert cone.admit((5, -1)) is None
 
 
 def test_exactness_guard_rejects_a_witness_off_by_a_hair(monkeypatch):
@@ -54,6 +103,22 @@ def test_exactness_guard_rejects_a_witness_off_by_a_hair(monkeypatch):
         feasible(FeasibilityProblem(((1, -1),)), (1,))
 
 
+def test_exactness_guard_rejects_a_cone_witness_off_by_a_hair(monkeypatch):
+    """A cone's witness goes through the same guard as a solved one."""
+    hair = Fraction(1, 10**30)
+    # 2x >= 1 and 2x <= 3 end with x basic at 1/2, tight on the first row
+    tight = feasible(FeasibilityProblem(((2,), (-2,))), (1, -3))[2]
+    skew = feasible(FeasibilityProblem(((1, -1),)), (1,))[2]
+    assert tight.admit((1, -3)) == [Fraction(1, 2)]
+    assert skew.admit((1,)) == [1, 0]
+    monkeypatch.setattr(coverlib.ratlp, "Fraction",
+                        lambda *args: Fraction(*args) - hair)
+    with pytest.raises(ArithmeticError, match="invalid witness"):
+        tight.admit((1, -3))
+    with pytest.raises(ArithmeticError, match="negative witness"):
+        skew.admit((1,))
+
+
 def test_farkas_guard_rejects_a_vector_off_by_one(monkeypatch):
     """An infeasible answer is re-checked like a feasible one: a Farkas
     vector with one entry off by one raises, it is never returned."""
@@ -61,7 +126,7 @@ def test_farkas_guard_rejects_a_vector_off_by_one(monkeypatch):
     # and y b = 1.  Each skew breaks one of the three conditions: y a <= 0
     # (entry 0 up), y b > 0 (entry 1 up) or y >= 0 (entry 2 down).
     problem = FeasibilityProblem(((1,), (-1,), (0,)))
-    assert feasible(problem, (2, -1, -5)) == (False, [1, 1, 0])
+    assert feasible(problem, (2, -1, -5)) == (False, [1, 1, 0], None)
     extract = coverlib.ratlp._farkas
     for entry, delta in ((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1)):
         def skewed(obj, n, m, entry=entry, delta=delta):
@@ -81,7 +146,7 @@ def test_single_variable_bounds():
 
 
 def test_fractional_vertex_is_exact():
-    ok, witness = feasible(FeasibilityProblem(((2,), (-2,))), (1, -1))
+    ok, witness, _ = feasible(FeasibilityProblem(((2,), (-2,))), (1, -1))
     assert ok and witness == [Fraction(1, 2)]
 
 
@@ -122,32 +187,42 @@ def test_pump_displacement_instances(pump_net):
 def test_matrix_validation():
     with pytest.raises(ValueError, match="ragged"):
         FeasibilityProblem(((1, 2), (1,)))
-    with pytest.raises(ValueError, match="integers"):
-        FeasibilityProblem(((1.5,),))
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="integers"):
+            FeasibilityProblem(((bad,),))
     assert FeasibilityProblem([[1, 2], [3, 4]]).a == ((1, 2), (3, 4))
     assert FeasibilityProblem(((), ())).num_vars == 0
 
 
 def test_bounds_validation():
     problem = FeasibilityProblem(((1,),))
-    for b in ((0, 0), (), (0.5,), (Fraction(1),)):
+    for b in ((0, 0), (), (0.5,), (Fraction(1),), (True,), (False,)):
         with pytest.raises(ValueError):
             feasible(problem, b)
 
 
 def test_agrees_with_elimination_oracle():
     rng = random.Random(1203)
-    feas = 0
+    # the other bounds each cone is asked draw from their own stream, so
+    # the systems swept stay those of rng alone
+    other = random.Random(1204)
+    feas = cones = asked = admitted = 0
     for _ in range(1500):
         n = rng.randint(1, 4)
         m = rng.randint(1, 5)
         a = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m)]
         b = [rng.randint(-4, 4) for _ in range(m)]
-        got = check(a, b)
+        got, cone = solved(a, b)
         assert got == fm_feasible(a, b), (a, b)
         feas += got
+        if cone is not None:
+            others = [[other.randint(-4, 4) for _ in range(m)] for _ in range(4)]
+            cones += 1
+            asked += len(others)
+            admitted += check_cone(a, cone, others)
     # both outcomes must actually occur for the comparison to mean much
     assert 100 < feas < 1400
+    assert 0 < admitted < asked and cones > 100
 
 
 def displacement_like(rng, places, transitions):
@@ -167,29 +242,43 @@ def displacement_like(rng, places, transitions):
 
 def test_agrees_with_elimination_on_displacement_like_systems():
     rng = random.Random(2016)
-    feas = 0
+    other = random.Random(2017)
+    feas = asked = admitted = 0
     for _ in range(150):
         a = displacement_like(rng, 6, 6)
         # target minus initial marking
         b = [rng.randint(0, 3) - rng.randint(0, 2) for _ in range(6)]
-        got = check(a, b)
+        got, cone = solved(a, b)
         assert got == fm_feasible(a, b), (a, b)
         feas += got
+        if cone is not None:
+            others = [[other.randint(0, 3) - other.randint(0, 2) for _ in range(6)]
+                      for _ in range(2)]
+            asked += len(others)
+            admitted += check_cone(a, cone, others)
     assert 15 < feas < 135
+    assert 0 < admitted < asked
 
 
 def test_agrees_with_elimination_on_large_coefficients():
     # Big entries make the integer rows grow, so the gcd normalisation
     # and big-integer cross-multiplication in the ratio test get used.
     rng = random.Random(1968)
-    feas = 0
+    other = random.Random(1969)
+    feas = asked = admitted = 0
     for _ in range(400):
         n = rng.randint(1, 3)
         m = rng.randint(1, 4)
         a = [tuple(rng.randint(-10**6, 10**6) for _ in range(n))
              for _ in range(m)]
         b = [rng.randint(-10**9, 10**9) for _ in range(m)]
-        got = check(a, b)
+        got, cone = solved(a, b)
         assert got == fm_feasible(a, b), (a, b)
         feas += got
+        if cone is not None:
+            others = [[other.randint(-10**9, 10**9) for _ in range(m)]
+                      for _ in range(2)]
+            asked += len(others)
+            admitted += check_cone(a, cone, others)
     assert 40 < feas < 360
+    assert 0 < admitted < asked

@@ -21,6 +21,12 @@ def test_bound_validation():
         ExploreBound(per_place_cap=0)
     with pytest.raises(ValueError):
         ExploreBound(node_cap=0)
+    # bool is an int subclass, but no count; a float cap is no count either
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError, match="positive integers"):
+            ExploreBound(per_place_cap=bad)
+        with pytest.raises(ValueError, match="positive integers"):
+            ExploreBound(node_cap=bad)
 
 
 def test_pump_cover_depth_three(pump_net):
