@@ -28,8 +28,9 @@ and U+2028 end a line as ``\n`` does, and white space is what
 from 1 on those lines.  Every ``target:`` section describes one
 target marking (unlisted places need zero tokens); ``init:`` entries
 default to zero as well.  A problem needs at least one place and one
-target.  Duplicate declarations and negative numbers are rejected.  The
-``init:`` section may be omitted for the zero marking.
+target.  Duplicate declarations, duplicate arcs (a weight of zero
+included) and negative numbers are rejected.  The ``init:`` section
+may be omitted for the zero marking.
 
 The MIST subset accepts the four sections ``vars``, ``rules``, ``init``
 and ``target`` in that order.  Rule guards are conjunctions of
@@ -90,13 +91,16 @@ _MIST_SECTIONS = ("vars", "rules", "init", "target")
 class _Tokens:
     """The tokens of one text as plain strings, followed by ``""``.
 
-    Each line is tokenised by one ``findall``; a character the pattern
-    does not match is either white space or an error.  Only the index of
-    each line's first token is kept: a token's line and column are found
-    by re-scanning its line when a diagnostic needs them.
+    One ``findall`` scans the whole text: no alternative of a token
+    pattern matches a ``str.splitlines()`` break, so these are the
+    tokens of each line in turn.  A character the pattern does not match
+    is either white space or an error.  ``lines`` and ``starts``, the
+    index of each line's first token, are computed when asked for, which
+    only diagnostics and MIST targets do; a token's line and column are
+    found by re-scanning its line.
     """
 
-    __slots__ = ("pattern", "lines", "starts", "tokens")
+    __slots__ = ("pattern", "text", "tokens")
 
     def __init__(self, text: Union[str, bytes], pattern: re.Pattern) -> None:
         if isinstance(text, bytes):
@@ -105,21 +109,26 @@ class _Tokens:
             except UnicodeDecodeError as exc:  # placed like a bad character
                 lines = (text[:exc.start].decode("utf-8") + "?").splitlines()
                 raise ParseError("not valid UTF-8", len(lines), len(lines[-1])) from None
-        lines = text.splitlines()
-        if "#" in text:
-            lines = [line.partition("#")[0] for line in lines]
-            text = "".join(lines)
+        if "#" in text:  # a comment ends at its line's break
+            text = "\n".join([line.partition("#")[0] for line in text.splitlines()])
         self.pattern = pattern
-        self.lines = lines
-        self.starts: List[int] = []
-        self.tokens: List[str] = []
-        starts, tokens, findall = self.starts, self.tokens, pattern.findall
-        for line in lines:
-            starts.append(len(tokens))
-            tokens += findall(line)
-        if len("".join(tokens)) != len("".join(text.split())):
+        self.text = text
+        self.tokens: List[str] = pattern.findall(text)
+        if len("".join(self.tokens)) != len("".join(text.split())):
             self._reject_character()
-        tokens.append("")  # the end marker, so lookahead needs no bounds check
+        self.tokens.append("")  # the end marker, so lookahead needs no bounds check
+
+    @property
+    def lines(self) -> List[str]:
+        return self.text.splitlines()
+
+    @property
+    def starts(self) -> List[int]:
+        starts, n = [], 0
+        for line in self.lines:
+            starts.append(n)
+            n += len(self.pattern.findall(line))
+        return starts
 
     def _reject_character(self) -> None:
         """Raise for the first character that is in no token and no white space."""
@@ -133,8 +142,9 @@ class _Tokens:
     def position(self, k: int) -> Tuple[int, int]:
         """Line and column of token ``k``; the end marker is put at the last token."""
         k = min(k, len(self.tokens) - 2)
-        row = max(r for r, start in enumerate(self.starts) if start <= k)
-        match = list(self.pattern.finditer(self.lines[row]))[k - self.starts[row]]
+        starts = self.starts
+        row = max(r for r, start in enumerate(starts) if start <= k)
+        match = list(self.pattern.finditer(self.lines[row]))[k - starts[row]]
         return row + 1, match.start() + 1
 
     def error(self, message: str, k: int) -> ParseError:
@@ -172,16 +182,14 @@ def _native_ident(src: _Tokens, k: int, what: str) -> str:
     return text
 
 
-def _native_nat(src: _Tokens, k: int, what: str) -> int:
-    value = _nat(src, k)
-    if value is None:
-        text = src.tokens[k]
-        if not text:
-            raise src.error(f"expected {what} (at end of input)", k)
-        if text == "-":
-            raise src.error("negative numbers are not allowed", k)
-        raise src.error(f"expected {what}, got {text!r}", k)
-    return value
+def _not_a_count(src: _Tokens, k: int, what: str) -> ParseError:
+    """The error for token ``k``, which ``_nat`` did not read as a count."""
+    text = src.tokens[k]
+    if not text:
+        return src.error(f"expected {what} (at end of input)", k)
+    if text == "-":
+        return src.error("negative numbers are not allowed", k)
+    return src.error(f"expected {what}, got {text!r}", k)
 
 
 def _section_ends(tokens: List[str], i: int) -> bool:
@@ -198,13 +206,17 @@ def parse_native(text: Union[str, bytes], name: str = "") -> Problem:
     if not end:
         raise ParseError("empty input", 1, 1)
 
-    places: Dict[str, int] = {}  # name -> token index, in declaration order
-    transitions: List[Tuple[str, Dict[str, int], Dict[str, int]]] = []
+    places: Dict[str, int] = {}  # name -> column, in declaration order
+    transitions: List[list] = []  # [name, in arcs, out arcs] per transition
     transition_seen: Dict[str, int] = {}
     init_counts: Dict[str, int] = {}
     target_specs: List[Dict[str, int]] = []
     refs: List[int] = []  # token index of each use of a place not yet declared
 
+    # A token already in ``places`` passed the identifier checks, and no
+    # keyword and no ";" is a place, so it neither ends a list nor needs a
+    # check.  Any other token may end the list; if it does not, it is
+    # checked here and recorded in ``refs``, resolved once all is read.
     i = 0
     while i < end:
         head = tokens[i]
@@ -216,18 +228,69 @@ def parse_native(text: Union[str, bytes], name: str = "") -> Problem:
                 place = _native_ident(src, i, "place name")
                 if place in places:
                     raise src.error(f"duplicate place {place!r}", i)
-                places[place] = i
+                places[place] = len(places)
                 i += 1
         elif head == "transitions":
             while not _section_ends(tokens, i):
-                entry, i = _native_transition(src, i, transition_seen, places, refs)
+                tname = _native_ident(src, i, "transition name")
+                if tname in transition_seen:
+                    raise src.error(f"duplicate transition {tname!r}", i)
+                transition_seen[tname] = i
+                if tokens[i + 1] != ":":
+                    raise _expected(src, i + 1, "':' after transition name")
+                j = i + 2
+                entry = [tname]
+                for keyword in ("in", "out"):
+                    arcs: Dict[str, int] = {}
+                    entry.append(arcs)
+                    if tokens[j] != keyword:
+                        continue
+                    j += 1
+                    while True:
+                        place = tokens[j]
+                        if place not in places:
+                            if place == ";" or place == "out" or _section_ends(tokens, j):
+                                break
+                            _native_ident(src, j, "place name in arc list")
+                            refs.append(j)
+                        step, weight = 1, 1
+                        if tokens[j + 1] == "*":
+                            step, weight = 3, _nat(src, j + 2)
+                            if weight is None:
+                                raise _not_a_count(src, j + 2, "arc multiplicity")
+                        if place in arcs:
+                            raise src.error(f"duplicate arc for place {place!r}", j)
+                        arcs[place] = weight  # a zero weight too, so a repeat is caught
+                        j += step
+                close = tokens[j]
+                if close != ";":
+                    if not close:
+                        raise src.error(f"expected ';' to close transition {tname!r}", i)
+                    raise src.error(
+                        f"expected ';' to close transition {tname!r}, got {close!r}", j)
                 transitions.append(entry)
-        elif head == "init":
-            i = _native_counts(src, i, "=", "init", init_counts, places, refs)
+                i = j + 1
         else:
-            atoms: Dict[str, int] = {}
-            i = _native_counts(src, i, ">=", "target", atoms, places, refs)
-            target_specs.append(atoms)
+            op = "=" if head == "init" else ">="
+            counts = init_counts if head == "init" else {}
+            while True:
+                place = tokens[i]
+                if place not in places:
+                    if _section_ends(tokens, i):
+                        break
+                    _native_ident(src, i, "place name")
+                    refs.append(i)
+                if tokens[i + 1] != op:
+                    raise _expected(src, i + 1, f"'{op}' in {head} entry")
+                count = _nat(src, i + 2)
+                if count is None:
+                    raise _not_a_count(src, i + 2, "token count")
+                if place in counts:
+                    raise src.error(f"duplicate {head} entry for {place!r}", i)
+                counts[place] = count
+                i += 3
+            if head == "target":
+                target_specs.append(counts)
 
     if not places:
         raise ParseError("no places declared", 1, 1)
@@ -240,85 +303,19 @@ def parse_native(text: Union[str, bytes], name: str = "") -> Problem:
         if tname in places:
             raise src.error(f"{tname!r} is declared as both a place and a transition", k)
 
-    # Every name, arc and count is checked above: build the net directly.
-    index = {p: i for i, p in enumerate(places)}
-    pre, post = [], []
-    for _, ins, outs in transitions:
-        for arcs, rows in ((ins, pre), (outs, post)):
-            row = [0] * len(places)
-            for p, w in arcs.items():
-                row[index[p]] = w
-            rows.append(row)
-    initial = [0] * len(places)
-    for p, c in init_counts.items():
-        initial[index[p]] = c
-    net = PetriNet._checked(places, [t for t, _, _ in transitions], pre, post, initial)
-    targets = tuple([net.marking(atoms) for atoms in target_specs])
+    # Every name, arc and count is checked above: build the net and the
+    # target markings directly, dropping zero weights here.
+    def row(counts: Dict[str, int]) -> List[int]:
+        dense = [0] * len(places)
+        for p, c in counts.items():
+            dense[places[p]] = c
+        return dense
+
+    net = PetriNet._checked(places, [t for t, _, _ in transitions],
+                            [row(ins) for _, ins, _ in transitions],
+                            [row(outs) for _, _, outs in transitions], row(init_counts))
+    targets = tuple([tuple.__new__(Marking, row(atoms)) for atoms in target_specs])
     return Problem(net=net, targets=targets, name=name)
-
-
-def _native_counts(src: _Tokens, i: int, op: str, section: str, counts: Dict[str, int],
-                   places: Dict[str, int], refs: List[int]) -> int:
-    """Read ``place op count`` entries from token ``i`` into ``counts``;
-    returns the index of the token after the section."""
-    tokens = src.tokens
-    while not _section_ends(tokens, i):
-        place = tokens[i]
-        if place not in places:
-            _native_ident(src, i, "place name")
-            refs.append(i)
-        if tokens[i + 1] != op:
-            raise _expected(src, i + 1, f"'{op}' in {section} entry")
-        count = _native_nat(src, i + 2, "token count")
-        if place in counts:
-            raise src.error(f"duplicate {section} entry for {place!r}", i)
-        counts[place] = count
-        i += 3
-    return i
-
-
-def _native_transition(src: _Tokens, i: int, seen: Dict[str, int],
-                       places: Dict[str, int], refs: List[int]):
-    tokens = src.tokens
-    tname = _native_ident(src, i, "transition name")
-    if tname in seen:
-        raise src.error(f"duplicate transition {tname!r}", i)
-    seen[tname] = i
-    if tokens[i + 1] != ":":
-        raise _expected(src, i + 1, "':' after transition name")
-    ins, j = _native_arcs(src, i + 2, "in", places, refs)
-    outs, j = _native_arcs(src, j, "out", places, refs)
-    close = tokens[j]
-    if close != ";":
-        if not close:
-            raise src.error(f"expected ';' to close transition {tname!r}", i)
-        raise src.error(f"expected ';' to close transition {tname!r}, got {close!r}", j)
-    return (tname, ins, outs), j + 1
-
-
-def _native_arcs(src: _Tokens, i: int, keyword: str, places: Dict[str, int],
-                 refs: List[int]) -> Tuple[Dict[str, int], int]:
-    tokens = src.tokens
-    arcs: Dict[str, int] = {}
-    if tokens[i] != keyword:
-        return arcs, i
-    i += 1
-    while not (tokens[i] in (";", "out") or _section_ends(tokens, i)):
-        place = tokens[i]
-        if place not in places:
-            _native_ident(src, i, "place name in arc list")
-            refs.append(i)
-        weight = 1
-        step = 1
-        if tokens[i + 1] == "*":
-            weight = _native_nat(src, i + 2, "arc multiplicity")
-            step = 3
-        if place in arcs:
-            raise src.error(f"duplicate arc for place {place!r}", i)
-        if weight:
-            arcs[place] = weight
-        i += step
-    return arcs, i
 
 
 def emit_native(problem: Problem) -> str:

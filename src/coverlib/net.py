@@ -103,7 +103,8 @@ class PetriNet:
     ``_sign`` is filled lazily with the net's sign analysis, once
     ``invariants.sign_analysis`` has computed it; threads that race on
     it compute and write the same value.  ``restrict`` starts a subnet
-    with it empty.
+    with it empty; the preprocessor then hands a subnet that only lost
+    sign-dead transitions the fixpoint it already has.
     """
 
     __slots__ = ("places", "transitions", "initial", "pre", "post",
@@ -210,8 +211,9 @@ class PetriNet:
         """The subnet on the given place and transition indices, in order.
 
         Arcs between kept nodes and the initial tokens on kept places carry
-        over; everything else is dropped.  The subnet starts without a
-        stored sign analysis and builds its own arc rows.
+        over; everything else is dropped.  The subnet builds its own arc
+        rows and starts without a stored sign analysis, which the
+        preprocessor fills in when the fixpoint is known not to change.
         """
         for p in places:
             _check_index(p, len(self.places), "place")

@@ -7,20 +7,22 @@ Dropping dead transitions changes neither the reachable markings nor
 any coverability answer.
 
 The default test uses the sign invariant; the sign fixpoint already
-lists the transitions that fail it.  ``use_state`` additionally tests
-the other transitions against the relaxed token-flow invariant, which
-can remove more; only then can a second round find new victims, since
-transitions that fail the sign test never contributed to the sign
-fixpoint in the first place.
+lists the transitions that fail it.  Those never fired in the fixpoint,
+so the subnet without them has the same fixpoint and no dead
+transition: it is handed that analysis instead of computing it again,
+and its round, which removes nothing, needs no second fixpoint.
+``use_state`` additionally tests the other transitions against the
+relaxed token-flow invariant, which can remove more; only then can a
+second round find new victims, and each round analyses its own net.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from .ingest import Problem
-from .invariants import StateInvariant, sign_analysis
+from .invariants import SignAnalysis, StateInvariant, sign_analysis
 from .net import Marking, PetriNet
 
 
@@ -57,8 +59,27 @@ def _one_round(net: PetriNet, use_state: bool) -> Tuple[PetriNet, PruneRound]:
     gone = set(dead)
     keep = [t for t in range(len(net.transitions)) if t not in gone]
     reduced = net.restrict(range(len(net.places)), keep)
+    if not use_state:
+        # Only sign-dead transitions are gone, and none of them ever fired
+        # in the fixpoint: the subnet's fixpoint marks the same places and
+        # fires every transition the subnet has.
+        reduced._sign = SignAnalysis(analysis.possibly_marked, analysis.always_empty, ())
     removed_names = tuple([net.transitions[t] for t in dead])
     return reduced, PruneRound(removed=removed_names, always_empty=empty_names)
+
+
+def _prune(net: PetriNet, mode: str,
+           use_state: bool) -> Tuple[PetriNet, List[str], Tuple[PruneRound, ...]]:
+    if mode not in ("once", "fixpoint"):
+        raise ValueError(f"mode must be 'once' or 'fixpoint', got {mode!r}")
+    rounds: List[PruneRound] = []
+    removed: List[str] = []
+    while True:
+        net, rnd = _one_round(net, use_state)
+        rounds.append(rnd)
+        removed.extend(rnd.removed)
+        if mode == "once" or not rnd.removed:
+            return net, removed, tuple(rounds)
 
 
 def prune_dead_transitions(
@@ -73,19 +94,8 @@ def prune_dead_transitions(
     Places are never removed here.  Returns the reduced net, the removed
     transition names in removal order, and a per-round report.
     """
-    if mode not in ("once", "fixpoint"):
-        raise ValueError(f"mode must be 'once' or 'fixpoint', got {mode!r}")
-    rounds: List[PruneRound] = []
-    removed: List[str] = []
-    current = net
-    while True:
-        current, rnd = _one_round(current, use_state)
-        rounds.append(rnd)
-        removed.extend(rnd.removed)
-        if mode == "once" or not rnd.removed:
-            break
-    report = PruneReport(mode=mode, rounds=tuple(rounds), removed=tuple(removed))
-    return current, removed, report
+    net, removed, rounds = _prune(net, mode, use_state)
+    return net, removed, PruneReport(mode=mode, rounds=rounds, removed=tuple(removed))
 
 
 def prune_problem(
@@ -102,7 +112,7 @@ def prune_problem(
     places hold zero tokens in every reachable marking.  The default
     keeps all places.
     """
-    net, removed, report = prune_dead_transitions(problem.net, mode, use_state)
+    net, removed, rounds = _prune(problem.net, mode, use_state)
     targets = problem.targets
     dropped: Tuple[str, ...] = ()
     if drop_places:
@@ -120,5 +130,6 @@ def prune_problem(
             net = net.restrict(keep, range(len(net.transitions)))
             targets = tuple([Marking([m[p] for p in keep]) for m in targets])
             dropped = tuple([problem.net.places[p] for p in droppable])
-    report = replace(report, dropped_places=dropped)
+    report = PruneReport(mode=mode, rounds=rounds, removed=tuple(removed),
+                         dropped_places=dropped)
     return Problem(net=net, targets=targets, name=problem.name), report

@@ -88,6 +88,41 @@ def test_comments_and_blank_lines_ignored():
     assert p.net.pre == ((1, 0),) and p.net.post == ((0, 1),)
 
 
+# Every line break of str.splitlines(), "\r\n" included.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+
+
+def test_a_comment_ends_at_every_line_break():
+    for brk in LINE_BREAKS:
+        assert ("x" + brk + "y").splitlines() == ["x", "y"], repr(brk)
+        text = f"places: a # note{brk}b\ntransitions:\ntarget: b>=1\n"
+        assert parse_native(text).net.places == ("a", "b"), repr(brk)
+        assert_rejections(parse_native, [
+            (f"places: a # note{brk}b @\ntarget: a>=1\n", "unexpected character '@'", 2, 3),
+            (f"places: a # note{brk}b\ntarget: c>=1\n", "unknown place 'c'", 3, 9),
+        ])
+
+
+def test_places_may_be_declared_last():
+    body = ("transitions:\n"
+            "t: in a*0 b out a*2 ;\n"
+            "u: in b c*3 out c ;\n"
+            "init: a=1 b=2\n"
+            "target: c>=1\n"
+            "target: a>=2 b>=1\n")
+    first = parse_native("places: a b c\n" + body)
+    last = parse_native(body + "places: a b c\n")
+    assert last.net == first.net and last.targets == first.targets
+    assert last.net.pre == ((0, 1, 0), (0, 1, 3))
+    assert last.targets == (Marking((0, 0, 1)), Marking((2, 1, 0)))
+    # an undeclared name is reported at its first use, not at a later one
+    assert_rejections(parse_native, [
+        ("transitions:\nt: in a zz ;\ninit: zz=1\ntarget: a>=1\nplaces: a\n",
+         "unknown place 'zz'", 2, 9),
+    ])
+
+
 def error_of(text, fmt=parse_native):
     with pytest.raises(ParseError) as info:
         fmt(text)
@@ -113,6 +148,13 @@ NATIVE_REJECTIONS = [
      "'a' is declared as both a place and a transition", 3, 1),
     ("places: a\ntransitions:\nt: in a a*2 ;\ntarget: a>=1\n",
      "duplicate arc for place 'a'", 3, 9),
+    # A zero weight drops the arc from the net, not from the duplicate check.
+    ("places: a\ntransitions:\nt: in a*0 a ;\ntarget: a>=1\n",
+     "duplicate arc for place 'a'", 3, 11),
+    ("places: a\ntransitions:\nt: out a*0 a*3 ;\ntarget: a>=1\n",
+     "duplicate arc for place 'a'", 3, 12),
+    ("transitions:\nt: in a*0 a ;\nplaces: a\ntarget: a>=1\n",
+     "duplicate arc for place 'a'", 2, 11),
     ("places: a\ntransitions:\ninit: a=1 a=2\ntarget: a>=1\n",
      "duplicate init entry for 'a'", 3, 11),
     ("places: a\ntransitions:\ntarget: a>=1 a>=2\n",

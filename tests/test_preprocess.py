@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import coverlib.invariants
+import coverlib.preprocess
 from coverlib import (
     Marking,
     PetriNet,
@@ -104,24 +105,37 @@ def test_flow_test_enables_second_round():
 
 
 def test_one_sign_fixpoint_per_net(monkeypatch):
-    # Each prune round analyses a new net; the last round's net is the
-    # one returned, and its sign invariant reuses that round's fixpoint.
-    built = []
-    real = coverlib.invariants.SignAnalysis
+    # A fixpoint is computed when sign_analysis meets a net that has none.
+    # Sign-only pruning hands each subnet the fixpoint of the net it came
+    # from, so a net costs one in all; with use_state every round analyses
+    # its own net.  The invariant then reuses the last round's analysis.
+    computed = []
+    real = coverlib.invariants.sign_analysis
 
-    def counting(**fields):
-        built.append(fields)
-        return real(**fields)
+    def counting(net):
+        if net._sign is None:
+            computed.append(net)
+        return real(net)
 
-    monkeypatch.setattr(coverlib.invariants, "SignAnalysis", counting)
+    monkeypatch.setattr(coverlib.invariants, "sign_analysis", counting)
+    monkeypatch.setattr(coverlib.preprocess, "sign_analysis", counting)
+    handed = 0
     for use_state in (False, True):
         # the acceptance corpus, generated afresh so no net has an analysis yet
         for name, net, target in random_instances(seed=20260819, count=500):
-            built.clear()
+            computed.clear()
             problem = Problem(net=net, targets=(target,), name=name)
             reduced, report = prune_problem(problem, use_state=use_state)
             make_invariant(reduced.net, ["sign", "state"])
-            assert len(built) == len(report.rounds), (name, use_state)
+            want = len(report.rounds) if use_state else 1
+            assert len(computed) == want, (name, use_state)
+            # what the reduced net carries is what a fresh copy computes
+            got = reduced.net._sign
+            copy = reduced.net.restrict(range(len(reduced.net.places)),
+                                        range(len(reduced.net.transitions)))
+            assert copy._sign is None and real(copy) == got, (name, use_state)
+            handed += not use_state and report.removal_rounds
+    assert handed > 100
 
 
 def test_reduced_net_gets_its_own_sign_analysis():
