@@ -96,8 +96,8 @@ class _Tokens:
     tokens of each line in turn.  A character the pattern does not match
     is either white space or an error.  ``lines`` and ``starts``, the
     index of each line's first token, are computed when asked for, which
-    only diagnostics and MIST targets do; a token's line and column are
-    found by re-scanning its line.
+    only diagnostics and MIST targets do, from the tokens already found;
+    a token's line and column are found by re-scanning its line.
     """
 
     __slots__ = ("pattern", "text", "tokens")
@@ -124,10 +124,15 @@ class _Tokens:
 
     @property
     def starts(self) -> List[int]:
-        starts, n = [], 0
+        # A line holds its tokens in order with only white space between
+        # them, so ``str.find`` walks them without scanning again.
+        starts, k, tokens = [], 0, self.tokens
         for line in self.lines:
-            starts.append(n)
-            n += len(self.pattern.findall(line))
+            starts.append(k)
+            pos, end = 0, len(line.rstrip())
+            while pos < end:
+                pos = line.find(tokens[k], pos) + len(tokens[k])
+                k += 1
         return starts
 
     def _reject_character(self) -> None:

@@ -29,7 +29,7 @@ from operator import le, mul, sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .net import Marking, PetriNet
-from .ratlp import Cone, FeasibilityProblem, common_denominator, feasible
+from .ratlp import Cone, FeasibilityProblem, Witness, feasible
 
 
 # -- sign analysis ------------------------------------------------------------
@@ -152,14 +152,19 @@ class StateInvariant(Invariant):
       later m with y . m > y . initial is rejected too;
     * tops: an admitted query's witness lam also admits every later m
       with m <= initial + D lam.  Markings are integral, so m is compared
-      with the floor of that top, computed in integers over lam's common
+      with the floor of that top, computed in integers over lam's
       denominator the first time a later query scans it;
     * cones: an admitted query's final simplex basis (``ratlp.Cone``)
       admits every later m with m - initial in its cone, by a lam that
       passes the LP's exactness guard and is kept as a top.
 
     A query scans the cuts, tops, then cones and solves an LP only when
-    none answers it, so no kept basis recurs.  Cached answers equal the LP's.
+    none answers it, so no kept basis recurs.  That LP's dual simplex
+    starts warm from the final basis of the handle's previous solve,
+    whatever its outcome, since consecutive queries of one search tend
+    to differ in few places.  Cached answers equal a cold LP's.
+    Witnesses stay ``(den, nums)`` integers throughout; only ``explain``
+    turns one into ``Fraction``s, for its caller.
     """
 
     kind = "state"
@@ -174,10 +179,11 @@ class StateInvariant(Invariant):
         self._cuts: List[Tuple[List[int], int]] = []  # (y, y . initial)
         self._tops: List[list] = []  # [floor top or None until scanned, lam]
         self._cones: List[Cone] = []
+        self._last: Optional[Cone] = None  # final basis of the latest solve
 
     def member(self, m: Marking) -> bool:
         self.queries += 1
-        return self.explain(m) is not None
+        return self._lam(m) is not None
 
     def explain(self, m: Marking) -> Optional[Tuple[Fraction, ...]]:
         """A firing-count witness for a member, or None.
@@ -185,6 +191,14 @@ class StateInvariant(Invariant):
         The witness lam >= 0 meets  initial + D lam >= m; it may be an
         earlier query's, from a top above m, or read off a kept basis.
         """
+        lam = self._lam(m)
+        if lam is None:
+            return None
+        den, nums = lam
+        return tuple([Fraction(v, den) for v in nums])
+
+    def _lam(self, m: Marking) -> Optional[Witness]:
+        """``explain``'s witness as ``(den, nums)``, lam_t = nums[t] / den."""
         m = self.net._check_marking(m)
         for y, bound in self._cuts:
             if sum(map(mul, y, m)) > bound:
@@ -192,7 +206,7 @@ class StateInvariant(Invariant):
         for entry in self._tops:
             top = entry[0]
             if top is None:
-                top = entry[0] = self._floor_top(entry[1])
+                top = entry[0] = self._floor_top(*entry[1])
             if all(map(le, m, top)):
                 return entry[1]
         initial = self.net.initial
@@ -202,19 +216,19 @@ class StateInvariant(Invariant):
             if evidence is not None:
                 break
         else:
-            ok, evidence, cone = feasible(self.system, b)
+            ok, evidence, cone = feasible(self.system, b, start=self._last)
+            if cone is not None:
+                self._last = cone
             if not ok:
                 self._cuts.append((evidence, sum(map(mul, evidence, initial))))
                 return None
             if cone is not None:
                 self._cones.append(cone)
-        lam = tuple(evidence)
-        self._tops.append([None, lam])
-        return lam
+        self._tops.append([None, evidence])
+        return evidence
 
-    def _floor_top(self, lam: Tuple[Fraction, ...]) -> List[int]:
+    def _floor_top(self, den: int, nums: List[int]) -> List[int]:
         """floor(initial + D lam), as (den * initial + D nums) // den."""
-        den, nums = common_denominator(lam)
         return [(den * i + sum(map(mul, row, nums))) // den
                 for i, row in zip(self.net.initial, self.system.a)]
 

@@ -1,56 +1,47 @@
 """Exact rational feasibility of systems  { x >= 0,  A x >= b }.
 
 A is validated once, as a ``FeasibilityProblem``; ``feasible`` takes b.
-Decided with a fraction-free phase-one simplex (Bareiss, Math. Comp. 22,
-1968): tableau entries are Python integers, and row i stands for
-(1/s_i) times the rational row for some s_i > 0.  A pivot on (r, c)
-keeps row r and replaces every other row i by
-``piv * row_i - row_i[c] * row_r``, then divides it by the gcd of its
-entries.  The pivot entry is positive, so every scale stays positive and
-signs and ratios read off the integer rows are the rational ones; the
-ratio test compares ``rhs_i * c_best`` with ``rhs_best * c_i``.  Bland's
-smallest-index rule prevents cycling.  Only the witness is built as
-``fractions.Fraction`` (``rhs_i / row_i[col]``), it satisfies the system
-exactly, and no floating point ever enters the decision path.
+Row i of A x >= b gets a surplus s_i >= 0 and is stored as
+-a_i x + s_i = -b_i, so the stored columns are [x | s], n + m of them
+and no other: the all-surplus basis is a basis of every system, with
+s = -b.  Decided with a dual simplex (Lemke, 1954) in fraction-free
+integer rows (Bareiss, Math. Comp. 22, 1968).  Row i of the tableau on
+a basis B is d_i (B^-1)_i [-a | I | -b] for some scale d_i > 0, so its
+surplus block is d_i (B^-1)_i and its right-hand side -d_i (B^-1)_i . b.
 
-Both answers carry evidence.  A feasible system returns its witness x.
-An infeasible one returns a Farkas vector y: integers with y >= 0,
-y a <= 0 and y b > 0, so y a x <= 0 < y b for every x >= 0 and no x
-meets a x >= b.  It is read off the final tableau at no extra cost: the
-objective row is a positive multiple of sum_i y_i (a_i x - s_i - b_i)
-(a row negated at construction enters with the opposite sign, its
-surplus too), and surplus s_i appears in row i only, so the surplus
-columns of the objective row hold -y.  Both answers are checked in integer arithmetic
-before they are returned; a failed check raises ``ArithmeticError``.
+There is no objective: every reduced cost is zero, so every basis is
+dual feasible, and the simplex only drives out negative right-hand
+sides.  Bland's rule keeps it from cycling: the leaving row is the
+infeasible row with the smallest basic label, and the entering column
+the smallest column with a negative entry in that row.  A pivot on
+(r, c) negates row r, so its entry at c turns positive, keeps it, and
+replaces every other row i by ``piv * row_i - row_i[c] * row_r`` divided
+by the gcd of its entries; every scale stays positive, so the signs read
+off the integer rows are the rational ones.
 
-Construction of the tableau, per inequality row:
+Every solve ends on a basis of stored columns, feasible or not, and
+returns it as a ``Cone``.  A solve starts cold from the all-surplus basis
+or warm from such a cone, whose rows only need their right-hand sides
+recomputed for the new b.  Both answers carry evidence in integers,
+checked before it is returned; a failed check raises ``ArithmeticError``.
+No floating point or rational type is used:
 
-* ``b_i <= 0``: the row holds at x = 0, so it only needs a surplus
-  variable and that surplus starts basic (the row is negated first so
-  the right-hand side is non-negative).
-* ``b_i > 0``: the row gets a surplus variable with coefficient -1 plus
-  an artificial variable that starts basic.
-
-Phase one minimises the sum of artificials; the system is feasible
-exactly when that minimum is zero.  Artificial columns never re-enter
-the basis, so they are not stored; each artificial keeps its column
-number (after every real column) as a basis label for Bland's rule.
-
-A feasible answer also returns its final basis B as a ``Cone`` unless an
-artificial stayed basic.  Row i, built from a_i x - (surplus i) = b_i,
-ends as S B^-1 [a | -I] over the stored columns whatever its sign, S the
-positive scales s_i = ``rows[i][basis[i]]``, so ``rows[i][n:n+m]`` is
--s_i (B^-1)_i.  B solves b' iff every v_i = ``rows[i][n:n+m]`` . b' <= 0,
-and then x[basis[i]] = -v_i / s_i for basic columns below n, else 0.
+* feasible: a witness ``(den, nums)`` with x_j = nums[j] / den, read off
+  the basic rows, x[basis[i]] = rhs_i / d_i;
+* infeasible: a row with a negative right-hand side and no negative
+  entry.  Its surplus block y = d_r (B^-1)_r is a Farkas vector: the
+  row's x block -y A >= 0, its surplus block y >= 0 and its right-hand
+  side -y . b < 0, so y A x <= 0 < y . b for every x >= 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
+
+Witness = Tuple[int, List[int]]  # (den, nums): x_j = nums[j] / den, den > 0
 
 
 @dataclass(frozen=True)
@@ -81,12 +72,6 @@ class FeasibilityProblem:
         return len(self.a[0]) if self.a else 0
 
 
-def common_denominator(xs: Sequence[Fraction]) -> Tuple[int, List[int]]:
-    """``(den, nums)`` with ``den > 0`` and ``xs[j] == nums[j] / den``."""
-    den = lcm(*(x.denominator for x in xs))
-    return den, [x.numerator * (den // x.denominator) for x in xs]
-
-
 def _reduce(row: List[int]) -> List[int]:
     """``row`` divided by the gcd of its entries (an all-zero row stays)."""
     g = gcd(*row)
@@ -95,121 +80,109 @@ def _reduce(row: List[int]) -> List[int]:
     return row
 
 
-def _pivot(rows: List[List[int]], obj: List[int], r: int, c: int) -> None:
-    # Row r stays as it is; every other row i becomes
-    # piv * row_i - row_i[c] * row_r: the rational result times piv times
-    # row i's old scale, a positive factor.
-    prow = rows[r]
+def _pivot(rows: List[List[int]], r: int, c: int) -> None:
+    # Row r is negated, so its scale stays positive with x_c basic; every
+    # other row i becomes piv * row_i - row_i[c] * row_r: the rational
+    # result times piv times row i's old scale, a positive factor.
+    prow = rows[r] = [-v for v in rows[r]]
     piv = prow[c]
     for i, row in enumerate(rows):
         f = row[c]
         if i != r and f:
             rows[i] = _reduce([piv * v - f * pv for v, pv in zip(row, prow)])
-    f = obj[c]
-    if f:
-        obj[:] = _reduce([piv * v - f * pv for v, pv in zip(obj, prow)])
 
 
-def _farkas(obj: List[int], n: int, m: int) -> List[int]:
-    """The Farkas vector read off a final phase-one objective row."""
-    return [-v for v in obj[n:n + m]]
+def _farkas(row: List[int], n: int, m: int) -> List[int]:
+    """The Farkas vector read off a stuck row: its surplus block."""
+    return row[n:n + m]
+
+
+def _witness(n: int, basic: Iterable[Tuple[int, int, int]]) -> Witness:
+    """``(den, nums)`` with x[col] = value / scale for each basic
+    ``(value, scale, col)`` with ``col < n``, and 0 elsewhere."""
+    basic = [entry for entry in basic if entry[2] < n]
+    den = lcm(*[scale for _, scale, _ in basic])
+    nums = [0] * n
+    for value, scale, col in basic:
+        nums[col] = value * (den // scale)
+    return den, nums
 
 
 def feasible(
-    problem: FeasibilityProblem, b: Sequence[int],
-) -> Tuple[bool, Union[List[Fraction], List[int]], Optional[Cone]]:
+    problem: FeasibilityProblem, b: Sequence[int], start: Optional[Cone] = None,
+) -> Tuple[bool, Union[Witness, List[int]], Optional[Cone]]:
     """Decide ``problem.a x >= b``, one integer bound per row, with evidence.
 
-    Returns ``(True, witness, cone)`` with ``witness[j] >= 0`` satisfying
-    every row of ``a . witness >= b``, or ``(False, y, None)`` with a list
-    of integers ``y[i] >= 0`` such that ``y . a[:, j] <= 0`` for every
-    column j and ``y . b > 0`` (a Farkas certificate of infeasibility,
-    read off the surplus columns of the final objective row).  Either is
-    re-checked exactly; ``ArithmeticError`` means the simplex went wrong,
-    never that the input was bad (bad bounds raise ``ValueError``).
-    ``cone`` answers other bounds without a solve; it is None when an
-    artificial stayed basic or no tableau was needed (every b_i <= 0).
+    Returns ``(True, (den, nums), cone)``: den > 0 and x_j = nums[j] / den
+    meets x >= 0 and every row of ``a x >= b``.  Or ``(False, y, cone)``: a
+    list of integers ``y[i] >= 0`` with ``y . a[:, j] <= 0`` for every
+    column j and ``y . b > 0``, a Farkas certificate of infeasibility.
+    Either is re-checked exactly; ``ArithmeticError`` means the simplex
+    went wrong, never that the input was bad (bad bounds raise
+    ``ValueError``).  ``cone`` is the final basis; it answers other
+    bounds without a solve and warm-starts a later one when passed as
+    ``start``, which must come from a solve of this same ``problem``.
+    It is None when no tableau was needed (every b_i <= 0).
     """
     a = problem.a
     m = len(a)
     n = problem.num_vars
     if len(b) != m or not all(type(v) is int for v in b):
         raise ValueError(f"expected {m} integer bounds, got {b!r}")
+    if start is not None and start.problem is not problem:
+        raise ValueError("start basis was built for another problem")
 
     if all(bi <= 0 for bi in b):
-        return True, [Fraction(0)] * n, None
+        return True, (1, [0] * n), None
 
-    total = n + m  # lambdas, surpluses; the right-hand side sits at total
-    rows: List[List[int]] = []
-    basis: List[int] = []
-    obj = [0] * (total + 1)
-    next_art = n + m  # artificial columns are numbered but not stored
-    for i, (ai, bi) in enumerate(zip(a, b)):
-        if bi <= 0:
+    total = n + m  # x, surpluses; the right-hand side sits at total
+    if start is None:
+        basis = list(range(n, total))
+        rows = []
+        for i, (ai, bi) in enumerate(zip(a, b)):
             row = [-aij for aij in ai] + [0] * m + [-bi]
             row[n + i] = 1
-            basis.append(n + i)
-        else:
-            row = list(ai) + [0] * m + [bi]
-            row[n + i] = -1
-            basis.append(next_art)
-            next_art += 1
-            # Objective: sum of artificials, expressed over the other columns.
-            obj = [u + v for u, v in zip(obj, row)]
-        rows.append(row)
+            rows.append(row)
+    else:
+        basis = list(start.basis)
+        rows = []
+        for kept in start._rows:
+            row = kept[:total]
+            row.append(-sum(map(mul, row[n:], b)))
+            rows.append(row)
 
     while True:
-        enter = None
-        for j in range(total):  # Bland: smallest improving column
-            if obj[j] > 0:
-                enter = j
-                break
-        if enter is None:
-            break
-        # Ratio test on rhs_i / c_i, compared by cross-multiplication: a
-        # row's scale cancels in its own ratio, and every c_i is positive.
         leave = None
-        for i, row in enumerate(rows):
-            c = row[enter]
-            if c <= 0:
-                continue
-            if leave is not None:
-                d = row[total] * best_c - best_rhs * c
-                if d > 0 or (d == 0 and basis[i] > basis[leave]):
-                    continue
-            best_rhs, best_c, leave = row[total], c, i
+        for i, row in enumerate(rows):  # Bland: smallest infeasible label
+            if row[total] < 0 and (leave is None or basis[i] < basis[leave]):
+                leave = i
         if leave is None:
-            # The phase-one objective is bounded below by zero, so an
-            # unbounded improving direction cannot exist.
-            raise ArithmeticError("phase-one simplex lost boundedness")
-        _pivot(rows, obj, leave, enter)
+            break
+        row = rows[leave]
+        enter = next((j for j in range(total) if row[j] < 0), None)
+        if enter is None:
+            # Exactness guard, as for a witness: a failure means a bug,
+            # not an infeasible system.
+            y = _farkas(row, n, m)
+            if (any(v < 0 for v in y)
+                    or any(sum(map(mul, col, y)) > 0 for col in zip(*a))
+                    or sum(map(mul, b, y)) <= 0):
+                raise ArithmeticError("simplex produced an invalid Farkas vector")
+            return False, y, Cone(problem, basis, rows)
+        _pivot(rows, leave, enter)
         basis[leave] = enter
 
-    if obj[total] != 0:
-        # No column improves, so y >= 0 and y a <= 0, and obj[total] is
-        # a positive multiple of y b > 0.  Exactness guard, as for a
-        # witness: a failure means a bug, not an infeasible system.
-        y = _farkas(obj, n, m)
-        if (any(v < 0 for v in y)
-                or any(sum(map(mul, col, y)) > 0 for col in zip(*a))
-                or sum(map(mul, b, y)) <= 0):
-            raise ArithmeticError("simplex produced an invalid Farkas vector")
-        return False, y, None
-
-    witness = [Fraction(0)] * n
-    for row, col in zip(rows, basis):
-        if col < n:
-            witness[col] = Fraction(row[total], row[col])
-    cone = Cone(problem, basis, rows) if max(basis) < total else None
-    return True, _checked_witness(a, b, witness), cone
+    witness = _witness(n, [(row[total], row[col], col)
+                           for row, col in zip(rows, basis)])
+    return True, _checked_witness(a, b, witness), Cone(problem, basis, rows)
 
 
 def _checked_witness(a: Tuple[Tuple[int, ...], ...], b: Sequence[int],
-                     witness: List[Fraction]) -> List[Fraction]:
-    # Exactness guard: a . witness >= b iff a . nums >= b * den over a
-    # common denominator den > 0.  A failure means a bug, not bad input.
-    den, nums = common_denominator(witness)
-    if any(sum(map(mul, row, nums)) < bi * den for row, bi in zip(a, b)):
+                     witness: Witness) -> Witness:
+    # Exactness guard: a x >= b iff a . nums >= b * den, as den > 0.  A
+    # failure means a bug, not bad input.
+    den, nums = witness
+    if den <= 0 or any(sum(map(mul, row, nums)) < bi * den for row, bi in zip(a, b)):
         raise ArithmeticError("simplex produced an invalid witness")
     if any(v < 0 for v in nums):
         raise ArithmeticError("simplex produced a negative witness entry")
@@ -217,23 +190,29 @@ def _checked_witness(a: Tuple[Tuple[int, ...], ...], b: Sequence[int],
 
 
 class Cone:
-    """A final feasible basis B: it solves every b' with B^-1 b' >= 0."""
+    """The final basis B of one solve: it solves every b' with B^-1 b' >= 0.
 
-    def __init__(self, problem: FeasibilityProblem, basis: list, rows: list) -> None:
+    ``admit(b')`` answers such a b' in zero pivots, with a witness that
+    passes the same guard as a solved one; ``feasible(problem, b',
+    start=cone)`` solves any other b' from B instead of from scratch.
+    """
+
+    def __init__(self, problem: FeasibilityProblem, basis: List[int],
+                 rows: List[List[int]]) -> None:
         self.problem, self.basis = problem, basis
         self._rows, self._scan = rows, None  # sliced on the first admit
 
-    def admit(self, b: Sequence[int]) -> Optional[List[Fraction]]:
-        """A witness of ``problem.a x >= b`` on B, or None; b is unchecked."""
+    def admit(self, b: Sequence[int]) -> Optional[Witness]:
+        """A witness ``(den, nums)`` of ``problem.a x >= b`` on B, or None;
+        b is unchecked."""
         n = self.problem.num_vars
         if self._scan is None:
-            self._scan = [(row[n:n + len(self._rows)], row[col], col)
+            self._scan = [(row[n:-1], row[col], col)
                           for row, col in zip(self._rows, self.basis)]
-        witness = [Fraction(0)] * n
+        basic = []
         for surplus, scale, col in self._scan:
             v = sum(map(mul, surplus, b))
             if v > 0:
                 return None
-            if col < n:
-                witness[col] = Fraction(-v, scale)
-        return _checked_witness(self.problem.a, b, witness)
+            basic.append((-v, scale, col))
+        return _checked_witness(self.problem.a, b, _witness(n, basic))

@@ -269,11 +269,11 @@ def test_criterion_08_rational_feasibility_vs_elimination():
             assert ok == fm_feasible(a, b), (a, b)
             if ok:
                 feasible_seen += 1
-                assert witness is not None
-                assert all(x >= 0 for x in witness)
+                den, nums = witness  # x_j = nums[j] / den
+                assert den > 0 and all(x >= 0 for x in nums)
                 for row, bound in zip(a, b):
-                    lhs = sum(c * x for c, x in zip(row, witness))
-                    assert lhs >= bound, (a, b, witness)
+                    lhs = sum(c * x for c, x in zip(row, nums))
+                    assert lhs >= bound * den, (a, b, witness)
             agreements += 1
         assert agreements >= 10_000
         assert 0 < feasible_seen < agreements

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import coverlib.ingest
 from coverlib import (
     Marking,
     ParseError,
@@ -325,6 +326,37 @@ def test_mist_target_lines_and_commas():
     )
     p = parse_mist(text)
     assert p.targets == (Marking((1, 2)), Marking((0, 5)))
+
+
+class _CountedPattern:
+    """A compiled pattern whose every method call counts as one scan."""
+
+    def __init__(self, pattern):
+        self.pattern, self.scans = pattern, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.pattern, name)
+
+        def counted(*args, **kwargs):
+            self.scans += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_mist_targets_need_no_second_scan(monkeypatch):
+    """The target lines are cut at the tokens the one whole-text scan
+    found; no line is run through the pattern again."""
+    counted = _CountedPattern(coverlib.ingest._MIST_TOKEN)
+    monkeypatch.setattr(coverlib.ingest, "_MIST_TOKEN", counted)
+    text = (
+        "vars\n x y\n"
+        "rules\n -> x' = x;\n"
+        "init\n x = 0\n"
+        "target\n x >= 1, y >= 2\n\n  y   >= 5  \n x >= 3,\ty >= 1\n"
+    )
+    p = parse_mist(text)
+    assert counted.scans == 1
+    assert p.targets == (Marking((1, 2)), Marking((0, 5)), Marking((3, 1)))
 
 
 def test_mist_transition_names_avoid_variables():

@@ -8,6 +8,7 @@ tests use hand-worked values on the desk nets.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -263,26 +264,28 @@ def _explains(net, rows, m, lam):
 
 def test_cached_answers_equal_a_fresh_lp(monkeypatch):
     """Every state query of every acceptance-corpus search, under state and
-    sign,state, is asked again of a fresh LP.  The handle's answers, from
-    a cached cut, top or cone or its own LP, must equal the fresh LP's,
-    its witnesses must re-substitute, the same queries in shuffled order
-    on a fresh handle must get the same answers, and each of the three
-    caches must save LP solves.  Each handle passes its one
-    FeasibilityProblem, with a column per transition, to every LP it
-    solves, and keeps no final basis twice."""
+    sign,state, is asked again of a cold LP, with no start.  The handle's
+    answers, from a cached cut, top or cone or its own warm-started LP,
+    must equal the cold LP's, its witnesses must re-substitute, the same
+    queries in shuffled order on a fresh handle must get the same
+    answers, and each of the three caches must save LP solves.  Each
+    handle passes its one FeasibilityProblem, with a column per
+    transition, to every LP it solves, and keeps no final basis twice."""
     solves = {True: 0, False: 0}
+    warm = [0]
     lp = coverlib.invariants.feasible
     admit = coverlib.ratlp.Cone.admit
     cone_admitted = [0]
-    asking = []  # the handle whose explain is running
+    asking = []  # the handle whose query is running
     systems = {}  # handle -> the FeasibilityProblem of its first LP
 
-    def counted(problem, b):
+    def counted(problem, b, start=None):
         handle = asking[-1]
         assert systems.setdefault(handle, problem) is problem
         assert problem.num_vars == len(handle.net.transitions)
-        result = lp(problem, b)
+        result = lp(problem, b, start=start)
         solves[result[0]] += 1
+        warm[0] += start is not None
         return result
 
     def admitting(cone, b):
@@ -291,18 +294,19 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
         return lam
 
     asked = []
-    explain = StateInvariant.explain
+    answer = StateInvariant._lam
 
     def recorded(self, m):
         asking.append(self)
-        lam = explain(self, m)
+        lam = answer(self, m)
         asking.pop()
-        asked.append((m, lam))
+        asked.append((m, None if lam is None else
+                      [Fraction(v, lam[0]) for v in lam[1]]))
         return lam
 
     monkeypatch.setattr(coverlib.invariants, "feasible", counted)
     monkeypatch.setattr(coverlib.ratlp.Cone, "admit", admitting)
-    monkeypatch.setattr(StateInvariant, "explain", recorded)
+    monkeypatch.setattr(StateInvariant, "_lam", recorded)
     rng = random.Random(36)
     queries = rejected = lp_admitted = lp_rejected = by_cone = 0
     for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
@@ -337,6 +341,7 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
     assert 0 < rejected < queries
     assert lp_rejected < rejected
     assert 0 < by_cone
+    assert 0 < warm[0] < solves[True] + solves[False]
     assert lp_admitted + by_cone < queries - rejected
     assert systems
     for handle in systems:

@@ -11,34 +11,53 @@ from coverlib import FeasibilityProblem, feasible
 from fourier_motzkin import fm_feasible
 
 
+def rational(witness):
+    """A witness ``(den, nums)`` as the rationals nums[j] / den."""
+    den, nums = witness
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for v in nums)
+    return [Fraction(v, den) for v in nums]
+
+
 def assert_solves(a, b, witness):
     """Independent re-substitution, not trusting the solver's own guard."""
-    assert len(witness) == (len(a[0]) if a else 0)
-    assert all(x >= 0 for x in witness)
+    x = rational(witness)
+    assert len(x) == (len(a[0]) if a else 0)
+    assert all(v >= 0 for v in x)
     for row, bound in zip(a, b):
-        assert sum(c * x for c, x in zip(row, witness)) >= bound
+        assert sum(c * v for c, v in zip(row, x)) >= bound
 
 
-def solved(a, b):
+def assert_refutes(a, b, y):
+    """Independent check of a Farkas vector y: y >= 0 and y a <= 0 column
+    by column, yet y b > 0, so no x >= 0 meets a x >= b."""
+    assert len(y) == len(b)
+    assert all(isinstance(v, int) and v >= 0 for v in y)
+    for j in range(len(a[0]) if a else 0):
+        assert sum(v * row[j] for v, row in zip(y, a)) <= 0
+    assert sum(v * bound for v, bound in zip(y, b)) > 0
+
+
+def solved(a, b, problem=None, start=None):
     """``feasible(a, b)`` checked part by part: ``(ok, cone)``."""
-    ok, witness, cone = feasible(FeasibilityProblem(a), b)
+    if problem is None:
+        problem = FeasibilityProblem(a)
+    ok, evidence, cone = feasible(problem, b, start=start)
+    if cone is not None:
+        # a basis of distinct stored columns (x, then one surplus per row)
+        n, m = (len(a[0]) if a else 0), len(b)
+        assert len(set(cone.basis)) == m and all(0 <= c < n + m for c in cone.basis)
+        assert cone.problem is problem
     if ok:
-        assert_solves(a, b, witness)
+        assert_solves(a, b, evidence)
         if cone is not None:
-            # no artificial column (numbered from n + m up) stayed basic,
-            # and the final basis solves its own b
-            assert all(col < len(witness) + len(b) for col in cone.basis)
+            # the final basis solves its own b
             assert_solves(a, b, cone.admit(b))
     else:
-        assert cone is None
-        # independent check of the Farkas vector y: y >= 0 and y a <= 0
-        # column by column, yet y b > 0, so no x >= 0 meets a x >= b
-        y = witness
-        assert len(y) == len(b)
-        assert all(isinstance(v, int) and v >= 0 for v in y)
-        for j in range(len(a[0]) if a else 0):
-            assert sum(v * row[j] for v, row in zip(y, a)) <= 0
-        assert sum(v * bound for v, bound in zip(y, b)) > 0
+        # every infeasible answer comes off a tableau, which ends on a
+        # basis that cannot solve b
+        assert cone is not None and cone.admit(b) is None
+        assert_refutes(a, b, evidence)
     return ok, cone
 
 
@@ -62,39 +81,52 @@ def check_cone(a, cone, others):
 
 def test_empty_system_is_feasible():
     ok, witness, cone = feasible(FeasibilityProblem(()), ())
-    assert ok and witness == [] and cone is None
+    assert ok and witness == (1, []) and cone is None
 
 
 def test_nonpositive_bounds_short_circuit():
     # no tableau is built, so there is no final basis to hand back
     ok, witness, cone = feasible(FeasibilityProblem(((1, -2), (-3, 0))), (0, -5))
-    assert ok and witness == [0, 0] and cone is None
+    assert ok and witness == (1, [0, 0]) and cone is None
 
 
-def test_no_cone_while_an_artificial_stays_basic():
-    # 2x >= 1 and 2x <= 1: x enters on a tie of ratios, Bland's rule
-    # makes the second row's surplus leave, and the first row's artificial
-    # stays basic at level zero, so the final basis is no basis of a x >= b
+def test_squeezed_system_ends_on_a_cone():
+    # 2x >= 1 and 2x <= 1: x replaces the first surplus, and the second
+    # surplus stays basic at level zero.  No artificial column exists, so
+    # that basis is kept: it solves (1, -1) with x = 1/2 and refuses
+    # (2, -1), which no x meets
     ok, witness, cone = feasible(FeasibilityProblem(((2,), (-2,))), (1, -1))
-    assert ok and witness == [Fraction(1, 2)] and cone is None
+    assert ok and rational(witness) == [Fraction(1, 2)] and cone is not None
+    assert rational(cone.admit((1, -1))) == [Fraction(1, 2)]
+    assert cone.admit((2, -1)) is None
 
 
 def test_cone_admits_the_bounds_its_basis_solves():
     # x >= 1 and y >= 2 end on the basis {x, y}: it solves every b' >= 0,
     # with the witness b' itself, and no b' with a negative entry
     ok, witness, cone = feasible(FeasibilityProblem(((1, 0), (0, 1))), (1, 2))
-    assert ok and witness == [1, 2] and sorted(cone.basis) == [0, 1]
-    assert cone.admit((5, 3)) == [5, 3]
-    assert cone.admit((0, 0)) == [0, 0]
+    assert ok and witness == (1, [1, 2]) and sorted(cone.basis) == [0, 1]
+    assert cone.admit((5, 3)) == (1, [5, 3])
+    assert cone.admit((0, 0)) == (1, [0, 0])
     assert cone.admit((5, -1)) is None
+
+
+def skew_by_a_hair(monkeypatch):
+    """Make the simplex form every witness 10**-30 short, entry by entry:
+    (den * 10**30, nums * 10**30 - den) is x - 10**-30."""
+    form = coverlib.ratlp._witness
+
+    def skewed(n, basic):
+        den, nums = form(n, basic)
+        return den * 10**30, [v * 10**30 - den for v in nums]
+
+    monkeypatch.setattr(coverlib.ratlp, "_witness", skewed)
 
 
 def test_exactness_guard_rejects_a_witness_off_by_a_hair(monkeypatch):
     """The guard re-substitutes exactly: a witness 10**-30 too small is
     caught, although a float re-substitution would round it away."""
-    hair = Fraction(1, 10**30)
-    monkeypatch.setattr(coverlib.ratlp, "Fraction",
-                        lambda *args: Fraction(*args) - hair)
+    skew_by_a_hair(monkeypatch)
     # squeezed to the single point 1/2, so 1/2 - hair violates 2x >= 1
     with pytest.raises(ArithmeticError, match="invalid witness"):
         feasible(FeasibilityProblem(((2,), (-2,))), (1, -1))
@@ -105,14 +137,12 @@ def test_exactness_guard_rejects_a_witness_off_by_a_hair(monkeypatch):
 
 def test_exactness_guard_rejects_a_cone_witness_off_by_a_hair(monkeypatch):
     """A cone's witness goes through the same guard as a solved one."""
-    hair = Fraction(1, 10**30)
     # 2x >= 1 and 2x <= 3 end with x basic at 1/2, tight on the first row
     tight = feasible(FeasibilityProblem(((2,), (-2,))), (1, -3))[2]
     skew = feasible(FeasibilityProblem(((1, -1),)), (1,))[2]
-    assert tight.admit((1, -3)) == [Fraction(1, 2)]
-    assert skew.admit((1,)) == [1, 0]
-    monkeypatch.setattr(coverlib.ratlp, "Fraction",
-                        lambda *args: Fraction(*args) - hair)
+    assert rational(tight.admit((1, -3))) == [Fraction(1, 2)]
+    assert rational(skew.admit((1,))) == [1, 0]
+    skew_by_a_hair(monkeypatch)
     with pytest.raises(ArithmeticError, match="invalid witness"):
         tight.admit((1, -3))
     with pytest.raises(ArithmeticError, match="negative witness"):
@@ -126,11 +156,11 @@ def test_farkas_guard_rejects_a_vector_off_by_one(monkeypatch):
     # and y b = 1.  Each skew breaks one of the three conditions: y a <= 0
     # (entry 0 up), y b > 0 (entry 1 up) or y >= 0 (entry 2 down).
     problem = FeasibilityProblem(((1,), (-1,), (0,)))
-    assert feasible(problem, (2, -1, -5)) == (False, [1, 1, 0], None)
+    assert feasible(problem, (2, -1, -5))[:2] == (False, [1, 1, 0])
     extract = coverlib.ratlp._farkas
     for entry, delta in ((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1)):
-        def skewed(obj, n, m, entry=entry, delta=delta):
-            y = extract(obj, n, m)
+        def skewed(row, n, m, entry=entry, delta=delta):
+            y = extract(row, n, m)
             y[entry] += delta
             return y
         monkeypatch.setattr(coverlib.ratlp, "_farkas", skewed)
@@ -147,7 +177,7 @@ def test_single_variable_bounds():
 
 def test_fractional_vertex_is_exact():
     ok, witness, _ = feasible(FeasibilityProblem(((2,), (-2,))), (1, -1))
-    assert ok and witness == [Fraction(1, 2)]
+    assert ok and rational(witness) == [Fraction(1, 2)]
 
 
 def test_zero_row_with_positive_bound():
@@ -199,6 +229,64 @@ def test_bounds_validation():
     for b in ((0, 0), (), (0.5,), (Fraction(1),), (True,), (False,)):
         with pytest.raises(ValueError):
             feasible(problem, b)
+
+
+def test_bland_rule_ends_a_degenerate_cycle(monkeypatch):
+    """Every pivot of the dual simplex is degenerate (no objective), so
+    the leaving rule must prevent cycling.  On this system, letting the
+    first infeasible row in row order leave, or the most negative one,
+    each with the smallest negative column entering, returns to a basis
+    after 9 pivots and repeats forever.  Leaving by the smallest basic
+    label ends after 4.  A cycle fails the test instead of hanging it."""
+    a = [(1, 3, 3, 1, -3), (0, -2, -2, -1, -2), (-1, -2, -3, 3, 0),
+         (3, 3, 2, 2, -2), (2, 0, 1, 2, 3), (2, -2, 0, 0, 2)]
+    b = [-1, 0, -1, 1, 1, 0]
+    pivots = []
+    pivot = coverlib.ratlp._pivot
+
+    def counted(rows, r, c):
+        pivots.append(c)
+        if len(pivots) > 50:
+            raise AssertionError("the simplex cycles")
+        pivot(rows, r, c)
+
+    monkeypatch.setattr(coverlib.ratlp, "_pivot", counted)
+    assert solved(a, b)[0] and fm_feasible(a, b)
+    assert len(pivots) == 4
+
+
+def test_start_from_another_problem_is_refused():
+    # an equal matrix in another problem is still another problem, and
+    # the check comes before the all-b <= 0 shortcut
+    a = ((1, -1), (0, 1))
+    start = feasible(FeasibilityProblem(a), (1, 1))[2]
+    for b in ((1, 1), (0, 0)):
+        with pytest.raises(ValueError, match="another problem"):
+            feasible(FeasibilityProblem(a), b, start=start)
+
+
+def test_warm_started_chains_agree_with_elimination():
+    """Chains of bounds on one problem, each solved warm from the final
+    basis of the solve before it, whether that one was feasible or not."""
+    rng = random.Random(1954)
+    after = {True: 0, False: 0}  # warm starts, by the outcome they follow
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 5)
+        a = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m)]
+        problem = FeasibilityProblem(a)
+        start, last = None, None
+        for _ in range(6):
+            b = [rng.randint(-4, 4) for _ in range(m)]
+            ok, cone = solved(a, b, problem, start)
+            assert ok == fm_feasible(a, b), (a, b)
+            if start is not None:
+                after[last] += 1
+                outcomes[ok] += 1
+            if cone is not None:
+                start, last = cone, ok
+    assert min(after.values()) > 200 and min(outcomes.values()) > 200
 
 
 def test_agrees_with_elimination_oracle():
