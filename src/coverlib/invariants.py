@@ -11,14 +11,14 @@ conjunctions:
 * state: a marking is admitted when the token-flow balance equations,
   relaxed to non-negative rational firing counts, can explain it from
   the initial marking.  Each handle validates the displacement matrix
-  D once and reuses its own exact LP answers as cuts, tops and cones
-  (see ``StateInvariant``); only a query none answers solves a new LP.
+  D once and reuses its own exact LP answers as tops and kept simplex
+  bases (see ``StateInvariant``); only a query none answers solves an LP.
 
 Every invariant contains all reachable markings and is closed downward,
 so it is sound for pruning a backward coverability search.  Handles are
 built once per net; ``member`` is cheap to call repeatedly.  Each
 trivial, sign and state handle counts its queries for statistics,
-whether a cached cut, top or cone or a new LP answered them.
+whether a kept top or basis or a new LP answered them.
 """
 
 from __future__ import annotations
@@ -144,26 +144,21 @@ class StateInvariant(Invariant):
     column t of D is the displacement of transition t.  D is validated
     once per handle, as ``system``; an LP passes only m - initial.
 
-    Each handle keeps the evidence of its own LP answers and reuses it,
-    in the manner of a lazily built cutting-plane method (Kelley, 1960):
+    Each handle reuses its own LP answers, in the manner of a lazily
+    built cutting-plane method (Kelley, 1960).  A query scans:
 
-    * cuts: a rejected query's Farkas vector y has y >= 0 and y D <= 0,
-      so y . (initial + D lam) <= y . initial for every lam >= 0, and a
-      later m with y . m > y . initial is rejected too;
     * tops: an admitted query's witness lam also admits every later m
-      with m <= initial + D lam.  Markings are integral, so m is compared
-      with the floor of that top, computed in integers over lam's
-      denominator the first time a later query scans it;
-    * cones: an admitted query's final simplex basis (``ratlp.Cone``)
-      admits every later m with m - initial in its cone, by a lam that
-      passes the LP's exactness guard and is kept as a top.
+      with m <= initial + D lam.  m is integral, so it is compared with
+      the floor of that top, computed in integers when first scanned;
+    * bases: the final simplex basis (``ratlp.Cone``) of every solve,
+      feasible or not, in solve order.  One decides each later m whose
+      m - initial it settles without a pivot: by a lam, kept as a top,
+      or by a Farkas vector y >= 0 with y D <= 0 and y . m > y . initial.
 
-    A query scans the cuts, tops, then cones and solves an LP only when
-    none answers it, so no kept basis recurs.  That LP's dual simplex
-    starts warm from the final basis of the handle's previous solve,
-    whatever its outcome, since consecutive queries of one search tend
-    to differ in few places.  Cached answers equal a cold LP's.
-    Witnesses stay ``(den, nums)`` integers throughout; only ``explain``
+    Only a query none answers solves an LP, so no basis is kept twice;
+    it starts warm from the newest basis, as consecutive queries of one
+    search tend to differ in few places.  Cached answers equal a cold
+    LP's.  Witnesses stay ``(den, nums)`` integers; only ``explain``
     turns one into ``Fraction``s, for its caller.
     """
 
@@ -176,10 +171,8 @@ class StateInvariant(Invariant):
             tuple([net.post[t][p] - net.pre[t][p] for t in range(nt)])
             for p in range(len(net.places))
         ]))
-        self._cuts: List[Tuple[List[int], int]] = []  # (y, y . initial)
         self._tops: List[list] = []  # [floor top or None until scanned, lam]
-        self._cones: List[Cone] = []
-        self._last: Optional[Cone] = None  # final basis of the latest solve
+        self._bases: List[Cone] = []
 
     def member(self, m: Marking) -> bool:
         self.queries += 1
@@ -200,30 +193,25 @@ class StateInvariant(Invariant):
     def _lam(self, m: Marking) -> Optional[Witness]:
         """``explain``'s witness as ``(den, nums)``, lam_t = nums[t] / den."""
         m = self.net._check_marking(m)
-        for y, bound in self._cuts:
-            if sum(map(mul, y, m)) > bound:
-                return None
         for entry in self._tops:
             top = entry[0]
             if top is None:
                 top = entry[0] = self._floor_top(*entry[1])
             if all(map(le, m, top)):
                 return entry[1]
-        initial = self.net.initial
-        b = list(map(sub, m, initial))
-        for cone in self._cones:
-            evidence = cone.admit(b)
-            if evidence is not None:
+        b = list(map(sub, m, self.net.initial))
+        for basis in self._bases:
+            answer = basis.decide(b)
+            if answer is not None:
                 break
         else:
-            ok, evidence, cone = feasible(self.system, b, start=self._last)
-            if cone is not None:
-                self._last = cone
-            if not ok:
-                self._cuts.append((evidence, sum(map(mul, evidence, initial))))
-                return None
-            if cone is not None:
-                self._cones.append(cone)
+            *answer, basis = feasible(self.system, b,
+                                      start=self._bases[-1] if self._bases else None)
+            if basis is not None:
+                self._bases.append(basis)
+        admitted, evidence = answer
+        if not admitted:
+            return None
         self._tops.append([None, evidence])
         return evidence
 

@@ -20,9 +20,10 @@ by the gcd of its entries; every scale stays positive, so the signs read
 off the integer rows are the rational ones.
 
 Every solve ends on a basis of stored columns, feasible or not, and
-returns it as a ``Cone``.  A solve starts cold from the all-surplus basis
-or warm from such a cone, whose rows only need their right-hand sides
-recomputed for the new b.  Both answers carry evidence in integers,
+returns it as a ``Cone``: it decides a later b in zero pivots when its
+rows settle it, else a solve may start from it, warm, instead of from
+the all-surplus basis.  Either way only the right-hand sides are
+recomputed for the new b.  Every answer carries integer evidence,
 checked before it is returned; a failed check raises ``ArithmeticError``.
 No floating point or rational type is used:
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Witness = Tuple[int, List[int]]  # (den, nums): x_j = nums[j] / den, den > 0
 
@@ -119,7 +120,7 @@ def feasible(
     column j and ``y . b > 0``, a Farkas certificate of infeasibility.
     Either is re-checked exactly; ``ArithmeticError`` means the simplex
     went wrong, never that the input was bad (bad bounds raise
-    ``ValueError``).  ``cone`` is the final basis; it answers other
+    ``ValueError``).  ``cone`` is the final basis; it decides other
     bounds without a solve and warm-starts a later one when passed as
     ``start``, which must come from a solve of this same ``problem``.
     It is None when no tableau was needed (every b_i <= 0).
@@ -145,11 +146,8 @@ def feasible(
             rows.append(row)
     else:
         basis = list(start.basis)
-        rows = []
-        for kept in start._rows:
-            row = kept[:total]
-            row.append(-sum(map(mul, row[n:], b)))
-            rows.append(row)
+        rows = [kept[:total] + [-sum(map(mul, kept[n:total], b))]
+                for kept in start._rows]
 
     while True:
         leave = None
@@ -161,13 +159,7 @@ def feasible(
         row = rows[leave]
         enter = next((j for j in range(total) if row[j] < 0), None)
         if enter is None:
-            # Exactness guard, as for a witness: a failure means a bug,
-            # not an infeasible system.
-            y = _farkas(row, n, m)
-            if (any(v < 0 for v in y)
-                    or any(sum(map(mul, col, y)) > 0 for col in zip(*a))
-                    or sum(map(mul, b, y)) <= 0):
-                raise ArithmeticError("simplex produced an invalid Farkas vector")
+            y = _checked_farkas(a, b, _farkas(row, n, m))
             return False, y, Cone(problem, basis, rows)
         _pivot(rows, leave, enter)
         basis[leave] = enter
@@ -189,30 +181,49 @@ def _checked_witness(a: Tuple[Tuple[int, ...], ...], b: Sequence[int],
     return witness
 
 
-class Cone:
-    """The final basis B of one solve: it solves every b' with B^-1 b' >= 0.
+def _checked_farkas(a: Tuple[Tuple[int, ...], ...], b: Sequence[int],
+                    y: List[int], signs_known: bool = False) -> List[int]:
+    # Exactness guard, as for a witness.  y >= 0 and y a <= 0 do not
+    # depend on b, so a kept row checks them once; y . b > 0 every time.
+    if (not signs_known and (any(v < 0 for v in y) or
+                             any(sum(map(mul, col, y)) > 0 for col in zip(*a)))
+            or sum(map(mul, b, y)) <= 0):
+        raise ArithmeticError("simplex produced an invalid Farkas vector")
+    return y
 
-    ``admit(b')`` answers such a b' in zero pivots, with a witness that
-    passes the same guard as a solved one; ``feasible(problem, b',
-    start=cone)`` solves any other b' from B instead of from scratch.
+
+class Cone:
+    """The final basis B of one solve; ``decide`` answers each b' it settles.
+
+    B solves b' when every row's right-hand side is >= 0, and a row with
+    no negative entry refutes b' when its own is negative.
     """
 
     def __init__(self, problem: FeasibilityProblem, basis: List[int],
                  rows: List[List[int]]) -> None:
         self.problem, self.basis = problem, basis
-        self._rows, self._scan = rows, None  # sliced on the first admit
+        self._rows, self._scan = rows, None  # sliced on the first decide
+        self._ys: Dict[int, List[int]] = {}  # refuting row -> checked y
 
-    def admit(self, b: Sequence[int]) -> Optional[Witness]:
-        """A witness ``(den, nums)`` of ``problem.a x >= b`` on B, or None;
-        b is unchecked."""
-        n = self.problem.num_vars
+    def decide(self, b: Sequence[int]) -> Optional[Tuple[bool, Union[Witness, List[int]]]]:
+        """``(True, (den, nums))`` or ``(False, y)`` as ``feasible``
+        returns them, or None when B settles neither; b is unchecked."""
+        a, n = self.problem.a, self.problem.num_vars
         if self._scan is None:
-            self._scan = [(row[n:-1], row[col], col)
-                          for row, col in zip(self._rows, self.basis)]
+            # Rows with no negative entry (they can refute b) first, as None skips the rest.
+            self._scan = sorted(
+                [(row[n:-1], row[col], col, None if min(row[:-1]) < 0 else r)
+                 for r, (row, col) in enumerate(zip(self._rows, self.basis))],
+                key=lambda entry: entry[3] is None)
         basic = []
-        for surplus, scale, col in self._scan:
+        for surplus, scale, col, r in self._scan:
             v = sum(map(mul, surplus, b))
-            if v > 0:
+            if v <= 0:
+                basic.append((-v, scale, col))
+            elif r is None:
                 return None
-            basic.append((-v, scale, col))
-        return _checked_witness(self.problem.a, b, _witness(n, basic))
+            else:
+                if r not in self._ys:
+                    self._ys[r] = _checked_farkas(a, b, _farkas(self._rows[r], n, len(a)))
+                return False, _checked_farkas(a, b, self._ys[r], signs_known=True)
+        return True, _checked_witness(a, b, _witness(n, basic))

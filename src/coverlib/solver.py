@@ -37,9 +37,11 @@ measured here.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .invariants import Invariant, TrivialInvariant
@@ -79,10 +81,10 @@ class SolveResult:
     """What one search found and what it cost.
 
     ``lp_calls`` counts the token-flow queries the search made, not
-    simplex solves: a query that the state invariant answers from a cut,
-    top or basis it learned earlier counts the same as one it solves, so
-    the count does not depend on that cache.  ``sign_checks`` counts the
-    sign-analysis queries.  ``bases`` and ``backlinks`` are kept only
+    simplex solves: a query that the state invariant answers from a top
+    or a simplex basis it kept earlier counts the same as one it solves,
+    so the count does not depend on those caches.  ``sign_checks``
+    counts the sign-analysis queries.  ``bases`` and ``backlinks`` are kept only
     with ``record_bases``.
     """
 
@@ -161,8 +163,16 @@ def solve(
     terminates.  Without ``invariant`` nothing is pruned: that is the
     classical backward search.  ``record_bases`` keeps per-round basis
     snapshots and the predecessor links on the result, for inspection and
-    testing.
+    testing.  A ``budget_steps`` that is not an ``int`` >= 0 (``bool``
+    included) or a ``deadline`` that is not a real number, or is NaN,
+    raises ``ValueError``.
     """
+    if budget_steps is not None and (type(budget_steps) is not int
+                                     or budget_steps < 0):
+        raise ValueError(f"budget_steps must be an integer >= 0, got {budget_steps!r}")
+    if deadline is not None and (not isinstance(deadline, Real)
+                                 or isinstance(deadline, bool) or math.isnan(deadline)):
+        raise ValueError(f"deadline must be a monotonic timestamp, got {deadline!r}")
     target = net.marking(target)
     if invariant is None:
         invariant = TrivialInvariant(net)

@@ -265,17 +265,18 @@ def _explains(net, rows, m, lam):
 def test_cached_answers_equal_a_fresh_lp(monkeypatch):
     """Every state query of every acceptance-corpus search, under state and
     sign,state, is asked again of a cold LP, with no start.  The handle's
-    answers, from a cached cut, top or cone or its own warm-started LP,
-    must equal the cold LP's, its witnesses must re-substitute, the same
+    answers, from a kept top or basis or its own warm-started LP, must
+    equal the cold LP's, its witnesses must re-substitute, the same
     queries in shuffled order on a fresh handle must get the same
-    answers, and each of the three caches must save LP solves.  Each
-    handle passes its one FeasibilityProblem, with a column per
-    transition, to every LP it solves, and keeps no final basis twice."""
+    answers, tops must save LP solves, and kept bases must save both
+    admitting and rejecting ones.  Each handle passes its one
+    FeasibilityProblem, with a column per transition, to every LP it
+    solves, and keeps no final basis twice."""
     solves = {True: 0, False: 0}
     warm = [0]
     lp = coverlib.invariants.feasible
-    admit = coverlib.ratlp.Cone.admit
-    cone_admitted = [0]
+    decide = coverlib.ratlp.Cone.decide
+    kept = {True: 0, False: 0}  # kept-basis answers, by outcome
     asking = []  # the handle whose query is running
     systems = {}  # handle -> the FeasibilityProblem of its first LP
 
@@ -288,10 +289,11 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
         warm[0] += start is not None
         return result
 
-    def admitting(cone, b):
-        lam = admit(cone, b)
-        cone_admitted[0] += lam is not None
-        return lam
+    def deciding(cone, b):
+        answer = decide(cone, b)
+        if answer is not None:
+            kept[answer[0]] += 1
+        return answer
 
     asked = []
     answer = StateInvariant._lam
@@ -305,22 +307,22 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
         return lam
 
     monkeypatch.setattr(coverlib.invariants, "feasible", counted)
-    monkeypatch.setattr(coverlib.ratlp.Cone, "admit", admitting)
+    monkeypatch.setattr(coverlib.ratlp.Cone, "decide", deciding)
     monkeypatch.setattr(StateInvariant, "_lam", recorded)
     rng = random.Random(36)
-    queries = rejected = lp_admitted = lp_rejected = by_cone = 0
+    queries = rejected = lp_admitted = lp_rejected = kept_admitted = kept_rejected = 0
     for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
         rows = tuple(tuple(post[p] - pre[p] for pre, post in zip(net.pre, net.post))
                      for p in range(len(net.places)))
         system = FeasibilityProblem(rows)
         for names in (("state",), ("sign", "state")):
             del asked[:]
-            before = dict(solves)
-            from_cones = cone_admitted[0]
+            before, kept_before = dict(solves), dict(kept)
             solve(net, target, make_invariant(net, names), budget_steps=500)
             lp_admitted += solves[True] - before[True]
             lp_rejected += solves[False] - before[False]
-            by_cone += cone_admitted[0] - from_cones
+            kept_admitted += kept[True] - kept_before[True]
+            kept_rejected += kept[False] - kept_before[False]
             sequence = list(asked)
             queries += len(sequence)
             for m, lam in sequence:
@@ -335,15 +337,16 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
                 again = fresh.explain(m)
                 assert (again is None) == (lam is None), (name, names, m)
                 assert again is None or _explains(net, rows, m, again)
-    # Both answers occur, and all three caches hit: some rejections came
-    # from a cut, some admissions from a cone and some from a top, not
-    # from the handle's own LP.
+    # Both answers occur, and both caches hit: some rejections and some
+    # admissions came from a kept basis and some admissions from a top,
+    # not from the handle's own LP.  Only a basis or an LP rejects.
     assert 0 < rejected < queries
     assert lp_rejected < rejected
-    assert 0 < by_cone
+    assert lp_rejected + kept_rejected == rejected
+    assert 0 < kept_admitted and 0 < kept_rejected
     assert 0 < warm[0] < solves[True] + solves[False]
-    assert lp_admitted + by_cone < queries - rejected
+    assert lp_admitted + kept_admitted < queries - rejected
     assert systems
     for handle in systems:
-        bases = [frozenset(cone.basis) for cone in handle._cones]
+        bases = [frozenset(cone.basis) for cone in handle._bases]
         assert len(set(bases)) == len(bases)

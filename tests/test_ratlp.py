@@ -52,12 +52,17 @@ def solved(a, b, problem=None, start=None):
         assert_solves(a, b, evidence)
         if cone is not None:
             # the final basis solves its own b
-            assert_solves(a, b, cone.admit(b))
+            admitted, witness = cone.decide(b)
+            assert admitted
+            assert_solves(a, b, witness)
     else:
         # every infeasible answer comes off a tableau, which ends on a
-        # basis that cannot solve b
-        assert cone is not None and cone.admit(b) is None
+        # basis that refutes its own b
         assert_refutes(a, b, evidence)
+        assert cone is not None
+        admitted, y = cone.decide(b)
+        assert not admitted
+        assert_refutes(a, b, y)
     return ok, cone
 
 
@@ -66,17 +71,23 @@ def check(a, b):
 
 
 def check_cone(a, cone, others):
-    """Every bound vector in ``others`` that ``cone`` admits is feasible by
-    elimination, and the cone's witness for it re-substitutes.  Returns
-    how many it admitted."""
-    admitted = 0
+    """Every bound vector in ``others`` that ``cone`` decides gets the
+    answer elimination gives, and the cone's witness re-substitutes or its
+    Farkas vector refutes.  Returns how many it admitted and refuted."""
+    admitted = refuted = 0
     for b in others:
-        witness = cone.admit(b)
-        if witness is not None:
-            assert fm_feasible(a, b), (a, b)
-            assert_solves(a, b, witness)
+        answer = cone.decide(b)
+        if answer is None:
+            continue
+        ok, evidence = answer
+        assert ok == fm_feasible(a, b), (a, b)
+        if ok:
+            assert_solves(a, b, evidence)
             admitted += 1
-    return admitted
+        else:
+            assert_refutes(a, b, evidence)
+            refuted += 1
+    return admitted, refuted
 
 
 def test_empty_system_is_feasible():
@@ -93,22 +104,39 @@ def test_nonpositive_bounds_short_circuit():
 def test_squeezed_system_ends_on_a_cone():
     # 2x >= 1 and 2x <= 1: x replaces the first surplus, and the second
     # surplus stays basic at level zero.  No artificial column exists, so
-    # that basis is kept: it solves (1, -1) with x = 1/2 and refuses
-    # (2, -1), which no x meets
+    # that basis is kept: it solves (1, -1) with x = 1/2 and refutes
+    # (2, -1), which no x meets, by its second row's y = (1, 1)
     ok, witness, cone = feasible(FeasibilityProblem(((2,), (-2,))), (1, -1))
     assert ok and rational(witness) == [Fraction(1, 2)] and cone is not None
-    assert rational(cone.admit((1, -1))) == [Fraction(1, 2)]
-    assert cone.admit((2, -1)) is None
+    assert cone.decide((1, -1))[0]
+    assert rational(cone.decide((1, -1))[1]) == [Fraction(1, 2)]
+    assert cone.decide((2, -1)) == (False, [1, 1])
 
 
-def test_cone_admits_the_bounds_its_basis_solves():
+def test_cone_decides_the_bounds_its_basis_solves():
     # x >= 1 and y >= 2 end on the basis {x, y}: it solves every b' >= 0,
-    # with the witness b' itself, and no b' with a negative entry
+    # with the witness b' itself, and no b' with a negative entry; each
+    # row has a negative entry, so it refutes none either
     ok, witness, cone = feasible(FeasibilityProblem(((1, 0), (0, 1))), (1, 2))
     assert ok and witness == (1, [1, 2]) and sorted(cone.basis) == [0, 1]
-    assert cone.admit((5, 3)) == (1, [5, 3])
-    assert cone.admit((0, 0)) == (1, [0, 0])
-    assert cone.admit((5, -1)) is None
+    assert cone.decide((5, 3)) == (True, (1, [5, 3]))
+    assert cone.decide((0, 0)) == (True, (1, [0, 0]))
+    assert cone.decide((5, -1)) is None
+
+
+def test_feasible_basis_refutes_with_a_row_of_no_negative_entry():
+    # x >= 1 and x <= 3 (as -x >= -3) end with x basic in the first row and
+    # the second row (0 | 1, 1): no negative entry, so its surplus block
+    # y = (1, 1) refutes every later b with y . b > 0, although the
+    # basis is feasible for its own b
+    ok, witness, cone = feasible(FeasibilityProblem(((1,), (-1,))), (1, -3))
+    assert ok and witness == (1, [1])
+    assert cone.decide((2, -3)) == (True, (1, [2]))
+    assert cone.decide((4, -3)) == (False, [1, 1])
+    assert_refutes(((1,), (-1,)), (4, -3), [1, 1])
+    assert not fm_feasible(((1,), (-1,)), (4, -3))
+    # x >= -1 is feasible, but not with x basic at -1: neither answer
+    assert cone.decide((-1, -3)) is None
 
 
 def skew_by_a_hair(monkeypatch):
@@ -140,25 +168,31 @@ def test_exactness_guard_rejects_a_cone_witness_off_by_a_hair(monkeypatch):
     # 2x >= 1 and 2x <= 3 end with x basic at 1/2, tight on the first row
     tight = feasible(FeasibilityProblem(((2,), (-2,))), (1, -3))[2]
     skew = feasible(FeasibilityProblem(((1, -1),)), (1,))[2]
-    assert rational(tight.admit((1, -3))) == [Fraction(1, 2)]
-    assert rational(skew.admit((1,))) == [1, 0]
+    assert rational(tight.decide((1, -3))[1]) == [Fraction(1, 2)]
+    assert rational(skew.decide((1,))[1]) == [1, 0]
     skew_by_a_hair(monkeypatch)
     with pytest.raises(ArithmeticError, match="invalid witness"):
-        tight.admit((1, -3))
+        tight.decide((1, -3))
     with pytest.raises(ArithmeticError, match="negative witness"):
-        skew.admit((1,))
+        skew.decide((1,))
 
 
 def test_farkas_guard_rejects_a_vector_off_by_one(monkeypatch):
     """An infeasible answer is re-checked like a feasible one: a Farkas
-    vector with one entry off by one raises, it is never returned."""
+    vector with one entry off by one raises, it is never returned, whether
+    a solve or a kept basis's ``decide`` reads it off the stuck row."""
     # x >= 2, x <= 1 and 0 >= -5: y = (1, 1, 0) proves it, with y a = 0
     # and y b = 1.  Each skew breaks one of the three conditions: y a <= 0
     # (entry 0 up), y b > 0 (entry 1 up) or y >= 0 (entry 2 down).
     problem = FeasibilityProblem(((1,), (-1,), (0,)))
     assert feasible(problem, (2, -1, -5))[:2] == (False, [1, 1, 0])
+    skews = ((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1))
+    # one fresh basis per skew: a basis checks a row's y >= 0 and y a <= 0
+    # only on its first refutation by that row
+    cones = [feasible(problem, (2, -1, -5))[2] for _ in range(len(skews) + 1)]
+    assert cones.pop().decide((2, -1, -5)) == (False, [1, 1, 0])
     extract = coverlib.ratlp._farkas
-    for entry, delta in ((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1)):
+    for (entry, delta), cone in zip(skews, cones):
         def skewed(row, n, m, entry=entry, delta=delta):
             y = extract(row, n, m)
             y[entry] += delta
@@ -166,6 +200,8 @@ def test_farkas_guard_rejects_a_vector_off_by_one(monkeypatch):
         monkeypatch.setattr(coverlib.ratlp, "_farkas", skewed)
         with pytest.raises(ArithmeticError, match="invalid Farkas vector"):
             feasible(problem, (2, -1, -5))
+        with pytest.raises(ArithmeticError, match="invalid Farkas vector"):
+            cone.decide((2, -1, -5))
 
 
 def test_single_variable_bounds():
@@ -294,7 +330,7 @@ def test_agrees_with_elimination_oracle():
     # the other bounds each cone is asked draw from their own stream, so
     # the systems swept stay those of rng alone
     other = random.Random(1204)
-    feas = cones = asked = admitted = 0
+    feas = cones = asked = admitted = refuted = 0
     for _ in range(1500):
         n = rng.randint(1, 4)
         m = rng.randint(1, 5)
@@ -307,10 +343,13 @@ def test_agrees_with_elimination_oracle():
             others = [[other.randint(-4, 4) for _ in range(m)] for _ in range(4)]
             cones += 1
             asked += len(others)
-            admitted += check_cone(a, cone, others)
+            admits, refutes = check_cone(a, cone, others)
+            admitted += admits
+            refuted += refutes
     # both outcomes must actually occur for the comparison to mean much
     assert 100 < feas < 1400
-    assert 0 < admitted < asked and cones > 100
+    assert 0 < admitted and 0 < refuted and admitted + refuted < asked
+    assert cones > 100
 
 
 def displacement_like(rng, places, transitions):
@@ -331,7 +370,7 @@ def displacement_like(rng, places, transitions):
 def test_agrees_with_elimination_on_displacement_like_systems():
     rng = random.Random(2016)
     other = random.Random(2017)
-    feas = asked = admitted = 0
+    feas = asked = admitted = refuted = 0
     for _ in range(150):
         a = displacement_like(rng, 6, 6)
         # target minus initial marking
@@ -343,9 +382,11 @@ def test_agrees_with_elimination_on_displacement_like_systems():
             others = [[other.randint(0, 3) - other.randint(0, 2) for _ in range(6)]
                       for _ in range(2)]
             asked += len(others)
-            admitted += check_cone(a, cone, others)
+            admits, refutes = check_cone(a, cone, others)
+            admitted += admits
+            refuted += refutes
     assert 15 < feas < 135
-    assert 0 < admitted < asked
+    assert 0 < admitted and 0 < refuted and admitted + refuted < asked
 
 
 def test_agrees_with_elimination_on_large_coefficients():
@@ -353,7 +394,7 @@ def test_agrees_with_elimination_on_large_coefficients():
     # and big-integer cross-multiplication in the ratio test get used.
     rng = random.Random(1968)
     other = random.Random(1969)
-    feas = asked = admitted = 0
+    feas = asked = admitted = refuted = 0
     for _ in range(400):
         n = rng.randint(1, 3)
         m = rng.randint(1, 4)
@@ -367,6 +408,8 @@ def test_agrees_with_elimination_on_large_coefficients():
             others = [[other.randint(-10**9, 10**9) for _ in range(m)]
                       for _ in range(2)]
             asked += len(others)
-            admitted += check_cone(a, cone, others)
+            admits, refutes = check_cone(a, cone, others)
+            admitted += admits
+            refuted += refutes
     assert 40 < feas < 360
-    assert 0 < admitted < asked
+    assert 0 < admitted and 0 < refuted and admitted + refuted < asked

@@ -92,6 +92,19 @@ def test_budget_steps(pump_net):
     assert r0.verdict is Verdict.COVERABLE
 
 
+@pytest.mark.parametrize("bad", [
+    {"budget_steps": True}, {"budget_steps": False}, {"budget_steps": 1.5},
+    {"budget_steps": -1}, {"budget_steps": "3"},
+    {"deadline": float("nan")}, {"deadline": True}, {"deadline": "soon"},
+    {"deadline": 1j},
+])
+def test_bad_budget_or_deadline_is_refused(pump_net, bad):
+    """Checked once at entry: a bool, fractional or negative budget would
+    decide or give up, and a NaN deadline would never expire."""
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        solve(pump_net, Marking((0, 2, 1)), **bad)
+
+
 def test_deadline(pump_net):
     r = solve(pump_net, Marking((0, 2, 1)), deadline=time.monotonic() - 1.0)
     assert r.verdict is Verdict.INCONCLUSIVE
