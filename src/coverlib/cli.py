@@ -13,7 +13,7 @@ CSV stats and the bench rows are all rendered from.
 Exit codes: 0 coverable, 1 uncoverable, 2 usage or parse error,
 3 inconclusive (step budget or timeout hit), 4 internal error (for
 instance a witness that fails to replay on the input net; no verdict
-is printed then).
+is printed then), 141 when standard output is a pipe its reader closed.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, fields
@@ -203,7 +204,11 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
             for r in report.rounds
         ],
     }
-    outputs = [(args.out, emit_native(reduced), sys.stdout),
+    try:
+        text = emit_native(reduced)
+    except ValueError as exc:
+        raise CliError(f"{args.net}: {exc}") from None
+    outputs = [(args.out, text, sys.stdout),
                (args.report, json.dumps(doc, indent=2) + "\n", sys.stderr)]
     # Files first, streams last, so a failed write leaves no partial result.
     written = []
@@ -365,10 +370,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a closed pipe is caught here, not at exit
+        return status
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone: flush to nowhere and exit as if killed by SIGPIPE.
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

@@ -94,10 +94,9 @@ class _Tokens:
     One ``findall`` scans the whole text: no alternative of a token
     pattern matches a ``str.splitlines()`` break, so these are the
     tokens of each line in turn.  A character the pattern does not match
-    is either white space or an error.  ``lines`` and ``starts``, the
-    index of each line's first token, are computed when asked for, which
-    only diagnostics and MIST targets do, from the tokens already found;
-    a token's line and column are found by re-scanning its line.
+    is either white space or an error.  Token positions are computed
+    when asked for, which only diagnostics and MIST targets do, from the
+    tokens already found.
     """
 
     __slots__ = ("pattern", "text", "tokens")
@@ -118,39 +117,32 @@ class _Tokens:
             self._reject_character()
         self.tokens.append("")  # the end marker, so lookahead needs no bounds check
 
-    @property
-    def lines(self) -> List[str]:
-        return self.text.splitlines()
-
-    @property
-    def starts(self) -> List[int]:
-        # A line holds its tokens in order with only white space between
-        # them, so ``str.find`` walks them without scanning again.
-        starts, k, tokens = [], 0, self.tokens
-        for line in self.lines:
-            starts.append(k)
-            pos, end = 0, len(line.rstrip())
-            while pos < end:
-                pos = line.find(tokens[k], pos) + len(tokens[k])
-                k += 1
-        return starts
-
     def _reject_character(self) -> None:
         """Raise for the first character that is in no token and no white space."""
-        for lineno, line in enumerate(self.lines, start=1):
+        for lineno, line in enumerate(self.text.splitlines(), start=1):
             rest = self.pattern.sub(lambda m: " " * len(m.group()), line)
             bad = re.search(r"\S", rest)
             if bad:
                 raise ParseError(f"unexpected character {bad.group()!r}",
                                  lineno, bad.start() + 1)
 
+    def positions(self) -> List[Tuple[int, int]]:
+        """The 1-based line and column of every token but the end marker."""
+        # A line holds its tokens in order with only white space between
+        # them, so ``str.find`` walks them without scanning again.
+        found, k, tokens = [], 0, self.tokens
+        for row, line in enumerate(self.text.splitlines(), start=1):
+            pos, end = 0, len(line.rstrip())
+            while pos < end:
+                pos = line.find(tokens[k], pos)
+                found.append((row, pos + 1))
+                pos += len(tokens[k])
+                k += 1
+        return found
+
     def position(self, k: int) -> Tuple[int, int]:
         """Line and column of token ``k``; the end marker is put at the last token."""
-        k = min(k, len(self.tokens) - 2)
-        starts = self.starts
-        row = max(r for r, start in enumerate(starts) if start <= k)
-        match = list(self.pattern.finditer(self.lines[row]))[k - starts[row]]
-        return row + 1, match.start() + 1
+        return self.positions()[min(k, len(self.tokens) - 2)]
 
     def error(self, message: str, k: int) -> ParseError:
         return ParseError(message, *self.position(k))
@@ -324,8 +316,18 @@ def parse_native(text: Union[str, bytes], name: str = "") -> Problem:
 
 
 def emit_native(problem: Problem) -> str:
-    """Serialize a problem so that parsing the text reproduces it."""
+    """Serialize a problem so that parsing the text reproduces it.
+
+    ValueError names the first place or transition name that
+    ``parse_native`` would not read back as that name: a non-``str``, a
+    lone ``_``, a non-identifier or a reserved word.
+    """
     net = problem.net
+    for kind, names in (("place", net.places), ("transition", net.transitions)):
+        for name in names:
+            if (not isinstance(name, str) or name == "_" or not _IDENT.match(name)
+                    or name in _NATIVE_KEYWORDS):
+                raise ValueError(f"the native format cannot hold the {kind} name {name!r}")
     lines = ["places: " + " ".join(net.places)]
     lines.append("transitions:")
     for t, tname in enumerate(net.transitions):
@@ -550,7 +552,8 @@ def _mist_targets(src: _Tokens, i: int, e: int, var_index: Dict[str, int]):
         raise src.error("no target declared", i - 1)
     tokens = src.tokens
     # One target marking per source line.
-    cuts = [i] + sorted({s for s in src.starts if i < s < e}) + [e]
+    rows = [row for row, _ in src.positions()]
+    cuts = [i] + [k for k in range(i + 1, e) if rows[k] != rows[k - 1]] + [e]
     targets = []
     for k, stop in zip(cuts, cuts[1:]):
         atoms: Dict[int, int] = {}

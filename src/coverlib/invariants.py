@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import le, mul, sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .net import Marking, PetriNet
+from .net import MarkingLike, PetriNet
 from .ratlp import Cone, FeasibilityProblem, Witness, feasible
 
 
@@ -102,7 +102,7 @@ class Invariant:
     def name(self) -> str:
         return self.kind
 
-    def member(self, m: Marking) -> bool:
+    def member(self, m: MarkingLike) -> bool:
         raise NotImplementedError
 
     def query_counts(self) -> Dict[str, int]:
@@ -115,8 +115,8 @@ class TrivialInvariant(Invariant):
 
     kind = "trivial"
 
-    def member(self, m: Marking) -> bool:
-        self.net._check_marking(m)
+    def member(self, m: MarkingLike) -> bool:
+        self.net.marking(m)
         self.queries += 1
         return True
 
@@ -130,8 +130,8 @@ class SignInvariant(Invariant):
         super().__init__(net)
         self.analysis = sign_analysis(net)
 
-    def member(self, m: Marking) -> bool:
-        m = self.net._check_marking(m)
+    def member(self, m: MarkingLike) -> bool:
+        m = self.net.marking(m)
         self.queries += 1
         return self.analysis.member(m)
 
@@ -174,11 +174,11 @@ class StateInvariant(Invariant):
         self._tops: List[list] = []  # [floor top or None until scanned, lam]
         self._bases: List[Cone] = []
 
-    def member(self, m: Marking) -> bool:
+    def member(self, m: MarkingLike) -> bool:
         self.queries += 1
         return self._lam(m) is not None
 
-    def explain(self, m: Marking) -> Optional[Tuple[Fraction, ...]]:
+    def explain(self, m: MarkingLike) -> Optional[Tuple[Fraction, ...]]:
         """A firing-count witness for a member, or None.
 
         The witness lam >= 0 meets  initial + D lam >= m; it may be an
@@ -190,9 +190,9 @@ class StateInvariant(Invariant):
         den, nums = lam
         return tuple([Fraction(v, den) for v in nums])
 
-    def _lam(self, m: Marking) -> Optional[Witness]:
+    def _lam(self, m: MarkingLike) -> Optional[Witness]:
         """``explain``'s witness as ``(den, nums)``, lam_t = nums[t] / den."""
-        m = self.net._check_marking(m)
+        m = self.net.marking(m)
         for entry in self._tops:
             top = entry[0]
             if top is None:
@@ -244,7 +244,7 @@ class IntersectionInvariant(Invariant):
     def name(self) -> str:
         return ",".join(p.name for p in self.parts)
 
-    def member(self, m: Marking) -> bool:
+    def member(self, m: MarkingLike) -> bool:
         return all(p.member(m) for p in self.parts)
 
     def query_counts(self) -> Dict[str, int]:

@@ -3,7 +3,9 @@
 Markings are dense vectors of token counts indexed by place position.
 Place and transition names are interned to dense indices when a net is
 built; every core operation works on indices and plain Python integers,
-so token counts and arc weights never overflow.
+so token counts and arc weights never overflow.  ``PetriNet.marking``
+is the one conversion and check of a marking: every public entry that
+takes one reads it there, the constructor's ``initial`` included.
 
 A net is validated once, where it enters the library: the public
 ``PetriNet`` constructor checks names, arcs, weights and the initial
@@ -59,26 +61,6 @@ class Marking(tuple):
 
 
 MarkingLike = Union[Marking, Sequence[int], Mapping[str, int]]
-
-
-def _dense(counts: MarkingLike, places: Sequence[str],
-           index: Mapping[str, int]) -> Marking:
-    # A marking over ``places`` from any MarkingLike; see PetriNet.marking.
-    if isinstance(counts, Marking) and len(counts) == len(places):
-        return counts
-    if isinstance(counts, Mapping):
-        dense = [0] * len(places)
-        for name, c in counts.items():
-            if name not in index:
-                raise ValueError(f"unknown place: {name!r}")
-            dense[index[name]] = c
-        return Marking(dense)
-    counts = tuple(counts)
-    if counts == ():
-        return Marking((0,) * len(places))
-    if len(counts) != len(places):
-        raise ValueError(f"expected {len(places)} counts, got {len(counts)}")
-    return Marking(counts)
 
 
 def _check_index(i: int, count: int, what: str) -> None:
@@ -143,8 +125,8 @@ class PetriNet:
                 if type(w) is not int or w < 0:
                     raise ValueError(f"arc weight must be a non-negative integer, got {w!r}")
                 rows[transition_index[t]][place_index[p]] = w
-        initial = _dense(initial if initial is not None else (), places, place_index)
-        self._store(places, transitions, pre, post, initial)
+        self._store(places, transitions, pre, post, [0] * len(places))
+        self.initial = self.marking(() if initial is None else initial)
 
     @classmethod
     def _checked(cls, places: Sequence[str], transitions: Sequence[str],
@@ -188,22 +170,25 @@ class PetriNet:
             raise ValueError(f"unknown transition: {name!r}") from None
 
     def marking(self, counts: MarkingLike) -> Marking:
-        """Build a marking over this net's places.
+        """``counts`` as a marking of this net; ValueError if it is none.
 
-        Accepts a dense sequence, or a mapping from place name to count
-        where unlisted places get zero.  An empty sequence means the zero
-        marking.
+        Takes one count per place as any sequence, a mapping from place
+        name to count where unlisted places get zero, or ``()`` for the
+        zero marking.  A count is a non-negative ``int``, never a bool.
         """
-        return _dense(counts, self.places, self._place_index)
-
-    def _check_marking(self, m: Sequence[int]) -> Marking:
-        """``m`` as a Marking of this net: the check of every public entry."""
-        if not isinstance(m, Marking):
-            m = Marking(m)
-        if len(m) != len(self.places):
-            raise ValueError(
-                f"marking has {len(m)} entries but the net has {len(self.places)} places"
-            )
+        if isinstance(counts, Marking) and len(counts) == len(self.places):
+            return counts
+        n = len(self.places)
+        if isinstance(counts, Mapping):
+            dense = [0] * n
+            for name, c in counts.items():
+                dense[self.place_index(name)] = c
+            return Marking(dense)
+        m = Marking(counts)
+        if not m:
+            return Marking((0,) * n)
+        if len(m) != n:
+            raise ValueError(f"expected {n} counts, got {len(m)}")
         return m
 
     def restrict(self, places: Sequence[int],
@@ -233,9 +218,9 @@ class PetriNet:
 
     # -- semantics -----------------------------------------------------------
 
-    def fire(self, m: Marking, t: int) -> Optional[Marking]:
+    def fire(self, m: MarkingLike, t: int) -> Optional[Marking]:
         """Successor of ``m`` under ``t``, or None when ``t`` is disabled."""
-        m = self._check_marking(m)
+        m = self.marking(m)
         _check_index(t, len(self.transitions), "transition")
         need = self.pre[t]
         out = self.post[t]
@@ -244,7 +229,7 @@ class PetriNet:
                 return None
         return Marking([c - n + o for c, n, o in zip(m, need, out)])
 
-    def fire_sequence(self, m: Marking, ts: Iterable[int]) -> Optional[Marking]:
+    def fire_sequence(self, m: MarkingLike, ts: Iterable[int]) -> Optional[Marking]:
         """Fire ``ts`` in order from ``m``; None on the first disabled step."""
         cur = self.marking(m)
         for t in ts:
@@ -260,14 +245,14 @@ class PetriNet:
         # The row was validated when the net was built.
         return tuple.__new__(Marking, self.pre[t])
 
-    def cpre(self, t: int, m: Marking) -> Marking:
+    def cpre(self, t: int, m: MarkingLike) -> Marking:
         """Least marking from which firing ``t`` yields a marking covering ``m``.
 
         The upward closure of the result is exactly the set of markings
         that reach the upward closure of ``m`` in one firing of ``t``.
         Only the places ``t`` has arcs on differ from ``m``.
         """
-        m = self._check_marking(m)
+        m = self.marking(m)
         _check_index(t, len(self.transitions), "transition")
         counts = list(m)
         for p, n, o in self._arcs[t]:

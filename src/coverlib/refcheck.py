@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .net import Marking, PetriNet
+from .net import Marking, MarkingLike, PetriNet
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def _path(tree: BfsTree, end: Marking) -> List[int]:
 
 
 def bounded_cover(
-    net: PetriNet, target: Marking, bound: ExploreBound = ExploreBound()
+    net: PetriNet, target: MarkingLike, bound: ExploreBound = ExploreBound()
 ) -> OracleOutcome:
     """Decide coverability of ``target`` by forward search, within bounds.
 
@@ -111,7 +111,7 @@ def bounded_cover(
     so that verdict is exact.  COVERABLE comes with a shortest firing
     sequence.  Anything else is BOUND_HIT.
     """
-    target = net._check_marking(target)
+    target = net.marking(target)
     tree, closed, hit = bfs_tree(net, bound, target)
     if hit is not None:
         return OracleOutcome(OutcomeKind.COVERABLE, tuple(_path(tree, hit)))

@@ -326,6 +326,20 @@ def test_preprocess_drop_places(capsys, tmp_path):
     assert json.loads(err)["places_dropped"] == ["p2"]
 
 
+def test_preprocess_refuses_names_native_cannot_hold(capsys, tmp_path):
+    # MIST accepts a variable named like a native keyword; the reduced
+    # problem could not be read back, so nothing is written.
+    spec = tmp_path / "io.spec"
+    spec.write_text("vars in out\nrules in >= 1 -> in' = in - 1, out' = out + 1;\n"
+                    "init in = 1\ntarget out >= 1\n")
+    out_path, rep_path = tmp_path / "reduced.cover", tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "preprocess", "--net", str(spec),
+                             "--out", str(out_path), "--report", str(rep_path))
+    assert code == 2 and out == ""
+    assert err == f"error: {spec}: the native format cannot hold the place name 'in'\n"
+    assert not out_path.exists() and not rep_path.exists()
+
+
 # -- oracle ----------------------------------------------------------------
 
 def test_oracle_coverable(capsys, pump_file):
@@ -447,6 +461,22 @@ def test_stdin_is_decoded_strictly_under_c_locale():
                           input=PUMP_TEXT.encode(), capture_output=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == b"COVERABLE"
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["solve --stats json --net {file}", "bench --dir {dir}"])
+def test_closed_pipe_exits_141_silently(capsys, monkeypatch, pump_file, command):
+    # 128 + SIGPIPE, never a verdict, a usage error or an internal error
+    argv = command.format(file=pump_file, dir=os.path.dirname(pump_file)).split()
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(argv)
+    sys.stdout.close()  # the devnull stream main put in place
+    assert code == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_required_flag_exits_2():

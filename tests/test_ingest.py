@@ -244,6 +244,20 @@ def test_emit_round_trip_random():
         assert again.targets == targets
 
 
+@pytest.mark.parametrize("places, transitions, bad", [
+    (("a b", "c"), (), "place name 'a b'"),
+    (("x", "in"), (), "place name 'in'"),
+    (("x", "_"), (), "place name '_'"),
+    (("x", 7), (), "place name 7"),
+    (("x",), ("t", "target"), "transition name 'target'"),
+    (("x",), ("2t",), "transition name '2t'"),
+])
+def test_emit_refuses_names_it_cannot_read_back(places, transitions, bad):
+    net = PetriNet(places, transitions)
+    with pytest.raises(ValueError, match=f"^the native format cannot hold the {bad}$"):
+        emit_native(Problem(net=net, targets=((),)))
+
+
 def test_problem_needs_targets(pump_net):
     with pytest.raises(ValueError):
         Problem(net=pump_net, targets=())

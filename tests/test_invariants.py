@@ -18,6 +18,7 @@ from coverlib import (
     FeasibilityProblem,
     Marking,
     PetriNet,
+    Problem,
     SignAnalysis,
     bounded_cover,
     feasible,
@@ -217,6 +218,7 @@ def test_member_checks_domain(pump_net):
 
 _MARKING_ENTRIES = {
     "fire": lambda net, m: net.fire(m, 0),
+    "fire_sequence": lambda net, m: net.fire_sequence(m, [0]),
     "cpre": lambda net, m: net.cpre(0, m),
     "trivial.member": lambda net, m: TrivialInvariant(net).member(m),
     "sign.member": lambda net, m: SignInvariant(net).member(m),
@@ -224,6 +226,7 @@ _MARKING_ENTRIES = {
     "state.explain": lambda net, m: StateInvariant(net).explain(m),
     "bounded_cover": lambda net, m: bounded_cover(net, m),
     "solve": lambda net, m: solve(net, m),
+    "Problem": lambda net, m: Problem(net=net, targets=(m,)).targets,
 }
 
 
@@ -234,6 +237,27 @@ def test_entries_reject_non_markings(stuck_net, entry, bad):
     instead of answering for it."""
     with pytest.raises(ValueError, match="non-negative integers"):
         _MARKING_ENTRIES[entry](stuck_net, bad)
+
+
+def test_entries_share_one_marking_boundary(stuck_net):
+    """Every entry takes every spelling of a marking and answers alike,
+    and refuses each fault with the same message as every other entry."""
+    spellings = {
+        (0, 1): [Marking((0, 1)), [0, 1], (0, 1), {"p2": 1}, {"p1": 0, "p2": 1}],
+        (0, 0): [Marking((0, 0)), ()],
+    }
+    faults = [(0, -1), (0, 1.5), (0, True), (0, 1, 0), {"p3": 1}]
+    for entry, ask in _MARKING_ENTRIES.items():
+        for counts, spelled in spellings.items():
+            answers = [ask(stuck_net, m) for m in spelled]
+            assert answers == [answers[0]] * len(answers), (entry, counts)
+    for bad in faults:
+        messages = set()
+        for entry, ask in _MARKING_ENTRIES.items():
+            with pytest.raises(ValueError) as refused:
+                ask(stuck_net, bad)
+            messages.add(str(refused.value))
+        assert len(messages) == 1, (bad, messages)
 
 
 def test_query_counters(pump_net):
