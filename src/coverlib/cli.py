@@ -43,20 +43,17 @@ class CliError(Exception):
     """Reported on stderr; always exits with status 2."""
 
 
-def _read_input(path: str) -> Tuple[str, str]:
-    # Standard input is read as bytes and decoded like a file, so the
-    # locale's stream settings cannot let non-UTF-8 input through.
+def _read_input(path: str) -> Tuple[bytes, str]:
+    # Standard input is read as bytes like a file, so the locale's stream
+    # settings cannot let non-UTF-8 input through; the readers decode it
+    # and place a bad byte by line and column.
     try:
         if path == "-":
-            data, name = sys.stdin.buffer.read(), "<stdin>"
-        else:
-            p = Path(path)
-            data, name = p.read_bytes(), p.stem
-        return data.decode("utf-8"), name
+            return sys.stdin.buffer.read(), "<stdin>"
+        p = Path(path)
+        return p.read_bytes(), p.stem
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
 def _write_output(path: str, text: str) -> None:
@@ -67,13 +64,13 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _load_problem(path: str, fmt: str) -> Problem:
-    text, name = _read_input(path)
+    data, name = _read_input(path)
     if fmt == "auto":
         fmt = "mist" if path.endswith(".spec") else "native"
     try:
         if fmt == "mist":
-            return parse_mist(text, name=name)
-        return parse_native(text, name=name)
+            return parse_mist(data, name=name)
+        return parse_native(data, name=name)
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -346,8 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="bounded forward exploration")
     add_common(p_oracle)
     p_oracle.add_argument("--target-index", type=int, default=0)
-    p_oracle.add_argument("--place-cap", type=int, default=10)
-    p_oracle.add_argument("--node-cap", type=int, default=200000)
+    p_oracle.add_argument("--place-cap", type=int, default=ExploreBound.per_place_cap)
+    p_oracle.add_argument("--node-cap", type=int, default=ExploreBound.node_cap)
     p_oracle.add_argument("--witness", action="store_true")
     p_oracle.set_defaults(func=_cmd_oracle)
 

@@ -39,17 +39,13 @@ class SignAnalysis:
     """Result of the token sign fixpoint.
 
     ``possibly_marked`` holds the place indices that may ever be
-    non-empty; ``always_empty`` is its complement.  Membership of a
-    marking only requires the always-empty places to hold zero tokens.
-    ``dead`` lists, ascending, the transitions with an always-empty input.
+    non-empty; ``always_empty`` is its complement.  ``dead`` lists,
+    ascending, the transitions with an always-empty input.
     """
 
     possibly_marked: FrozenSet[int]
     always_empty: FrozenSet[int]
     dead: Tuple[int, ...]
-
-    def member(self, m: Sequence[int]) -> bool:
-        return all(m[p] == 0 for p in self.always_empty)
 
 
 def sign_analysis(net: PetriNet) -> SignAnalysis:
@@ -122,7 +118,11 @@ class TrivialInvariant(Invariant):
 
 
 class SignInvariant(Invariant):
-    """Rejects markings with tokens on provably always-empty places."""
+    """Rejects markings with tokens on provably always-empty places.
+
+    Membership of a marking only requires the always-empty places of
+    ``sign_analysis`` to hold zero tokens.
+    """
 
     kind = "sign"
 
@@ -133,7 +133,7 @@ class SignInvariant(Invariant):
     def member(self, m: MarkingLike) -> bool:
         m = self.net.marking(m)
         self.queries += 1
-        return self.analysis.member(m)
+        return all(m[p] == 0 for p in self.analysis.always_empty)
 
 
 class StateInvariant(Invariant):
@@ -255,16 +255,15 @@ class IntersectionInvariant(Invariant):
         return counts
 
 
-_FACTORIES = {
-    "trivial": TrivialInvariant,
-    "sign": SignInvariant,
-    "state": StateInvariant,
-}
+_FACTORIES = {c.kind: c for c in (TrivialInvariant, SignInvariant, StateInvariant)}
 INVARIANT_KINDS = tuple(_FACTORIES)
 
 
 def check_invariant_names(names: Iterable[str]) -> List[str]:
     """The names as a list; ValueError if it is empty or a name is unknown or repeated."""
+    if isinstance(names, str):  # it would be read letter by letter
+        raise ValueError("invariant names must be a list such as "
+                         f"['sign', 'state'], not the string {names!r}")
     names = list(names)
     if not names:
         raise ValueError("empty invariant list")

@@ -23,18 +23,17 @@ minimized through the index too (after Kung, Luccio and Preparata's
 maxima of a set of vectors): a covered marking is dropped, the elements
 above an uncovered one leave, and it takes the next bit.  Elements keep
 their bits, so bit order is insertion order; an int ``live`` cuts off
-the bits of the elements that left.  Once fewer than half of the bits
-are live, and for a basis made any other way, the index is built on the
-first query by inserting the elements in order.  The domain of a
-marking is checked once, when it enters a query, not per comparison.
-``Basis(elements)`` checks that its elements form an antichain,
-``python -O`` or not.
+the bits of the elements that left.  Only a basis made by the
+constructor builds its index, on its first query, by inserting the
+elements in order.  The domain of a marking is checked once, when it
+enters a query, not per comparison.  ``Basis(elements)`` checks that
+its elements form an antichain, ``python -O`` or not.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .net import Marking
 
@@ -116,7 +115,7 @@ class Basis:
         self._index = None
 
     @classmethod
-    def _of(cls, elements: Tuple[Marking, ...], index: Optional[tuple] = None) -> "Basis":
+    def _of(cls, elements: Tuple[Marking, ...], index: tuple) -> "Basis":
         # A basis of elements known to form an antichain over one domain.
         b = cls.__new__(cls)
         b.elements = elements
@@ -161,8 +160,6 @@ class Basis:
             elements = tuple(marks)
         else:
             elements = tuple([x for x, bit in zip(marks, bin(live)[:1:-1]) if bit == "1"])
-        if 2 * len(elements) < len(marks):
-            return Basis._of(elements)  # its first query rebuilds the index
         return Basis._of(elements, (marks, live, columns, zeros))
 
     def filter_uncovered(self, candidates: Iterable[Marking]) -> List[Marking]:

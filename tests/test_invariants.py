@@ -31,6 +31,7 @@ from coverlib.invariants import (
     SignInvariant,
     StateInvariant,
     TrivialInvariant,
+    check_invariant_names,
 )
 
 from corpus import random_instances, random_net
@@ -54,8 +55,9 @@ def test_sign_analysis_stuck(stuck_net):
     r = sign_analysis(stuck_net)
     assert r.possibly_marked == places(stuck_net, ["p1"])
     assert r.always_empty == places(stuck_net, ["p2"])
-    assert r.member(Marking((5, 0)))
-    assert not r.member(Marking((0, 1)))
+    member = SignInvariant(stuck_net).member
+    assert member(Marking((5, 0)))
+    assert not member(Marking((0, 1)))
 
 
 def test_sign_analysis_all_dead():
@@ -67,8 +69,9 @@ def test_sign_analysis_all_dead():
     r = sign_analysis(net)
     assert r.possibly_marked == frozenset()
     assert r.always_empty == {0, 1}
-    assert r.member(Marking((0, 0)))
-    assert not r.member(Marking((0, 1)))
+    member = SignInvariant(net).member
+    assert member(Marking((0, 0)))
+    assert not member(Marking((0, 1)))
 
 
 def test_sign_matches_synchronous_rounds():
@@ -89,10 +92,10 @@ def test_sign_dead_are_the_transitions_failing_the_sign_test():
     least enabling marking the sign analysis rejects."""
     dead = total = 0
     for name, net, _ in random_instances(CORPUS_SEED, CORPUS_SIZE):
-        analysis = sign_analysis(net)
+        member = SignInvariant(net).member
         expected = tuple(t for t in range(len(net.transitions))
-                         if not analysis.member(net.min_enabling_marking(t)))
-        assert analysis.dead == expected, name
+                         if not member(net.min_enabling_marking(t)))
+        assert sign_analysis(net).dead == expected, name
         dead += len(expected)
         total += len(net.transitions)
     assert 0 < dead < total
@@ -206,6 +209,11 @@ def test_make_invariant_validation(pump_net):
         make_invariant(pump_net, ["sign", "sign"])
     with pytest.raises(ValueError):
         make_invariant(pump_net, ["magic"])
+    # A bare string is refused, not read letter by letter.
+    with pytest.raises(ValueError, match=r"a list such as \['sign', 'state'\]"):
+        make_invariant(pump_net, "sign")
+    with pytest.raises(ValueError, match=r"a list such as \['sign', 'state'\]"):
+        check_invariant_names("sign,state")
     single = make_invariant(pump_net, ["state"])
     assert isinstance(single, StateInvariant)
 
