@@ -235,8 +235,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if outcome.kind is OutcomeKind.COVERABLE:
         print(f"COVERABLE depth={len(outcome.witness)}")
         if args.witness:
-            names = [problem.net.transitions[t] for t in outcome.witness]
-            print(("witness: " + " ".join(names)) if names else "witness:")
+            print(" ".join(["witness:"] + problem.net.transition_names(outcome.witness)))
         return 0
     if outcome.kind is OutcomeKind.UNCOVERABLE_EXHAUSTED:
         print("UNCOVERABLE")
