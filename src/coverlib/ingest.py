@@ -24,21 +24,22 @@ digits only, at most 4,300 of them (``sys.get_int_max_str_digits()``,
 the limit of ``int()``); a longer one is rejected like any bad token.
 Lines are those of ``str.splitlines()``, so ``\r``, ``\x0c``, ``\x85``
 and U+2028 end a line as ``\n`` does, and white space is what
-``str.isspace()`` accepts.  Error positions count lines and columns
-from 1 on those lines.  Every ``target:`` section describes one
-target marking (unlisted places need zero tokens); ``init:`` entries
+``str.isspace()`` accepts.  The text is read as words split at white
+space and around operators; a regex scan runs only to place an error,
+counting lines and columns from 1.  Every ``target:`` section describes
+one target marking (unlisted places need zero tokens); ``init:`` entries
 default to zero as well.  A problem needs at least one place and one
 target.  Duplicate declarations, duplicate arcs (a weight of zero
 included) and negative numbers are rejected.  The ``init:`` section
 may be omitted for the zero marking.
 
 The MIST subset accepts the four sections ``vars``, ``rules``, ``init``
-and ``target`` in that order.  Rule guards are conjunctions of
-``x >= c``; updates are ``x' = x + c``, ``x' = x - c`` or ``x' = x``.
-Counts are ``nat`` as above.  Each rule becomes one transition
-consuming ``max(guard, decrease)`` and producing accordingly; anything
-else (transfers, resets, parametric initial markings, other sections) is
-rejected with a diagnostic rather than translated approximately.
+and ``target`` in that order; their keywords are reserved.  Guards are
+conjunctions of ``x >= c``; updates are ``x' = x + c``, ``x' = x - c``
+or ``x' = x``.  Counts are ``nat`` as above.  Each rule becomes one
+transition consuming ``max(guard, decrease)`` and producing accordingly;
+anything else (transfers, resets, parametric initial markings, other
+sections) is rejected with a diagnostic, not translated approximately.
 """
 
 from __future__ import annotations
@@ -81,35 +82,42 @@ _NATIVE_TOKEN = re.compile(
     r"[A-Za-z][A-Za-z0-9_.\-]*|_[A-Za-z0-9_.\-]+|\d+|>=|[:;*=]|[^\W_]|[,'+\-]")
 _MIST_TOKEN = re.compile(
     r"(?:[A-Za-z][A-Za-z0-9_.\-]*|_[A-Za-z0-9_.\-]+)'?|_'|\d+|->|>=|[=,;+\-]|[^\W_]|[:*']")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
+_IDENT = re.compile(r"(?!_\Z)[A-Za-z_][A-Za-z0-9_.\-]*\Z")
 
 _SECTIONS = frozenset({"places", "transitions", "init", "target"})
 _NATIVE_KEYWORDS = _SECTIONS | {"in", "out"}
 _MIST_SECTIONS = ("vars", "rules", "init", "target")
 
 
+def _text(text: Union[str, bytes]) -> str:
+    """``text`` decoded from UTF-8, its comments cut; a blank one is refused."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:  # placed like a bad character
+            lines = (text[:exc.start].decode("utf-8") + "?").splitlines()
+            raise ParseError("not valid UTF-8", len(lines), len(lines[-1])) from None
+    if "#" in text:  # a comment ends at its line's break
+        text = "\n".join([line.partition("#")[0] for line in text.splitlines()])
+    if not text or text.isspace():
+        raise ParseError("empty input", 1, 1)
+    return text
+
+
 class _Tokens:
     """The tokens of one text as plain strings, followed by ``""``.
 
-    One ``findall`` scans the whole text: no alternative of a token
-    pattern matches a ``str.splitlines()`` break, so these are the
-    tokens of each line in turn.  A character the pattern does not match
-    is either white space or an error.  Token positions are computed
-    when asked for, which only diagnostics and MIST targets do, from the
-    tokens already found.
+    One ``findall`` scans the whole text, for MIST or a native error: no
+    alternative of a token pattern matches a ``str.splitlines()`` break,
+    so these are the tokens of each line in turn.  A character the
+    pattern does not match is either white space or an error.  Token
+    positions are computed when asked for, which only diagnostics and
+    MIST targets do, from the tokens already found.
     """
 
     __slots__ = ("pattern", "text", "tokens")
 
-    def __init__(self, text: Union[str, bytes], pattern: re.Pattern) -> None:
-        if isinstance(text, bytes):
-            try:
-                text = text.decode("utf-8")
-            except UnicodeDecodeError as exc:  # placed like a bad character
-                lines = (text[:exc.start].decode("utf-8") + "?").splitlines()
-                raise ParseError("not valid UTF-8", len(lines), len(lines[-1])) from None
-        if "#" in text:  # a comment ends at its line's break
-            text = "\n".join([line.partition("#")[0] for line in text.splitlines()])
+    def __init__(self, text: str, pattern: re.Pattern) -> None:
         self.pattern = pattern
         self.text = text
         self.tokens: List[str] = pattern.findall(text)
@@ -140,12 +148,22 @@ class _Tokens:
                 k += 1
         return found
 
-    def position(self, k: int) -> Tuple[int, int]:
-        """Line and column of token ``k``; the end marker is put at the last token."""
-        return self.positions()[min(k, len(self.tokens) - 2)]
+    def error(self, message: str, k: int) -> ParseError:
+        """The error at token ``k``; the end marker is put at the last token."""
+        return ParseError(message, *self.positions()[min(k, len(self.tokens) - 2)])
+
+
+class _Words:
+    """A native text split at white space and around operators.  The words
+    are its tokens if the grammar accepts them all; errors are unplaced."""
+
+    def __init__(self, text: str) -> None:
+        text = text.replace(":", " : ").replace(";", " ; ").replace("*", " * ")
+        self.tokens = text.replace("=", " = ").replace("> =", " >= ").split()
+        self.tokens.append("")
 
     def error(self, message: str, k: int) -> ParseError:
-        return ParseError(message, *self.position(k))
+        return ParseError(message, 0, 0)
 
 
 def _nat(src: _Tokens, k: int) -> Optional[int]:
@@ -197,12 +215,16 @@ def _section_ends(tokens: List[str], i: int) -> bool:
 
 def parse_native(text: Union[str, bytes], name: str = "") -> Problem:
     """Parse the native problem format; positions in errors are 1-based."""
-    src = _Tokens(text, _NATIVE_TOKEN)
+    text = _text(text)
+    try:
+        return _native(_Words(text), name)
+    except ParseError:  # read again by the token scanner, which places it
+        return _native(_Tokens(text, _NATIVE_TOKEN), name)
+
+
+def _native(src: Union[_Tokens, _Words], name: str) -> Problem:
     tokens = src.tokens
     end = len(tokens) - 1
-    if not end:
-        raise ParseError("empty input", 1, 1)
-
     places: Dict[str, int] = {}  # name -> column, in declaration order
     transitions: List[list] = []  # [name, in arcs, out arcs] per transition
     transition_seen: Dict[str, int] = {}
@@ -325,21 +347,16 @@ def emit_native(problem: Problem) -> str:
     net = problem.net
     for kind, names in (("place", net.places), ("transition", net.transitions)):
         for name in names:
-            if (not isinstance(name, str) or name == "_" or not _IDENT.match(name)
-                    or name in _NATIVE_KEYWORDS):
+            if not isinstance(name, str) or not _IDENT.match(name) or name in _NATIVE_KEYWORDS:
                 raise ValueError(f"the native format cannot hold the {kind} name {name!r}")
     lines = ["places: " + " ".join(net.places)]
     lines.append("transitions:")
     for t, tname in enumerate(net.transitions):
         parts = [f"{tname}:"]
-        ins = [(net.places[p], w) for p, w in enumerate(net.pre[t]) if w]
-        outs = [(net.places[p], w) for p, w in enumerate(net.post[t]) if w]
-        if ins:
-            parts.append("in")
-            parts.extend(p if w == 1 else f"{p}*{w}" for p, w in ins)
-        if outs:
-            parts.append("out")
-            parts.extend(p if w == 1 else f"{p}*{w}" for p, w in outs)
+        for keyword, row in (("in", net.pre[t]), ("out", net.post[t])):
+            arcs = [p if w == 1 else f"{p}*{w}" for p, w in zip(net.places, row) if w]
+            if arcs:
+                parts += [keyword] + arcs
         lines.append(" ".join(parts) + " ;")
     init = [f"{p}={c}" for p, c in zip(net.places, net.initial) if c]
     lines.append(("init: " + " ".join(init)).rstrip())
@@ -353,16 +370,19 @@ def emit_native(problem: Problem) -> str:
 
 def parse_mist(text: Union[str, bytes], name: str = "") -> Problem:
     """Parse the supported subset of the MIST ``.spec`` format."""
-    src = _Tokens(text, _MIST_TOKEN)
+    src = _Tokens(_text(text), _MIST_TOKEN)
     tokens = src.tokens
     end = len(tokens) - 1
-    if not end:
-        raise ParseError("empty input", 1, 1)
 
     # Split into the four fixed sections.
     starts = {s: tokens.index(s) for s in _MIST_SECTIONS if s in tokens}
     if starts.get("vars") != 0:
         raise src.error("input must start with a 'vars' section", 0)
+    # A keyword before "rules" that is found again after it names a variable:
+    # the vars list then runs to "rules", and _mist_vars refuses the name.
+    split = starts.get("rules", end)
+    if any(starts.get(s, end) < split and s in tokens[split:] for s in ("init", "target")):
+        _mist_vars(src, 1, split)
     order = sorted(starts, key=starts.get)
     if order != [s for s in _MIST_SECTIONS if s in starts]:
         raise src.error("sections must appear in the order vars, rules, init, target",
@@ -379,8 +399,7 @@ def parse_mist(text: Union[str, bytes], name: str = "") -> Problem:
     init = _mist_init(src, *spans[2], var_index)
     targets = _mist_targets(src, *spans[3], var_index)
 
-    taken = set(variables)
-    tnames = []
+    taken, tnames = set(variables), []
     for k in range(len(rules)):
         tname = f"r{k}"
         while tname in taken:
@@ -390,23 +409,12 @@ def parse_mist(text: Union[str, bytes], name: str = "") -> Problem:
 
     # Names, counts and the guard cover of every decrease are checked
     # above, so each rule's arcs are non-negative: build the net directly.
-    pre, post = [], []
-    for guards, deltas in rules:
-        need_row, give_row = [], []
-        for i in range(len(variables)):
-            d = deltas.get(i, 0)
-            need = max(guards.get(i, 0), -d)
-            need_row.append(need)
-            give_row.append(need + d)
-        pre.append(need_row)
-        post.append(give_row)
-    initial = [0] * len(variables)
-    for i, c in init.items():
-        initial[i] = c
+    columns = range(len(variables))
+    pre = [[max(g.get(i, 0), -d.get(i, 0)) for i in columns] for g, d in rules]
+    post = [[n + d.get(i, 0) for i, n in enumerate(need)] for need, (_, d) in zip(pre, rules)]
+    initial = [init.get(i, 0) for i in columns]
     net = PetriNet._checked(variables, tnames, pre, post, initial)
-    markings = tuple([
-        net.marking({variables[i]: c for i, c in atoms.items()}) for atoms in targets
-    ])
+    markings = tuple([Marking([atoms.get(i, 0) for i in columns]) for atoms in targets])
     return Problem(net=net, targets=markings, name=name)
 
 
@@ -422,6 +430,8 @@ def _mist_vars(src: _Tokens, i: int, e: int) -> Tuple[str, ...]:
         text = src.tokens[k]
         if not _IDENT.match(text):
             raise src.error(f"expected a variable name, got {text!r}", k)
+        if text in _MIST_SECTIONS:
+            raise src.error(f"{text!r} is a reserved word", k)
         if text in names:
             raise src.error(f"duplicate variable {text!r}", k)
         names[text] = None
@@ -456,7 +466,7 @@ def _mist_rules(src: _Tokens, i: int, e: int, var_index: Dict[str, int]):
     first = i
 
     def label() -> str:
-        return f"rule {len(rules)} (line {src.position(first)[0]})"
+        return f"rule {len(rules)} (line {src.positions()[first][0]})"
 
     while i < e:
         first = i

@@ -17,7 +17,7 @@ from importlib import resources
 
 import pytest
 
-from coverlib import PetriNet, parse_native
+from coverlib import PetriNet, ingest, parse_native
 from coverlib.cli import main
 
 from conftest import PUMP_TEXT, STUCK_TEXT
@@ -73,6 +73,29 @@ def test_solve_coverable(capsys, pump_file):
     lines = out.splitlines()
     assert lines[0] == "COVERABLE"
     assert lines[1] == "witness: t1 t2 t3"
+
+
+def test_solve_scans_tokens_only_to_place_an_error(capsys, monkeypatch, pump_file,
+                                                   tmp_path):
+    """A valid native file is read from its words; the regex token scanner
+    runs once for a file with a syntax error, to place it."""
+    built = []
+
+    class Counted(ingest._Tokens):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(ingest, "_Tokens", Counted)
+    code, out, _ = run_cli(capsys, "solve", "--net", pump_file)
+    assert (code, out, built) == (0, "COVERABLE\n", [])
+    bad = tmp_path / "bad.cover"
+    bad.write_text(PUMP_TEXT.replace(";", "@", 1))
+    code, _, err = run_cli(capsys, "solve", "--net", str(bad))
+    assert code == 2 and len(built) == 1
+    assert err == f"error: {bad}: line 4, column 18: unexpected character '@'\n"
 
 
 def test_solve_uncoverable(capsys, pump_file):

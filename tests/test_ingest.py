@@ -441,6 +441,14 @@ MIST_REJECTIONS = [
     ("vars\n x\nrules\n -> x' = x; # a\u2028 -> x' = x - 1;\n" + TAIL,
      "rule 1 (line 5): decrease of 1 is not covered by the guard, so the rule is "
      "not expressible as Petri-net arcs", 5, 2),
+    # Section keywords are reserved: one in the vars list that is found
+    # again after "rules" is refused as a variable name.
+    ("vars\n x init\nrules\n -> x' = x;\ninit\n x = 1\ntarget\n x >= 1\n",
+     "'init' is a reserved word", 2, 4),
+    ("vars\n x target\nrules\n -> x' = x;\ninit\n x = 1\ntarget\n x >= 1\n",
+     "'target' is a reserved word", 2, 4),
+    ("vars\n vars x\nrules\n -> x' = x;\ninit\n x = 1\ntarget\n x >= 1\n",
+     "'vars' is a reserved word", 2, 2),
 ]
 
 
@@ -496,6 +504,65 @@ def test_mutation_fixture():
             assert emit_native(parse(case["input"])) == case["emit"], case["input"]
         else:
             assert_rejections(parse, [(case["input"], *case["error"])])
+
+
+# Fragments that split a word from the token scanner's reading of it, or
+# that only the scanner places: every white space that str.split() and
+# str.splitlines() treat apart, comments, a lone "_", "> =", "p>1",
+# "12ab", "-5", non-ASCII letters and digits, and a 5,000-digit count.
+EDITS = [" ", "\t", "\r", "\r\n", "\x0c", "\x1c", "\x85", "\u2028", "\xa0", " # c\n",
+         "#", "_", " _ ", "_a", "> =", ">=", " p>1 ", "12ab", " -5 ", "=", ":", ";", "*",
+         "\u00e9", " \u00e9t\u00e9 ", "\u0663", "\u00b2", LONG, "p0", " p1 ", "in", "out",
+         "places:", "target:", "@", "a.b-c"]
+
+
+def test_words_read_like_the_token_scanner():
+    """``parse_native`` reads a text from its words unless the grammar
+    refuses one; then the token scanner reads it again.  Either way the
+    result, or the error with its position, is the scanner's, and a text
+    read from its words has the scanner's tokens."""
+    from coverlib.ingest import _NATIVE_TOKEN, _native, _text, _Tokens, _Words
+
+    def scanned(text):
+        try:
+            return _native(_Tokens(_text(text), _NATIVE_TOKEN), "")
+        except ParseError as err:
+            return str(err), err.line, err.column
+
+    def outcome(text):
+        try:
+            return parse_native(text)
+        except ParseError as err:
+            return str(err), err.line, err.column
+
+    # Each fragment at each place of a short text, then random edits.
+    base = "places: a b\ntransitions:\nt: in a*2 out b ;\ninit: a=1\ntarget: b>=1\n"
+    texts = [base[:at] + edit + base[at:] for edit in EDITS for at in range(len(base))]
+    rng = random.Random(2016)
+    for _ in range(300):
+        net = random_net(rng)
+        text = emit_native(Problem(net=net, targets=(random_target(rng, net),)))
+        texts.append(text)
+        for _ in range(2):
+            edited = text
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randint(0, len(edited))
+                cut = at + rng.choice((0, 0, 1, 3))
+                edited = edited[:at] + rng.choice(EDITS) + edited[cut:]
+            texts.append(edited)
+    read = 0
+    for text in texts:
+        expected = scanned(text)
+        assert outcome(text) == expected, text
+        assert outcome(text.encode()) == expected, text
+        try:
+            words = _Words(_text(text))
+            _native(words, "")
+        except ParseError:
+            continue
+        read += 1
+        assert words.tokens == _Tokens(_text(text), _NATIVE_TOKEN).tokens, text
+    assert 500 <= read < len(texts)
 
 
 def test_mist_accepts_bytes():
