@@ -323,7 +323,8 @@ def _native(src: Union[_Tokens, _Words], name: str) -> Problem:
             raise src.error(f"{tname!r} is declared as both a place and a transition", k)
 
     # Every name, arc and count is checked above: build the net and the
-    # target markings directly, dropping zero weights here.
+    # target markings directly, dropping zero weights here.  The net keeps
+    # ``places`` as its place index.
     def row(counts: Dict[str, int]) -> List[int]:
         dense = [0] * len(places)
         for p, c in counts.items():
@@ -408,12 +409,13 @@ def parse_mist(text: Union[str, bytes], name: str = "") -> Problem:
         tnames.append(tname)
 
     # Names, counts and the guard cover of every decrease are checked
-    # above, so each rule's arcs are non-negative: build the net directly.
+    # above, so each rule's arcs are non-negative: build the net directly,
+    # with ``var_index`` as its place index.
     columns = range(len(variables))
     pre = [[max(g.get(i, 0), -d.get(i, 0)) for i in columns] for g, d in rules]
     post = [[n + d.get(i, 0) for i, n in enumerate(need)] for need, (_, d) in zip(pre, rules)]
     initial = [init.get(i, 0) for i in columns]
-    net = PetriNet._checked(variables, tnames, pre, post, initial)
+    net = PetriNet._checked(var_index, tnames, pre, post, initial)
     markings = tuple([Marking([atoms.get(i, 0) for i in columns]) for atoms in targets])
     return Problem(net=net, targets=markings, name=name)
 

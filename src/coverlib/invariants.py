@@ -10,9 +10,11 @@ conjunctions:
   it also records the transitions it never fired, the sign-dead ones.
 * state: a marking is admitted when the token-flow balance equations,
   relaxed to non-negative rational firing counts, can explain it from
-  the initial marking.  Each handle validates the displacement matrix
-  D once and reuses its own exact LP answers as tops and kept simplex
-  bases (see ``StateInvariant``); only a query none answers solves an LP.
+  the initial marking.  Each handle builds and validates the
+  displacement matrix D once, on the first query that needs it, and
+  reuses its own exact LP answers as tops and kept simplex bases (see
+  ``StateInvariant``); only a query none answers solves an LP.  A
+  marking at most the initial one is admitted by lam = 0 without D.
 
 Every invariant contains all reachable markings and is closed downward,
 so it is sound for pruning a backward coverability search.  Handles are
@@ -101,9 +103,17 @@ class Invariant:
     def member(self, m: MarkingLike) -> bool:
         raise NotImplementedError
 
+    def leaves(self) -> Tuple["Invariant", ...]:
+        """The handles whose ``queries`` make up this one's counts:
+        itself, or an intersection's parts, flattened in order."""
+        return (self,)
+
     def query_counts(self) -> Dict[str, int]:
         """Membership queries so far, keyed by invariant kind."""
-        return {self.kind: self.queries}
+        counts: Dict[str, int] = {}
+        for leaf in self.leaves():
+            counts[leaf.kind] = counts.get(leaf.kind, 0) + leaf.queries
+        return counts
 
 
 class TrivialInvariant(Invariant):
@@ -141,8 +151,11 @@ class StateInvariant(Invariant):
 
     A marking m passes when some non-negative rational vector of firing
     counts lam satisfies  initial + D lam >= m  component-wise, where
-    column t of D is the displacement of transition t.  D is validated
-    once per handle, as ``system``; an LP passes only m - initial.
+    column t of D is the displacement of transition t.  D is built and
+    validated once per handle, as ``system``, on the first query that
+    needs a tableau; an LP passes only m - initial.  A query whose
+    m - initial is <= 0 and that nothing kept answers is admitted by
+    lam = 0, the witness ``ratlp.feasible`` would give, without D.
 
     Each handle reuses its own LP answers, in the manner of a lazily
     built cutting-plane method (Kelley, 1960).  A query scans:
@@ -166,13 +179,21 @@ class StateInvariant(Invariant):
 
     def __init__(self, net: PetriNet) -> None:
         super().__init__(net)
-        nt = len(net.transitions)
-        self.system = FeasibilityProblem(tuple([
-            tuple([net.post[t][p] - net.pre[t][p] for t in range(nt)])
-            for p in range(len(net.places))
-        ]))
+        self._system: Optional[FeasibilityProblem] = None  # D, built on first use
         self._tops: List[list] = []  # [floor top or None until scanned, lam]
         self._bases: List[Cone] = []
+
+    @property
+    def system(self) -> FeasibilityProblem:
+        """D as an LP, one row per place and one column per transition."""
+        if self._system is None:
+            net = self.net
+            nt = len(net.transitions)
+            self._system = FeasibilityProblem(tuple([
+                tuple([net.post[t][p] - net.pre[t][p] for t in range(nt)])
+                for p in range(len(net.places))
+            ]))
+        return self._system
 
     def member(self, m: MarkingLike) -> bool:
         self.queries += 1
@@ -205,9 +226,11 @@ class StateInvariant(Invariant):
             if answer is not None:
                 break
         else:
-            *answer, basis = feasible(self.system, b,
-                                      start=self._bases[-1] if self._bases else None)
-            if basis is not None:
+            if all(v <= 0 for v in b):
+                answer = True, (1, [0] * len(self.net.transitions))
+            else:
+                *answer, basis = feasible(self.system, b,
+                                          start=self._bases[-1] if self._bases else None)
                 self._bases.append(basis)
         admitted, evidence = answer
         if not admitted:
@@ -247,12 +270,8 @@ class IntersectionInvariant(Invariant):
     def member(self, m: MarkingLike) -> bool:
         return all(p.member(m) for p in self.parts)
 
-    def query_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for p in self.parts:
-            for k, v in p.query_counts().items():
-                counts[k] = counts.get(k, 0) + v
-        return counts
+    def leaves(self) -> Tuple[Invariant, ...]:
+        return tuple([leaf for p in self.parts for leaf in p.leaves()])
 
 
 _FACTORIES = {c.kind: c for c in (TrivialInvariant, SignInvariant, StateInvariant)}

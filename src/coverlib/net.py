@@ -10,14 +10,18 @@ takes one reads it there, the constructor's ``initial`` included.
 A net is validated once, where it enters the library: the public
 ``PetriNet`` constructor checks names, arcs, weights and the initial
 marking, the parsers check the text they read, and ``restrict`` checks
-its index lists.  All three then store the net through one private
-build path, ``PetriNet._checked``, which takes dense rows and trusts
-them.
+its index lists.  The constructor, the parsers and a ``restrict`` that
+drops or reorders places then store the net through one private build
+path, ``PetriNet._checked``, which takes dense rows and trusts them.  A
+``restrict`` that keeps every place in order shares the parent's place
+names, index, initial marking and transition rows, which no net ever
+changes, and builds only its transition names and index.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from operator import eq
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
 
 class Marking(tuple):
@@ -74,9 +78,9 @@ class PetriNet:
 
     ``pre[t]`` and ``post[t]`` are dense weight vectors over places:
     what transition ``t`` consumes and produces.  The constructor
-    validates its arguments once; ``_checked`` is the one build path
-    behind it, and the parsers and ``restrict`` call it directly with
-    rows they have already checked.
+    validates its arguments once; ``_checked`` is the build path behind
+    it, and the parsers and ``restrict`` call it directly with rows they
+    have already checked.
 
     ``_arcs[t]``, built with the net, lists the ``(place, pre, post)``
     triples of the places where transition ``t`` has a nonzero weight,
@@ -129,7 +133,8 @@ class PetriNet:
         self.initial = self.marking(() if initial is None else initial)
 
     @classmethod
-    def _checked(cls, places: Sequence[str], transitions: Sequence[str],
+    def _checked(cls, places: Union[Sequence[str], Dict[str, int]],
+                 transitions: Sequence[str],
                  pre: Iterable[Iterable[int]], post: Iterable[Iterable[int]],
                  initial: Iterable[int]) -> "PetriNet":
         """A net from dense rows that the caller has already validated.
@@ -137,6 +142,8 @@ class PetriNet:
         The caller guarantees what the constructor checks: at least one
         place, every name distinct, and one non-negative integer per
         place in each row of ``pre`` and ``post`` and in ``initial``.
+        ``places`` may be a dict from each name to its column, in column
+        order, that no one changes later; the net keeps it as its index.
         """
         net = cls.__new__(cls)
         net._store(places, transitions, pre, post, initial)
@@ -144,16 +151,20 @@ class PetriNet:
 
     def _store(self, places, transitions, pre, post, initial) -> None:
         self.places = tuple(places)
-        self.transitions = tuple(transitions)
-        self._place_index = {p: i for i, p in enumerate(self.places)}
-        self._transition_index = {t: j for j, t in enumerate(self.transitions)}
-        self.pre = tuple([tuple(row) for row in pre])
-        self.post = tuple([tuple(row) for row in post])
+        self._place_index = (places if type(places) is dict
+                             else {p: i for i, p in enumerate(self.places)})
         self.initial = tuple.__new__(Marking, initial)
-        self._sign = None
-        self._arcs = tuple([
+        pre = tuple([tuple(row) for row in pre])
+        post = tuple([tuple(row) for row in post])
+        self._store_transitions(transitions, pre, post, tuple([
             [(p, n, o) for p, n, o in zip(range(len(self.places)), need, give) if n or o]
-            for need, give in zip(self.pre, self.post)])
+            for need, give in zip(pre, post)]))
+
+    def _store_transitions(self, transitions, pre, post, arcs) -> None:
+        self.transitions = tuple(transitions)
+        self._transition_index = {t: j for j, t in enumerate(self.transitions)}
+        self.pre, self.post, self._arcs = pre, post, arcs
+        self._sign = None
 
     # -- name/index plumbing -------------------------------------------------
 
@@ -196,9 +207,12 @@ class PetriNet:
         """The subnet on the given place and transition indices, in order.
 
         Arcs between kept nodes and the initial tokens on kept places carry
-        over; everything else is dropped.  The subnet builds its own arc
-        rows and starts without a stored sign analysis, which the
-        preprocessor fills in when the fixpoint is known not to change.
+        over; everything else is dropped.  A subnet on every place, in
+        order, shares this net's places, place index, initial marking and
+        the rows of the kept transitions; one that drops or reorders
+        places builds its own through ``_checked``.  Either starts
+        without a stored sign analysis, which the preprocessor fills in
+        when the fixpoint is known not to change.
         """
         for p in places:
             _check_index(p, len(self.places), "place")
@@ -208,6 +222,16 @@ class PetriNet:
             raise ValueError("a net needs at least one place")
         if len(set(places)) != len(places) or len(set(transitions)) != len(transitions):
             raise ValueError("duplicate indices in a restriction")
+        if len(places) == len(self.places) and all(map(eq, places, range(len(places)))):
+            net = PetriNet.__new__(PetriNet)
+            net.places, net._place_index, net.initial = (
+                self.places, self._place_index, self.initial)
+            net._store_transitions(
+                [self.transitions[t] for t in transitions],
+                tuple([self.pre[t] for t in transitions]),
+                tuple([self.post[t] for t in transitions]),
+                tuple([self._arcs[t] for t in transitions]))
+            return net
         return PetriNet._checked(
             [self.places[p] for p in places],
             [self.transitions[t] for t in transitions],

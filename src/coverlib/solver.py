@@ -179,13 +179,14 @@ def solve(
     if invariant.net is not net:
         raise ValueError("invariant was built for a different net")
 
-    counts_before = invariant.query_counts()
+    leaves = invariant.leaves()
+    counts_before = [leaf.queries for leaf in leaves]
     m_init = net.initial
     target_admitted = invariant.member(target)
     backlinks: BackLinks = {}
     if target_admitted:
         backlinks[target] = None
-        basis = Basis((target,))
+        basis = Basis._of((target,), None)  # one element is an antichain
     else:
         basis = Basis()
 
@@ -228,25 +229,26 @@ def solve(
         # round, first occurrence first.
         candidates: Dict[Marking, List[Tuple[int, Marking]]] = {}
         expired = False
-        if gains is None:
-            gains = _gains(net)
-        for t in range(nt):
-            if deadline is not None and time.monotonic() >= deadline:
-                expired = True
-                break
-            gain = gains[t]
-            for m in frontier:
-                for p, n in gain:
-                    if m[p] > n:
-                        break
-                else:
-                    continue  # cpre(t, m) covers m, an element
-                c = net.cpre(t, m)
-                seen = candidates.get(c)
-                if seen is None:
-                    candidates[c] = [(t, m)]
-                else:
-                    seen.append((t, m))
+        if frontier:  # empty only in round 0, when the target was rejected
+            if gains is None:
+                gains = _gains(net)
+            for t in range(nt):
+                if deadline is not None and time.monotonic() >= deadline:
+                    expired = True
+                    break
+                gain = gains[t]
+                for m in frontier:
+                    for p, n in gain:
+                        if m[p] > n:
+                            break
+                    else:
+                        continue  # cpre(t, m) covers m, an element
+                    c = net.cpre(t, m)
+                    seen = candidates.get(c)
+                    if seen is None:
+                        candidates[c] = [(t, m)]
+                    else:
+                        seen.append((t, m))
         # Offer a rejected candidate again while one of its generators is
         # in the basis; elements that left the basis never return.
         live = set(basis) if rejected else ()
@@ -288,17 +290,18 @@ def solve(
         frontier = [x for x in basis if x in entered]
         k += 1
 
-    counts_after = invariant.query_counts()
-    deltas = {key: counts_after.get(key, 0) - counts_before.get(key, 0)
-              for key in counts_after}
+    deltas = {"state": 0, "sign": 0}
+    for leaf, before in zip(leaves, counts_before):
+        if leaf.kind in deltas:
+            deltas[leaf.kind] += leaf.queries - before
     return SolveResult(
         verdict=verdict,
         witness=witness,
         stats=tuple(stats),
         invariant_name=invariant.name,
         target_in_invariant=target_admitted,
-        lp_calls=deltas.get("state", 0),
-        sign_checks=deltas.get("sign", 0),
+        lp_calls=deltas["state"],
+        sign_checks=deltas["sign"],
         final_basis_size=len(basis),
         inconclusive_reason=reason,
         bases=tuple(bases_log) if record_bases else None,

@@ -26,6 +26,8 @@ from corpus import random_net, random_target
 def test_parse_pump(pump_net):
     problem = parse_native(PUMP_TEXT, name="pump")
     assert problem.net == pump_net
+    # the net keeps the parser's name -> column dict as its place index
+    assert problem.net._place_index == pump_net._place_index
     assert problem.targets == (Marking((0, 2, 1)), Marking((2, 0, 0)))
     assert problem.name == "pump"
 
@@ -287,6 +289,7 @@ def test_mist_token_passing():
     assert p.net.post[0] == (0, 1)
     assert p.net.initial == Marking((1, 0))
     assert p.targets == (Marking((0, 1)),)
+    assert p.net._place_index == {"x1": 0, "x2": 1}
     # and the translation survives the native round trip
     again = parse_native(emit_native(p), name="pass")
     assert again.net == p.net and again.targets == p.targets

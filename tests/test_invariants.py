@@ -20,6 +20,7 @@ from coverlib import (
     PetriNet,
     Problem,
     SignAnalysis,
+    Verdict,
     bounded_cover,
     feasible,
     make_invariant,
@@ -279,6 +280,64 @@ def test_intersection_counts_only_its_parts(pump_net):
     inv = make_invariant(pump_net, ["sign", "state"])
     inv.member(Marking((0, 0, 0)))
     assert inv.query_counts() == {"sign": 1, "state": 1}
+
+
+def _displacement(net):
+    return tuple(tuple(post[p] - pre[p] for pre, post in zip(net.pre, net.post))
+                 for p in range(len(net.places)))
+
+
+def test_questions_decided_at_the_target_leave_d_unbuilt(pump_net, orbit_net):
+    """Under sign,state a target at most the initial marking is admitted by
+    lam = 0, and a target the sign test rejects never reaches the state
+    handle: neither builds D.  Reading ``system`` afterwards builds the
+    same D as a handle that needs it at once."""
+    for net, target, verdict in ((pump_net, (1, 0, 0), Verdict.COVERABLE),
+                                 (orbit_net, (0, 1, 0), Verdict.UNCOVERABLE)):
+        inv = make_invariant(net, ["sign", "state"])
+        state = inv.parts[1]
+        assert solve(net, target, inv).verdict is verdict
+        assert state._system is None
+        assert state.system.a == _displacement(net)
+        assert state._system is state.system
+    busy = StateInvariant(pump_net)
+    assert busy.member((0, 2, 1))
+    assert busy._system is not None and busy.system.a == _displacement(pump_net)
+
+
+def test_lam_zero_answers_only_what_nothing_kept_answers():
+    """A query with m <= initial takes the answer of the first kept basis
+    that decides it, which need not be lam = 0, and lam = 0 otherwise; the
+    tops keep exactly those witnesses.  The values are those of the
+    handle that asked ``feasible`` for every such query."""
+    def net_of(pre, post, initial):
+        names = ["p%d" % p for p in range(len(initial))]
+        return PetriNet(names, ["t%d" % t for t in range(len(pre))],
+                        pre_arcs={(names[p], "t%d" % t): w for t, row in enumerate(pre)
+                                  for p, w in enumerate(row) if w},
+                        post_arcs={("t%d" % t, names[p]): w for t, row in enumerate(post)
+                                   for p, w in enumerate(row) if w},
+                        initial=dict(zip(names, initial)))
+
+    fresh = StateInvariant(net_of([[0, 1, 1], [1, 0, 0]], [[2, 2, 0], [0, 0, 0]], [1, 0, 2]))
+    assert fresh._lam((0, 0, 2)) == (1, [0, 0])
+    assert fresh._system is None and fresh._tops == [[None, (1, [0, 0])]]
+
+    decided = StateInvariant(net_of([[0, 1, 1], [1, 0, 0]], [[2, 2, 0], [0, 0, 0]], [1, 0, 2]))
+    assert not decided.member((3, 3, 0))
+    assert len(decided._bases) == 1 and not decided._tops
+    assert decided._lam((0, 0, 2)) == (1, [0, 1])
+    assert [entry[1] for entry in decided._tops] == [(1, [0, 1])]
+
+    undecided = StateInvariant(net_of(
+        [[0, 2, 1, 0, 2], [2, 2, 2, 2, 0], [0, 2, 0, 1, 2]],
+        [[1, 2, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 1, 1, 2]], [1, 0, 0, 0, 2]))
+    assert not undecided.member((2, 3, 3, 0, 0))
+    assert len(undecided._bases) == 1
+    assert undecided._bases[0].decide([-1, 0, 0, 0, 0]) is None
+    assert undecided._lam((0, 0, 0, 0, 2)) == (1, [0, 0, 0])
+    assert len(undecided._bases) == 1
+    assert [entry[1] for entry in undecided._tops] == [(1, [0, 0, 0])]
 
 
 def test_empty_name_list_has_one_rule(pump_net):

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from coverlib import Marking, PetriNet, StateInvariant
+from coverlib import Marking, PetriNet, StateInvariant, sign_analysis
 
-from corpus import random_net
+from corpus import random_instances, random_net
 from oracles import box, fires_over
+from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 
 
 def test_marking_rejects_negative_and_nonint():
@@ -228,6 +229,48 @@ def test_restrict_identity_is_equal(pump_net):
         assert same == net
 
 
+def _built(net, places, transitions):
+    """The restriction, built through the public constructor."""
+    names = [net.places[p] for p in places]
+    return PetriNet(
+        names, [net.transitions[t] for t in transitions],
+        pre_arcs={(net.places[p], net.transitions[t]): net.pre[t][p]
+                  for t in transitions for p in places},
+        post_arcs={(net.transitions[t], net.places[p]): net.post[t][p]
+                   for t in transitions for p in places},
+        initial={net.places[p]: net.initial[p] for p in places})
+
+
+def test_restrict_equals_a_constructor_build():
+    """Over every place, in order, a restriction shares the parent's rows;
+    dropping or reordering places builds new ones.  Either equals the
+    constructor's net, arc lists and indices included, and starts without
+    a sign analysis even when the parent has one."""
+    rng = random.Random(412)
+    shared = built_anew = 0
+    for name, net, _ in random_instances(CORPUS_SEED, CORPUS_SIZE):
+        sign_analysis(net)
+        every = range(len(net.places))
+        kept = sorted(rng.sample(every, rng.randint(1, len(net.places))))
+        for places in (every, list(every), kept, rng.sample(every, len(every))):
+            transitions = sorted(rng.sample(range(len(net.transitions)),
+                                            rng.randint(0, len(net.transitions))))
+            sub = net.restrict(places, transitions)
+            built = _built(net, places, transitions)
+            assert sub == built, name
+            assert sub._arcs == built._arcs, name
+            assert sub._place_index == built._place_index, name
+            assert sub._transition_index == built._transition_index, name
+            assert sub._sign is None and sign_analysis(sub) == sign_analysis(built)
+            if list(places) == list(every):
+                assert sub.places is net.places
+                assert all(row is net.pre[t] for row, t in zip(sub.pre, transitions))
+                shared += 1
+            else:
+                built_anew += 1
+    assert shared and built_anew
+
+
 def test_restrict_subset_matches_hand_built(pump_net):
     # keep p1, p2 and t1, t2: t2's arc into p3 goes with p3
     sub = pump_net.restrict([0, 1], [0, 1])
@@ -263,3 +306,10 @@ def test_restrict_rejects_bad_indices(pump_net):
             pump_net.restrict([bad], [0])
         with pytest.raises(IndexError):
             pump_net.restrict([0], [bad])
+    # a restriction over every place checks its indices the same way
+    for places, transitions, error in (([0, 1, 2], [5], IndexError),
+                                       ([0, 1, 2], [True], IndexError),
+                                       ([0, True, 2], [0], IndexError),
+                                       ([0, 1, 2], [1, 1], ValueError)):
+        with pytest.raises(error):
+            pump_net.restrict(places, transitions)

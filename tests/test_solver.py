@@ -8,6 +8,7 @@ import pytest
 import coverlib.solver
 from coverlib import (
     ExploreBound,
+    IterationStats,
     Marking,
     OutcomeKind,
     PetriNet,
@@ -90,6 +91,35 @@ def test_budget_steps(pump_net):
     # the guard runs before the budget check, so free answers still come out
     r0 = solve(pump_net, Marking((0, 0, 0)), budget_steps=0)
     assert r0.verdict is Verdict.COVERABLE
+
+
+@pytest.mark.parametrize("limit", [{}, {"budget_steps": 0}, {"deadline": -1.0},
+                                   {"budget_steps": 0, "deadline": -1.0}])
+def test_questions_decided_at_the_target_under_limits(pump_net, orbit_net, limit):
+    """A target at most the initial marking is answered before any limit
+    is read; a target the sign test rejects meets the budget, then the
+    deadline, before its one empty round.  Either asks one query per
+    invariant it reaches."""
+    if "deadline" in limit:
+        limit = dict(limit, deadline=time.monotonic() + limit["deadline"])
+    free = solve(pump_net, Marking((1, 0, 0)), make_invariant(pump_net, ["sign", "state"]),
+                 **limit)
+    assert (free.verdict, free.witness, free.inconclusive_reason, free.stats) == (
+        Verdict.COVERABLE, (), None, ())
+    assert (free.lp_calls, free.sign_checks, free.final_basis_size) == (1, 1, 1)
+
+    rejected = solve(orbit_net, Marking((0, 1, 0)),
+                     make_invariant(orbit_net, ["sign", "state"]), **limit)
+    reason = ("budget" if "budget_steps" in limit
+              else "deadline" if "deadline" in limit else None)
+    assert rejected.verdict is (Verdict.UNCOVERABLE if reason is None
+                                else Verdict.INCONCLUSIVE)
+    assert (rejected.witness, rejected.inconclusive_reason) == (None, reason)
+    assert rejected.stats == (() if reason else (
+        IterationStats(index=0, basis_size=0, candidates_generated=0,
+                       new_after_antichain=0, pruned_by_invariant=0, kept=0),))
+    assert (rejected.lp_calls, rejected.sign_checks, rejected.final_basis_size) == (0, 1, 0)
+    assert not rejected.target_in_invariant
 
 
 @pytest.mark.parametrize("bad", [
