@@ -30,7 +30,7 @@ from fractions import Fraction
 from operator import le, mul, sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .net import MarkingLike, PetriNet
+from .net import Marking, MarkingLike, PetriNet
 from .ratlp import Cone, FeasibilityProblem, Witness, feasible
 
 
@@ -122,7 +122,8 @@ class TrivialInvariant(Invariant):
     kind = "trivial"
 
     def member(self, m: MarkingLike) -> bool:
-        self.net.marking(m)
+        if type(m) is not Marking or len(m) != len(self.net.places):
+            self.net.marking(m)
         self.queries += 1
         return True
 

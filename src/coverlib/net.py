@@ -6,6 +6,7 @@ built; every core operation works on indices and plain Python integers,
 so token counts and arc weights never overflow.  ``PetriNet.marking``
 is the one conversion and check of a marking: every public entry that
 takes one reads it there, the constructor's ``initial`` included.
+The hot entries, like ``cpre``, take a ``Marking`` of the net's length inline.
 
 A net is validated once, where it enters the library: the public
 ``PetriNet`` constructor checks names, arcs, weights and the initial
@@ -274,10 +275,14 @@ class PetriNet:
 
         The upward closure of the result is exactly the set of markings
         that reach the upward closure of ``m`` in one firing of ``t``.
-        Only the places ``t`` has arcs on differ from ``m``.
+        Only the places ``t`` has arcs on differ from ``m``.  Unless ``m``
+        is a ``Marking`` of this net and ``t`` an index in range, both are
+        read through ``marking`` and ``_check_index``.
         """
-        m = self.marking(m)
-        _check_index(t, len(self.transitions), "transition")
+        if (type(m) is not Marking or len(m) != len(self.places)
+                or type(t) is not int or not 0 <= t < len(self._arcs)):
+            m = self.marking(m)
+            _check_index(t, len(self.transitions), "transition")
         counts = list(m)
         for p, n, o in self._arcs[t]:
             c = m[p]

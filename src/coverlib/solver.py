@@ -42,6 +42,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
+from operator import le
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .invariants import Invariant, TrivialInvariant
@@ -208,7 +209,7 @@ def solve(
         if record_bases:
             bases_log.append(basis)
         # Older elements were tested against m_init in earlier rounds.
-        entry = next((x for x in frontier if x.leq(m_init)), None)
+        entry = next((x for x in frontier if all(map(le, x, m_init))), None)
         if entry is not None:
             verdict = Verdict.COVERABLE
             witness = tuple(extract_witness(backlinks, entry))

@@ -12,10 +12,10 @@ candidate m is covered iff the AND over all places of the complement of
 the mask at m's count, cut to the live bits, is nonzero.  The elements
 a new minimal element m makes redundant, those holding at least m's
 count on every place, are the AND of the masks at the counts just below
-m's.  A marking lies in no mask of a place where it holds no token, so
-inserting it touches only the places where it does.  Counts are looked
-up by rank, with a binary search, so a count of any size costs no more
-table space than a small one.
+m's on its support, the places where it holds a token: it lies in no
+mask of any other place, so inserting it walks only its support and opens
+a column where no marking held a token before.  Counts are looked up by
+rank, so a count of any size costs no more table space than a small one.
 
 The index is carried forward, not built per basis.  ``union`` copies
 it and inserts the new markings one at a time, so the batch is
@@ -25,15 +25,15 @@ above an uncovered one leave, and it takes the next bit.  Elements keep
 their bits, so bit order is insertion order; an int ``live`` cuts off
 the bits of the elements that left.  Only a basis made by the
 constructor builds its index, on its first query, by inserting the
-elements in order.  The domain of a marking is checked once, when it
-enters a query, not per comparison.  ``Basis(elements)`` checks that
-its elements form an antichain, ``python -O`` or not.
+elements in order.  The domain of a marking is checked once, by its
+length, when it enters a query, not per comparison.  ``Basis(elements)``
+checks that its elements form an antichain, ``python -O`` or not.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .net import Marking
 
@@ -51,8 +51,8 @@ def _is_antichain(elements: Sequence[Marking]) -> bool:
 # order, counts[0] == 0, and masks[k] holds the markings with more than
 # counts[k - 1] tokens on p (masks[0] is unused).  So the markings above
 # c on p are masks[bisect_right(counts, c)], and for c > 0 those holding
-# at least c are masks[bisect_left(counts, c)].  ``zeros`` lists the
-# other places.
+# at least c are masks[bisect_left(counts, c)].  ``at`` maps each such
+# place to its column; ``support`` lists the places where m holds tokens.
 
 def _below(columns: List[tuple], live: int, m: Marking) -> int:
     # The live markings at most m on every place.
@@ -63,36 +63,36 @@ def _below(columns: List[tuple], live: int, m: Marking) -> int:
     return live
 
 
-def _above(columns: List[tuple], zeros: List[int], live: int, m: Marking) -> int:
+def _above(at: Dict[int, tuple], live: int, m: Marking, support: List[int]) -> int:
     # The live markings at least m on every place.
-    for p in zeros:
-        if m[p]:
+    for p in support:
+        column = at.get(p)
+        if column is None:
             return 0  # no marking holds a token there
-    for p, counts, masks in columns:
-        c = m[p]
-        if c:
-            live &= masks[bisect_left(counts, c)]
-            if not live:
-                break
+        _, counts, masks = column
+        live &= masks[bisect_left(counts, m[p])]
+        if not live:
+            break
     return live
 
 
-def _add(columns: List[tuple], zeros: List[int], bit: int, m: Marking) -> None:
+def _add(columns: List[tuple], at: Dict[int, tuple], bit: int, m: Marking,
+         support: List[int]) -> None:
     # Index m under ``bit``, which lies above the bits of every marking
     # indexed so far.
-    for p, counts, masks in columns:
+    for p in support:
         c = m[p]
-        if c:
-            k = bisect_left(counts, c)
-            if k == len(counts) or counts[k] != c:
-                counts.insert(k, c)
-                masks.insert(k + 1, masks[k])
-            masks[1:k + 1] = [x | bit for x in masks[1:k + 1]]
-    if not columns and not zeros:
-        zeros.extend(range(len(m)))  # the first marking indexed
-    if any(m[p] for p in zeros):
-        columns += [(p, [0, m[p]], [0, bit, 0]) for p in zeros if m[p]]
-        zeros[:] = [p for p in zeros if not m[p]]
+        column = at.get(p)
+        if column is None:
+            at[p] = column = (p, [0], [0, 0])
+            columns.append(column)
+        _, counts, masks = column
+        k = bisect_left(counts, c)
+        if k == len(counts) or counts[k] != c:
+            counts.insert(k, c)
+            masks.insert(k + 1, masks[k])
+        for i in range(1, k + 1):
+            masks[i] |= bit
 
 
 class Basis:
@@ -100,7 +100,7 @@ class Basis:
 
     Instances are immutable.  The private slot ``_index`` holds the
     dominance index: every marking indexed, by bit, the live bits, the
-    columns and the places without one.  Threads that race on its first
+    columns and each place's column.  Threads that race on its first
     build compute and write equal values.
     """
 
@@ -124,10 +124,10 @@ class Basis:
 
     def _indexed(self) -> tuple:
         if self._index is None:
-            columns, zeros = [], []
+            columns, at = [], {}
             for i, m in enumerate(self.elements):
-                _add(columns, zeros, 1 << i, m)
-            self._index = (self.elements, (1 << len(self.elements)) - 1, columns, zeros)
+                _add(columns, at, 1 << i, m, [p for p, c in enumerate(m) if c])
+            self._index = (self.elements, (1 << len(self.elements)) - 1, columns, at)
         return self._index
 
     def contains(self, m: Marking) -> bool:
@@ -141,26 +141,28 @@ class Basis:
         elements follow in the order given.  The domain of every marking
         in ``new`` is checked, covered or not.
         """
-        marks, live, columns, zeros = self._indexed()
+        marks, live, columns, _ = self._indexed()
         marks = list(marks)
         columns = [(p, counts[:], masks[:]) for p, counts, masks in columns]
-        zeros = zeros[:]
+        at = {column[0]: column for column in columns}
         first = self.elements[0] if self.elements else None
         for m in new:
             if first is None:
                 first = m
-            first._check_domain(m)
+            if len(m) != len(first):
+                first._check_domain(m)
             if _below(columns, live, m):
                 continue
+            support = [p for p, c in enumerate(m) if c]
             bit = 1 << len(marks)
-            live = live & ~_above(columns, zeros, live, m) | bit
-            _add(columns, zeros, bit, m)
+            live = live & ~_above(at, live, m, support) | bit
+            _add(columns, at, bit, m, support)
             marks.append(m)
         if live == (1 << len(marks)) - 1:
             elements = tuple(marks)
         else:
             elements = tuple([x for x, bit in zip(marks, bin(live)[:1:-1]) if bit == "1"])
-        return Basis._of(elements, (marks, live, columns, zeros))
+        return Basis._of(elements, (marks, live, columns, at))
 
     def filter_uncovered(self, candidates: Iterable[Marking]) -> List[Marking]:
         """The candidates that are not already in this upward-closed set."""
@@ -170,7 +172,8 @@ class Basis:
         _, live, columns, _ = self._indexed()
         out: List[Marking] = []
         for m in candidates:
-            first._check_domain(m)
+            if len(m) != len(first):
+                first._check_domain(m)
             if not _below(columns, live, m):
                 out.append(m)
         return out

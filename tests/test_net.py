@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from coverlib import Marking, PetriNet, StateInvariant, sign_analysis
+from coverlib import Marking, PetriNet, StateInvariant, TrivialInvariant, sign_analysis
 
 from corpus import random_instances, random_net
 from oracles import box, fires_over
@@ -185,6 +186,35 @@ def test_cpre_validates_plain_sequences(pump_net):
     with pytest.raises(IndexError):
         pump_net.cpre(True, Marking((0, 0, 0)))
 
+
+
+def test_fast_paths_keep_every_refusal(pump_net):
+    """cpre and the trivial invariant take a Marking of the net and an
+    int transition as they are; anything else is read, or refused, as
+    ``marking`` and the index check read or refuse it."""
+    m = Marking((0, 2, 1))
+    for t in range(3):
+        want = pump_net.cpre(t, m)
+        for form in (list(m), tuple(m), {"p2": 2, "p3": 1}):
+            got = pump_net.cpre(t, form)
+            assert got == want and type(got) is Marking
+    for bad, counts in ((Marking((0, 2)), 2), (Marking((0, 2, 1, 0)), 4)):
+        message = re.escape(f"expected 3 counts, got {counts}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pump_net.marking(bad)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pump_net.cpre(0, bad)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pump_net.cpre(3, bad)  # the marking is read first
+    for t in (True, -1, 3, 1.0):
+        message = re.escape(f"transition index {t!r} is not an int in range(3)")
+        with pytest.raises(IndexError, match=f"^{message}$"):
+            pump_net.cpre(t, m)
+    trivial = TrivialInvariant(pump_net)
+    assert trivial.member(m) and trivial.member([0, 2, 1]) and trivial.member({"p1": 1})
+    with pytest.raises(ValueError, match=r"^expected 3 counts, got 2$"):
+        trivial.member(Marking((0, 2)))
+    assert trivial.queries == 3
 
 def test_restricted_net_uses_its_own_arcs():
     rng = random.Random(407)

@@ -257,3 +257,62 @@ def test_union_chains_match_pairwise_reference():
             for m in probes[:8]:
                 branch = _add_minimal(branch, m)
             assert old.union(probes[:8]).elements == tuple(branch)
+
+
+def _index_snapshot(basis):
+    # A deep copy of the index a basis carries.
+    marks, live, columns, at = basis._index
+    return (tuple(marks), live,
+            [(p, counts[:], masks[:]) for p, counts, masks in columns],
+            {p: (q, counts[:], masks[:]) for p, (q, counts, masks) in at.items()})
+
+
+def test_union_chains_on_wide_sparse_markings():
+    """Markings of 15-30 places, each holding tokens on at most four:
+    an insertion walks only its support, so places open their column
+    mid-chain.  Every basis of the chain is the reference's, in order,
+    and a union on an older basis leaves that basis's index as it was."""
+    rng = random.Random(81)
+    opened = 0
+    for _ in range(40):
+        dims = rng.randint(15, 30)
+        zero = Marking([0] * dims)
+
+        def sparse(least):
+            counts = [0] * dims
+            for p in rng.sample(range(dims), rng.randint(least, 4)):
+                counts[p] = 10 ** 40 if rng.random() < 0.05 else rng.randint(least, 4)
+            return Marking(counts)
+
+        ref: list = []
+        basis = minimize([])
+        chain = []
+        for _ in range(rng.randint(10, 30)):
+            batch = [sparse(1) for _ in range(rng.randint(0, 6))]
+            for m in batch:
+                ref = _add_minimal(ref, m)
+            before = len(basis._indexed()[2])
+            basis = basis.union(batch)
+            assert basis.elements == tuple(ref)
+            _, _, columns, at = basis._index
+            assert len(at) == len(columns)
+            assert all(at[column[0]] is column for column in columns)
+            opened += bool(before) and len(columns) > before
+            chain.append((basis, tuple(ref), _index_snapshot(basis)))
+        # The all-zero marking lies below every marking: it covers every
+        # probe and, added to any basis, is the only element left.
+        probes = [sparse(0) for _ in range(20)] + [zero]
+        for old, elements, snapshot in chain:
+            assert _index_snapshot(old) == snapshot
+            expected = [m for m in probes if not any(_leq(x, m) for x in elements)]
+            assert old.filter_uncovered(probes) == expected
+            branch = list(elements)
+            for m in probes[:8]:
+                branch = _add_minimal(branch, m)
+            grown = old.union(probes[:8])
+            assert grown.elements == tuple(branch)
+            assert old.union([zero]).elements == (zero,)
+            assert grown.union([zero]).filter_uncovered(probes) == []
+            assert _index_snapshot(old) == snapshot
+            assert old.filter_uncovered(probes) == expected
+    assert opened
