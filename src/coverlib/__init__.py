@@ -1,4 +1,9 @@
-"""Petri-net coverability via invariant-pruned backward reachability."""
+"""Petri-net coverability via invariant-pruned backward reachability.
+
+The result, report and problem records are named tuples: ``_asdict()``,
+``_replace()`` and ``_fields`` give a dict, a changed copy and the field
+names, and records compare, hash and iterate as tuples.
+"""
 
 from .ingest import ParseError, Problem, emit_native, parse_mist, parse_native
 from .invariants import (

@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, fields
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -131,7 +130,7 @@ def _run_instance(
         final = net.fire_sequence(net.initial, map(net.transition_index, witness))
         if final is None or not final.covers(target):
             raise AssertionError("witness failed to replay on the input net")
-    iterations = [asdict(s) for s in result.stats]
+    iterations = [s._asdict() for s in result.stats]
     return result, {
         "problem": problem.name,
         "target_index": target_index,
@@ -158,7 +157,7 @@ def _run_instance(
 
 def _print_stats_csv(record: dict) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(f.name for f in fields(IterationStats))
+    writer.writerow(IterationStats._fields)
     writer.writerows(s.values() for s in record["iterations"])
     writer.writerow(())
     writer.writerow(record["totals"])
@@ -196,10 +195,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         "places_kept": list(reduced.net.places),
         "places_dropped": list(report.dropped_places),
         "transitions_removed": list(report.removed),
-        "rounds": [
-            {"removed": list(r.removed), "always_empty": list(r.always_empty)}
-            for r in report.rounds
-        ],
+        "rounds": [r._asdict() for r in report.rounds],
     }
     try:
         text = emit_native(reduced)
@@ -342,8 +338,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="bounded forward exploration")
     add_common(p_oracle)
     p_oracle.add_argument("--target-index", type=int, default=0)
-    p_oracle.add_argument("--place-cap", type=int, default=ExploreBound.per_place_cap)
-    p_oracle.add_argument("--node-cap", type=int, default=ExploreBound.node_cap)
+    caps = ExploreBound._field_defaults
+    p_oracle.add_argument("--place-cap", type=int, default=caps["per_place_cap"])
+    p_oracle.add_argument("--node-cap", type=int, default=caps["node_cap"])
     p_oracle.add_argument("--witness", action="store_true")
     p_oracle.set_defaults(func=_cmd_oracle)
 

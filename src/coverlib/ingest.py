@@ -1,4 +1,4 @@
-"""Problem input and output.
+"""Problem input and output: text to and from ``Problem`` named tuples.
 
 Two text formats are supported:
 
@@ -45,25 +45,24 @@ sections) is rejected with a diagnostic, not translated approximately.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .net import Marking, PetriNet
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(namedtuple("_ProblemFields", "net targets name")):
     """A net together with the markings whose coverability is asked."""
 
-    net: PetriNet
-    targets: Tuple[Marking, ...]
-    name: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        targets = tuple([self.net.marking(m) for m in self.targets])
+    def __new__(cls, net: PetriNet, targets: Tuple[Marking, ...], name: str = "") -> Problem:
+        targets = tuple([net.marking(m) for m in targets])
         if not targets:
             raise ValueError("a problem needs at least one target")
-        object.__setattr__(self, "targets", targets)
+        return tuple.__new__(cls, (net, targets, name))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it
 
 
 class ParseError(ValueError):

@@ -25,20 +25,21 @@ whether a kept top or basis or a new LP answered them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import le, mul, sub
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .net import Marking, MarkingLike, PetriNet
 from .ratlp import Cone, FeasibilityProblem, Witness, feasible
 
+if TYPE_CHECKING:  # explain imports it when called; no verdict needs it
+    from fractions import Fraction
+
 
 # -- sign analysis ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SignAnalysis:
-    """Result of the token sign fixpoint.
+class SignAnalysis(NamedTuple):
+    """Result of the token sign fixpoint, a named tuple.
 
     ``possibly_marked`` holds the place indices that may ever be
     non-empty; ``always_empty`` is its complement.  ``dead`` lists,
@@ -209,6 +210,7 @@ class StateInvariant(Invariant):
         lam = self._lam(m)
         if lam is None:
             return None
+        from fractions import Fraction
         den, nums = lam
         return tuple([Fraction(v, den) for v in nums])
 

@@ -15,30 +15,27 @@ analysis instead of computing it again, and its round, which removes
 nothing, needs no second fixpoint.  ``use_state`` additionally tests the
 other transitions against the relaxed token-flow invariant, which can
 remove more; only then can a second round find new victims, and each
-round analyses its own net.  A ``PruneReport`` stores each removal once,
-in its round.
+round analyses its own net.  A ``PruneReport`` named tuple stores each
+removal once, in its round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .ingest import Problem
 from .invariants import SignAnalysis, StateInvariant, sign_analysis
 from .net import Marking, PetriNet
 
 
-@dataclass(frozen=True)
-class PruneRound:
+class PruneRound(NamedTuple):
     """One analysis/removal round: what was removed, and the empty set used."""
 
     removed: Tuple[str, ...]
     always_empty: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PruneReport:
+class PruneReport(NamedTuple):
     """The rounds of one run; ``removed`` chains theirs in round order."""
 
     mode: str
@@ -116,6 +113,6 @@ def prune_problem(
             keep = [p for p in range(len(net.places)) if p not in gone]
             net = net.restrict(keep, range(len(net.transitions)))
             targets = tuple([Marking([m[p] for p in keep]) for m in targets])
-            report = replace(report, dropped_places=tuple(
+            report = report._replace(dropped_places=tuple(
                 [problem.net.places[p] for p in droppable]))
     return Problem(net=net, targets=targets, name=problem.name), report

@@ -37,7 +37,7 @@ No floating point or rational type is used:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -45,8 +45,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 Witness = Tuple[int, List[int]]  # (den, nums): x_j = nums[j] / den, den > 0
 
 
-@dataclass(frozen=True)
-class FeasibilityProblem:
+class FeasibilityProblem(namedtuple("_FeasibilityFields", "a")):
     """The integer matrix ``a`` of the systems  { x >= 0, a x >= b }.
 
     ``a`` is a tuple of rows (one inequality each), all with the same
@@ -56,17 +55,19 @@ class FeasibilityProblem:
     the signs of ``b``.
     """
 
-    a: Tuple[Tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        a = tuple([tuple(row) for row in self.a])
-        object.__setattr__(self, "a", a)
+    def __new__(cls, a: Tuple[Tuple[int, ...], ...]) -> FeasibilityProblem:
+        a = tuple([tuple(row) for row in a])
         for row in a:
             if len(row) != len(a[0]):
                 raise ValueError("ragged constraint matrix")
             for v in row:
                 if type(v) is not int:  # bool is an int subclass, no count
                     raise ValueError(f"matrix entries must be integers, got {v!r}")
+        return tuple.__new__(cls, (a,))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it
 
     @property
     def num_vars(self) -> int:

@@ -4,30 +4,32 @@ A breadth-first enumeration of the reachable markings inside a box
 (per-place token cap) and under a node budget.  It either finds a
 covering marking, proves uncoverability by exhausting the whole
 reachability set strictly inside the box, or reports that a bound was
-hit and the answer is unknown.
+hit and the answer is unknown.  Bounds and outcomes are named tuples.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .net import Marking, MarkingLike, PetriNet
 
 
-@dataclass(frozen=True)
-class ExploreBound:
+class ExploreBound(namedtuple("_BoundFields", "per_place_cap node_cap",
+                              defaults=(10, 200000))):
     """Limits for the exploration; both must be positive ints."""
 
-    per_place_cap: int = 10
-    node_cap: int = 200000
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for cap in (self.per_place_cap, self.node_cap):
+    def __new__(cls, *args, **kwargs) -> ExploreBound:
+        bound = super().__new__(cls, *args, **kwargs)
+        for cap in bound:
             if type(cap) is not int or cap < 1:
                 raise ValueError("exploration bounds must be positive integers")
+        return bound
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it
 
 
 class OutcomeKind(Enum):
@@ -36,8 +38,7 @@ class OutcomeKind(Enum):
     BOUND_HIT = "bound-hit"
 
 
-@dataclass(frozen=True)
-class OracleOutcome:
+class OracleOutcome(NamedTuple):
     kind: OutcomeKind
     witness: Optional[Tuple[int, ...]] = None
 

@@ -32,18 +32,17 @@ search degrades to the classical backward algorithm.
 A run is deterministic: transitions are expanded in declaration order,
 bases keep insertion order, and duplicate predecessor candidates are
 dropped on first occurrence.  Wall-clock time is deliberately not
-measured here.
+measured here.  The result and its per-round counters are named tuples.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
 from operator import le
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .invariants import Invariant, TrivialInvariant
 from .net import Marking, PetriNet
@@ -56,8 +55,7 @@ class Verdict(Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class IterationStats:
+class IterationStats(NamedTuple):
     """Counters for one round of the backward search.
 
     ``kept`` always equals ``new_after_antichain - pruned_by_invariant``;
@@ -77,8 +75,7 @@ class IterationStats:
 BackLinks = Dict[Marking, Optional[Tuple[int, Marking]]]
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """What one search found and what it cost.
 
     ``lp_calls`` counts the token-flow queries the search made, not

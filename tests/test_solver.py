@@ -282,7 +282,7 @@ def test_matches_full_reexpansion_on_acceptance_corpus():
             where = (name, names)
             assert r.verdict.value == ref.verdict, where
             assert r.witness == ref.witness, where
-            assert [tuple(vars(s).values()) for s in r.stats] == ref.stats, where
+            assert [tuple(s) for s in r.stats] == ref.stats, where
             assert (r.lp_calls, r.sign_checks) == (ref.lp_calls,
                                                    ref.sign_checks), where
             assert [b.elements for b in r.bases] == ref.bases, where
@@ -343,7 +343,7 @@ def test_matches_full_reexpansion_on_large_bases():
             where = (net, counts)
             assert r.verdict.value == ref.verdict == verdict, where
             assert r.witness == ref.witness, where
-            assert [tuple(vars(s).values()) for s in r.stats] == ref.stats, where
+            assert [tuple(s) for s in r.stats] == ref.stats, where
             assert [b.elements for b in r.bases] == ref.bases, where
             assert r.backlinks == ref.backlinks, where
             peak = max(peak, max(map(len, r.bases)))
@@ -397,7 +397,7 @@ def test_search_expands_only_productive_pairs(monkeypatch):
                                    budget_steps=20)
         assert r.verdict.value == ref.verdict
         assert r.witness == ref.witness
-        assert [tuple(vars(s).values()) for s in r.stats] == ref.stats
+        assert [tuple(s) for s in r.stats] == ref.stats
         assert [b.elements for b in r.bases] == ref.bases
         assert r.backlinks == ref.backlinks
     assert productive and all(productive)
