@@ -18,15 +18,13 @@ conjunctions:
 
 Every invariant contains all reachable markings and is closed downward,
 so it is sound for pruning a backward coverability search.  Handles are
-built once per net; ``member`` is cheap to call repeatedly.  Each
-trivial, sign and state handle counts its queries for statistics,
-whether a kept top or basis or a new LP answered them.
+built once per net; ``member`` is cheap to call repeatedly.
 """
 
 from __future__ import annotations
 
 from operator import le, mul, sub
-from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+from typing import (TYPE_CHECKING, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from .net import Marking, MarkingLike, PetriNet
@@ -95,7 +93,6 @@ class Invariant:
 
     def __init__(self, net: PetriNet) -> None:
         self.net = net
-        self.queries = 0
 
     @property
     def name(self) -> str:
@@ -105,16 +102,18 @@ class Invariant:
         raise NotImplementedError
 
     def leaves(self) -> Tuple["Invariant", ...]:
-        """The handles whose ``queries`` make up this one's counts:
-        itself, or an intersection's parts, flattened in order."""
+        """Itself, or an intersection's parts flattened: the handles ``member`` asks."""
         return (self,)
 
-    def query_counts(self) -> Dict[str, int]:
-        """Membership queries so far, keyed by invariant kind."""
-        counts: Dict[str, int] = {}
-        for leaf in self.leaves():
-            counts[leaf.kind] = counts.get(leaf.kind, 0) + leaf.queries
-        return counts
+
+def first_refusal(parts: Sequence[Invariant], m: MarkingLike) -> int:
+    """Index of the first of ``parts``, asked in order, to reject m, else len(parts)."""
+    i = 0
+    for part in parts:
+        if not part.member(m):
+            return i
+        i += 1
+    return i
 
 
 class TrivialInvariant(Invariant):
@@ -125,7 +124,6 @@ class TrivialInvariant(Invariant):
     def member(self, m: MarkingLike) -> bool:
         if type(m) is not Marking or len(m) != len(self.net.places):
             self.net.marking(m)
-        self.queries += 1
         return True
 
 
@@ -144,7 +142,6 @@ class SignInvariant(Invariant):
 
     def member(self, m: MarkingLike) -> bool:
         m = self.net.marking(m)
-        self.queries += 1
         return all(m[p] == 0 for p in self.analysis.always_empty)
 
 
@@ -198,7 +195,6 @@ class StateInvariant(Invariant):
         return self._system
 
     def member(self, m: MarkingLike) -> bool:
-        self.queries += 1
         return self._lam(m) is not None
 
     def explain(self, m: MarkingLike) -> Optional[Tuple[Fraction, ...]]:
@@ -271,7 +267,7 @@ class IntersectionInvariant(Invariant):
         return ",".join(p.name for p in self.parts)
 
     def member(self, m: MarkingLike) -> bool:
-        return all(p.member(m) for p in self.parts)
+        return first_refusal(self.parts, m) == len(self.parts)
 
     def leaves(self) -> Tuple[Invariant, ...]:
         return tuple([leaf for p in self.parts for leaf in p.leaves()])

@@ -44,7 +44,7 @@ from numbers import Real
 from operator import le
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .invariants import Invariant, TrivialInvariant
+from .invariants import Invariant, TrivialInvariant, first_refusal
 from .net import Marking, PetriNet
 from .upset import Basis
 
@@ -78,12 +78,12 @@ BackLinks = Dict[Marking, Optional[Tuple[int, Marking]]]
 class SolveResult(NamedTuple):
     """What one search found and what it cost.
 
-    ``lp_calls`` counts the token-flow queries the search made, not
-    simplex solves: a query that the state invariant answers from a top
-    or a simplex basis it kept earlier counts the same as one it solves,
-    so the count does not depend on those caches.  ``sign_checks``
-    counts the sign-analysis queries.  ``bases`` and ``backlinks`` are kept only
-    with ``record_bases``.
+    ``lp_calls`` and ``sign_checks`` count the queries the search put to
+    the state and sign invariants, which an intersection asks in order up
+    to the first that rejects.  A token-flow query answered from a top or
+    simplex basis kept earlier counts as one all the same, so the counts
+    do not depend on those caches.  ``bases`` and ``backlinks`` are kept
+    only with ``record_bases``.
     """
 
     verdict: Verdict
@@ -162,8 +162,8 @@ def solve(
     classical backward search.  ``record_bases`` keeps per-round basis
     snapshots and the predecessor links on the result, for inspection and
     testing.  A ``budget_steps`` that is not an ``int`` >= 0 (``bool``
-    included) or a ``deadline`` that is not a real number, or is NaN,
-    raises ``ValueError``.
+    included), a ``deadline`` that is not a real number or is NaN, or an
+    ``invariant`` that is not an ``Invariant`` raises ``ValueError``.
     """
     if budget_steps is not None and (type(budget_steps) is not int
                                      or budget_steps < 0):
@@ -174,13 +174,17 @@ def solve(
     target = net.marking(target)
     if invariant is None:
         invariant = TrivialInvariant(net)
+    if not isinstance(invariant, Invariant):
+        raise ValueError(f"invariant must be a handle from make_invariant, got {invariant!r}")
     if invariant.net is not net:
         raise ValueError("invariant was built for a different net")
 
     leaves = invariant.leaves()
-    counts_before = [leaf.queries for leaf in leaves]
+    admitted = len(leaves)
+    refused = [0] * (admitted + 1)  # per leaf, then admitted by all
     m_init = net.initial
-    target_admitted = invariant.member(target)
+    refused[first_refusal(leaves, target)] += 1
+    target_admitted = refused[admitted] == 1
     backlinks: BackLinks = {}
     if target_admitted:
         backlinks[target] = None
@@ -260,7 +264,9 @@ def solve(
             if deadline is not None and time.monotonic() >= deadline:
                 expired = True
                 break
-            if invariant.member(c):
+            i = first_refusal(leaves, c)
+            refused[i] += 1
+            if i == admitted:
                 kept.append(c)
             else:
                 still_rejected[c] = [g for g in rejected.get(c, ())
@@ -288,18 +294,16 @@ def solve(
         frontier = [x for x in basis if x in entered]
         k += 1
 
-    deltas = {"state": 0, "sign": 0}
-    for leaf, before in zip(leaves, counts_before):
-        if leaf.kind in deltas:
-            deltas[leaf.kind] += leaf.queries - before
+    # A leaf is asked about every marking that no earlier leaf rejected.
+    asked = [(leaf.kind, sum(refused[j:])) for j, leaf in enumerate(leaves)]
     return SolveResult(
         verdict=verdict,
         witness=witness,
         stats=tuple(stats),
         invariant_name=invariant.name,
         target_in_invariant=target_admitted,
-        lp_calls=deltas["state"],
-        sign_checks=deltas["sign"],
+        lp_calls=sum([n for kind, n in asked if kind == "state"]),
+        sign_checks=sum([n for kind, n in asked if kind == "sign"]),
         final_basis_size=len(basis),
         inconclusive_reason=reason,
         bases=tuple(bases_log) if record_bases else None,

@@ -83,14 +83,26 @@ def full_backward_search(net: PetriNet, target: Marking, invariant: Invariant,
     Each round takes the least predecessor of every basis element under
     every transition (transition-outer, element-inner order), keeps the
     first occurrence of each, drops those already covered, asks the
-    invariant about the rest and merges the admitted ones.  It stops when
-    the initial marking covers a basis element (first in basis order) or
-    a round admits nothing.
+    invariant's leaves about the rest, in order up to the first that
+    rejects, and merges the admitted ones.  It stops when the initial
+    marking covers a basis element (first in basis order) or a round
+    admits nothing.  Each leaf asked counts as one query.
     """
-    before = invariant.query_counts()
+    leaves = invariant.leaves()
+    asked = {"sign": 0, "state": 0}
+
+    def admits(m: Marking) -> bool:
+        # Every leaf up to the first that rejects m is asked, and counted.
+        for leaf in leaves:
+            if leaf.kind in asked:
+                asked[leaf.kind] += 1
+            if not leaf.member(m):
+                return False
+        return True
+
     backlinks: Dict[Marking, Optional[Tuple[int, Marking]]] = {}
     basis: List[Marking] = []
-    if invariant.member(target):
+    if admits(target):
         backlinks[target] = None
         basis = [target]
     stats: List[Tuple[int, ...]] = []
@@ -119,7 +131,7 @@ def full_backward_search(net: PetriNet, target: Marking, invariant: Invariant,
                 candidates.setdefault(c, (t, m))
         fresh = [c for c in candidates
                  if not any(_leq(x, c) for x in basis)]
-        kept = [c for c in fresh if invariant.member(c)]
+        kept = [c for c in fresh if admits(c)]
         stats.append((k, len(basis), len(net.transitions) * len(basis),
                       len(fresh), len(fresh) - len(kept), len(kept)))
         if not kept:
@@ -129,13 +141,12 @@ def full_backward_search(net: PetriNet, target: Marking, invariant: Invariant,
             backlinks[c] = candidates[c]
             basis = _add_minimal(basis, c)
         k += 1
-    after = invariant.query_counts()
     return SearchRecord(
         verdict=verdict,
         witness=witness,
         stats=stats,
-        lp_calls=after.get("state", 0) - before.get("state", 0),
-        sign_checks=after.get("sign", 0) - before.get("sign", 0),
+        lp_calls=asked["state"],
+        sign_checks=asked["sign"],
         bases=bases,
         backlinks=backlinks,
     )

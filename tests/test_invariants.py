@@ -188,12 +188,44 @@ def test_membership_downward_closed():
 
 def test_intersection_short_circuits(stuck_net):
     inv = make_invariant(stuck_net, ["sign", "state"])
-    assert not inv.member(Marking((0, 1)))
-    counts = inv.query_counts()
-    # sign already rejected, the LP must not have run
-    assert counts["sign"] == 1
-    assert counts["state"] == 0
+    result = solve(stuck_net, Marking((0, 1)), inv)
+    # sign already rejected the target, the LP must not have run
+    assert not result.target_in_invariant
+    assert (result.sign_checks, result.lp_calls) == (1, 0)
+    state = inv.parts[1]
+    assert state._tops == [] and state._bases == []
     assert inv.name == "sign,state"
+
+
+def test_nested_intersection_counts_as_flat():
+    """solve counts the queries of an intersection's leaves, so nesting
+    one intersection in another changes no result."""
+    pruned = asked = 0
+    for name, net, target in random_instances(CORPUS_SEED, 60):
+        flat = solve(net, target, make_invariant(net, ["sign", "state"]), record_bases=True)
+        nested = solve(net, target, IntersectionInvariant(
+            [IntersectionInvariant([SignInvariant(net)]), StateInvariant(net)]),
+            record_bases=True)
+        assert nested == flat, name
+        pruned += flat.sign_checks > flat.lp_calls
+        asked += flat.lp_calls > 0
+    assert pruned and asked
+
+
+def test_reused_handle_counts_as_fresh():
+    """A second search on one handle is answered by the tops and bases
+    the first kept, without a new LP, and counts the same queries as a
+    search on a fresh handle."""
+    warmed = 0
+    for name, net, target in random_instances(CORPUS_SEED, 60):
+        warm = make_invariant(net, ["sign", "state"])
+        solve(net, target, warm)
+        solved = list(warm.parts[1]._bases)
+        again = solve(net, target, warm)
+        assert warm.parts[1]._bases == solved, name
+        assert again == solve(net, target, make_invariant(net, ["sign", "state"])), name
+        warmed += bool(solved)
+    assert warmed
 
 
 def test_intersection_with_trivial_behaves_as_sign(stuck_net):
@@ -267,19 +299,6 @@ def test_entries_share_one_marking_boundary(stuck_net):
                 ask(stuck_net, bad)
             messages.add(str(refused.value))
         assert len(messages) == 1, (bad, messages)
-
-
-def test_query_counters(pump_net):
-    inv = StateInvariant(pump_net)
-    inv.member(Marking((0, 0, 0)))
-    inv.member(Marking((0, 2, 1)))
-    assert inv.query_counts() == {"state": 2}
-
-
-def test_intersection_counts_only_its_parts(pump_net):
-    inv = make_invariant(pump_net, ["sign", "state"])
-    inv.member(Marking((0, 0, 0)))
-    assert inv.query_counts() == {"sign": 1, "state": 1}
 
 
 def _displacement(net):

@@ -126,11 +126,12 @@ def test_questions_decided_at_the_target_under_limits(pump_net, orbit_net, limit
     {"budget_steps": True}, {"budget_steps": False}, {"budget_steps": 1.5},
     {"budget_steps": -1}, {"budget_steps": "3"},
     {"deadline": float("nan")}, {"deadline": True}, {"deadline": "soon"},
-    {"deadline": 1j},
+    {"deadline": 1j}, {"invariant": "sign"}, {"invariant": ["sign", "state"]},
 ])
 def test_bad_budget_or_deadline_is_refused(pump_net, bad):
     """Checked once at entry: a bool, fractional or negative budget would
-    decide or give up, and a NaN deadline would never expire."""
+    decide or give up, a NaN deadline would never expire, and names in
+    place of an invariant handle would fail on a missing attribute."""
     with pytest.raises(ValueError, match=next(iter(bad))):
         solve(pump_net, Marking((0, 2, 1)), **bad)
 
