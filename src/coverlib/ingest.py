@@ -34,7 +34,10 @@ included) and negative numbers are rejected.  The ``init:`` section
 may be omitted for the zero marking.
 
 The MIST subset accepts the four sections ``vars``, ``rules``, ``init``
-and ``target`` in that order; their keywords are reserved.  Guards are
+and ``target`` in that order; their keywords are reserved.  ``vars`` is
+the first token, and each other section opens at the last of its
+keywords before the next section's; any other keyword is refused where
+it stands, before a section is read.  Guards are
 conjunctions of ``x >= c``; updates are ``x' = x + c``, ``x' = x - c``
 or ``x' = x``.  Counts are ``nat`` as above.  Each rule becomes one
 transition consuming ``max(guard, decrease)`` and producing accordingly;
@@ -84,6 +87,9 @@ _MIST_TOKEN = re.compile(
 _IDENT = re.compile(r"(?!_\Z)[A-Za-z_][A-Za-z0-9_.\-]*\Z")
 
 _SECTIONS = frozenset({"places", "transitions", "init", "target"})
+# The counts 1 to 99 as emit_native writes them, read without int(); _nat
+# reads any other token.
+_SMALL_COUNTS = {str(c): c for c in range(1, 100)}
 _NATIVE_KEYWORDS = _SECTIONS | {"in", "out"}
 _MIST_SECTIONS = ("vars", "rules", "init", "target")
 
@@ -222,12 +228,15 @@ def parse_native(text: Union[str, bytes], name: str = "") -> Problem:
 
 
 def _native(src: Union[_Tokens, _Words], name: str) -> Problem:
+    """The problem ``src`` spells.  Section ends and counts are tested inline;
+    ``_section_ends``, ``_nat`` and ``_not_a_count`` read what those miss."""
     tokens = src.tokens
     end = len(tokens) - 1
+    small_count = _SMALL_COUNTS.get
     places: Dict[str, int] = {}  # name -> column, in declaration order
-    transitions: List[list] = []  # [name, in arcs, out arcs] per transition
-    transition_seen: Dict[str, int] = {}
+    transition_seen: Dict[str, int] = {}  # name -> token index, in order
     init_counts: Dict[str, int] = {}
+    specs: List[Dict[str, int]] = [init_counts]  # then each transition's in, out
     target_specs: List[Dict[str, int]] = []
     refs: List[int] = []  # token index of each use of a place not yet declared
 
@@ -242,14 +251,14 @@ def _native(src: Union[_Tokens, _Words], name: str) -> Problem:
             raise src.error(f"expected a section keyword, got {head!r}", i)
         i += 2
         if head == "places":
-            while not _section_ends(tokens, i):
+            while tokens[i] and (tokens[i] not in _SECTIONS or tokens[i + 1] != ":"):
                 place = _native_ident(src, i, "place name")
                 if place in places:
                     raise src.error(f"duplicate place {place!r}", i)
                 places[place] = len(places)
                 i += 1
         elif head == "transitions":
-            while not _section_ends(tokens, i):
+            while tokens[i] and (tokens[i] not in _SECTIONS or tokens[i + 1] != ":"):
                 tname = _native_ident(src, i, "transition name")
                 if tname in transition_seen:
                     raise src.error(f"duplicate transition {tname!r}", i)
@@ -257,10 +266,9 @@ def _native(src: Union[_Tokens, _Words], name: str) -> Problem:
                 if tokens[i + 1] != ":":
                     raise _expected(src, i + 1, "':' after transition name")
                 j = i + 2
-                entry = [tname]
                 for keyword in ("in", "out"):
                     arcs: Dict[str, int] = {}
-                    entry.append(arcs)
+                    specs.append(arcs)
                     if tokens[j] != keyword:
                         continue
                     j += 1
@@ -273,7 +281,7 @@ def _native(src: Union[_Tokens, _Words], name: str) -> Problem:
                             refs.append(j)
                         step, weight = 1, 1
                         if tokens[j + 1] == "*":
-                            step, weight = 3, _nat(src, j + 2)
+                            step, weight = 3, small_count(tokens[j + 2]) or _nat(src, j + 2)
                             if weight is None:
                                 raise _not_a_count(src, j + 2, "arc multiplicity")
                         if place in arcs:
@@ -286,7 +294,6 @@ def _native(src: Union[_Tokens, _Words], name: str) -> Problem:
                         raise src.error(f"expected ';' to close transition {tname!r}", i)
                     raise src.error(
                         f"expected ';' to close transition {tname!r}, got {close!r}", j)
-                transitions.append(entry)
                 i = j + 1
         else:
             op = "=" if head == "init" else ">="
@@ -300,7 +307,7 @@ def _native(src: Union[_Tokens, _Words], name: str) -> Problem:
                     refs.append(i)
                 if tokens[i + 1] != op:
                     raise _expected(src, i + 1, f"'{op}' in {head} entry")
-                count = _nat(src, i + 2)
+                count = small_count(tokens[i + 2]) or _nat(src, i + 2)
                 if count is None:
                     raise _not_a_count(src, i + 2, "token count")
                 if place in counts:
@@ -322,18 +329,18 @@ def _native(src: Union[_Tokens, _Words], name: str) -> Problem:
             raise src.error(f"{tname!r} is declared as both a place and a transition", k)
 
     # Every name, arc and count is checked above: build the net and the
-    # target markings directly, dropping zero weights here.  The net keeps
-    # ``places`` as its place index.
-    def row(counts: Dict[str, int]) -> List[int]:
-        dense = [0] * len(places)
+    # target markings directly, one dense row per spec in one loop, zero
+    # weights dropped.  The net keeps ``places`` as its place index.
+    rows = []
+    for counts in specs + target_specs:
+        row = [0] * len(places)
         for p, c in counts.items():
-            dense[places[p]] = c
-        return dense
-
-    net = PetriNet._checked(places, [t for t, _, _ in transitions],
-                            [row(ins) for _, ins, _ in transitions],
-                            [row(outs) for _, _, outs in transitions], row(init_counts))
-    targets = tuple([tuple.__new__(Marking, row(atoms)) for atoms in target_specs])
+            row[places[p]] = c
+        rows.append(row)
+    last = len(specs)
+    net = PetriNet._checked(places, list(transition_seen),
+                            rows[1:last:2], rows[2:last:2], rows[0])
+    targets = tuple([tuple.__new__(Marking, row) for row in rows[last:]])
     return Problem(net=net, targets=targets, name=name)
 
 
@@ -374,23 +381,28 @@ def parse_mist(text: Union[str, bytes], name: str = "") -> Problem:
     tokens = src.tokens
     end = len(tokens) - 1
 
-    # Split into the four fixed sections.
-    starts = {s: tokens.index(s) for s in _MIST_SECTIONS if s in tokens}
-    if starts.get("vars") != 0:
+    # Split into the four fixed sections.  "vars" is the first token, and
+    # each other section starts at the last of its keywords before the
+    # next section's, found from the end.  The keywords are reserved, so
+    # any other one is refused where it stands.
+    if tokens[0] != "vars":
         raise src.error("input must start with a 'vars' section", 0)
-    # A keyword before "rules" that is found again after it names a variable:
-    # the vars list then runs to "rules", and _mist_vars refuses the name.
-    split = starts.get("rules", end)
-    if any(starts.get(s, end) < split and s in tokens[split:] for s in ("init", "target")):
-        _mist_vars(src, 1, split)
-    order = sorted(starts, key=starts.get)
-    if order != [s for s in _MIST_SECTIONS if s in starts]:
-        raise src.error("sections must appear in the order vars, rules, init, target",
-                        starts[order[-1]])
-    for section in _MIST_SECTIONS:
-        if section not in starts:
-            raise src.error(f"missing section {section!r}", end)
-    bounds = [starts[s] for s in _MIST_SECTIONS] + [end]
+    bounds = [end]
+    for section in ("target", "init", "rules"):
+        k = next((k for k in range(bounds[0] - 1, 0, -1) if tokens[k] == section), 0)
+        if not k:  # out of order or missing: the first of each keyword says which
+            starts = {s: tokens.index(s) for s in _MIST_SECTIONS if s in tokens}
+            order = sorted(starts, key=starts.get)
+            if order != [s for s in _MIST_SECTIONS if s in starts]:
+                raise src.error("sections must appear in the order vars, rules, init, target",
+                                starts[order[-1]])
+            missing = next(s for s in _MIST_SECTIONS if s not in starts)
+            raise src.error(f"missing section {missing!r}", end)
+        bounds.insert(0, k)
+    bounds.insert(0, 0)
+    for k, word in enumerate(tokens):
+        if word in _MIST_SECTIONS and k not in bounds:
+            raise src.error(f"{word!r} is a reserved word", k)
     spans = [(b + 1, e) for b, e in zip(bounds, bounds[1:])]
 
     variables = _mist_vars(src, *spans[0])
@@ -431,8 +443,6 @@ def _mist_vars(src: _Tokens, i: int, e: int) -> Tuple[str, ...]:
         text = src.tokens[k]
         if not _IDENT.match(text):
             raise src.error(f"expected a variable name, got {text!r}", k)
-        if text in _MIST_SECTIONS:
-            raise src.error(f"{text!r} is a reserved word", k)
         if text in names:
             raise src.error(f"duplicate variable {text!r}", k)
         names[text] = None

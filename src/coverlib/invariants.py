@@ -10,10 +10,10 @@ conjunctions:
   it also records the transitions it never fired, the sign-dead ones.
 * state: a marking is admitted when the token-flow balance equations,
   relaxed to non-negative rational firing counts, can explain it from
-  the initial marking.  Each handle builds and validates the
-  displacement matrix D once, on the first query that needs it, and
-  reuses its own exact LP answers as tops and kept simplex bases (see
-  ``StateInvariant``); only a query none answers solves an LP.  A
+  the initial marking.  Each handle builds the displacement matrix D
+  once, from the net's checked rows, on the first query that needs it,
+  and reuses its own exact LP answers as tops and kept simplex bases
+  (see ``StateInvariant``); only a query none answers solves an LP.  A
   marking at most the initial one is admitted by lam = 0 without D.
 
 Every invariant contains all reachable markings and is closed downward,
@@ -52,35 +52,39 @@ class SignAnalysis(NamedTuple):
 def sign_analysis(net: PetriNet) -> SignAnalysis:
     """Least set of possibly-marked places closed under transition effects.
 
-    The result is computed once per net and kept on it (nets are
-    immutable), so the preprocessor and the sign invariant of the same
-    net share one fixpoint.
+    Each pass walks the arc lists ``net._arcs`` of the transitions still
+    pending.  The result is computed once per net and kept on it (nets
+    are immutable), so the preprocessor and the sign invariant of the
+    same net share one fixpoint.
     """
     if net._sign is not None:
         return net._sign
     marked = {p for p, c in enumerate(net.initial) if c}
-    # Each transition as (input places, output places), read off the
-    # net's arc rows.  A transition contributes at most once: when its
-    # inputs are marked its outputs join the set and it is retired.
-    # Passes repeat while the set still grows; the transitions still
-    # pending then have an input outside the set, so they are dead.
-    pending = [(t, {p for p, n, _ in arcs if n}, {p for p, _, o in arcs if o})
-               for t, arcs in enumerate(net._arcs)]
+    # A transition contributes at most once: when its inputs, the places
+    # of its arcs with a nonzero pre weight, are marked, the places with
+    # a nonzero post weight join the set and it is retired.  Passes
+    # repeat while the set still grows; the transitions still pending
+    # then have an input outside the set, so they are dead.
+    pending = list(enumerate(net._arcs))
     grew = True
     while grew:
         grew = False
         remaining = []
-        for t, needs, gives in pending:
-            if not needs <= marked:
-                remaining.append((t, needs, gives))
-            elif not gives <= marked:
-                marked |= gives
-                grew = True
+        for entry in pending:
+            for p, n, _ in entry[1]:
+                if n and p not in marked:
+                    remaining.append(entry)
+                    break
+            else:
+                for p, _, o in entry[1]:
+                    if o and p not in marked:
+                        marked.add(p)
+                        grew = True
         pending = remaining
     pm = frozenset(marked)
     net._sign = SignAnalysis(possibly_marked=pm,
                              always_empty=frozenset(range(len(net.places))) - pm,
-                             dead=tuple([t for t, _, _ in pending]))
+                             dead=tuple([t for t, _ in pending]))
     return net._sign
 
 
@@ -150,11 +154,11 @@ class StateInvariant(Invariant):
 
     A marking m passes when some non-negative rational vector of firing
     counts lam satisfies  initial + D lam >= m  component-wise, where
-    column t of D is the displacement of transition t.  D is built and
-    validated once per handle, as ``system``, on the first query that
-    needs a tableau; an LP passes only m - initial.  A query whose
-    m - initial is <= 0 and that nothing kept answers is admitted by
-    lam = 0, the witness ``ratlp.feasible`` would give, without D.
+    column t of D is the displacement of transition t.  D is built once
+    per handle, as ``system``, on the first query that needs a tableau;
+    an LP passes only m - initial.  A query whose m - initial is <= 0
+    and that nothing kept answers is admitted by lam = 0, the witness
+    ``ratlp.feasible`` would give, without D.
 
     Each handle reuses its own LP answers, in the manner of a lazily
     built cutting-plane method (Kelley, 1960).  A query scans:
@@ -184,14 +188,14 @@ class StateInvariant(Invariant):
 
     @property
     def system(self) -> FeasibilityProblem:
-        """D as an LP, one row per place and one column per transition."""
+        """D as an LP, one row per place and one column per transition,
+        stored unchecked: its entries come from the net's checked rows."""
         if self._system is None:
             net = self.net
-            nt = len(net.transitions)
-            self._system = FeasibilityProblem(tuple([
-                tuple([net.post[t][p] - net.pre[t][p] for t in range(nt)])
-                for p in range(len(net.places))
-            ]))
+            columns = [list(map(sub, give, need)) for need, give in zip(net.pre, net.post)]
+            self._system = tuple.__new__(FeasibilityProblem, (tuple([
+                tuple([column[p] for column in columns]) for p in range(len(net.places))
+            ]),))
         return self._system
 
     def member(self, m: MarkingLike) -> bool:

@@ -13,10 +13,11 @@ A net is validated once, where it enters the library: the public
 marking, the parsers check the text they read, and ``restrict`` checks
 its index lists.  The constructor, the parsers and a ``restrict`` that
 drops or reorders places then store the net through one private build
-path, ``PetriNet._checked``, which takes dense rows and trusts them.  A
-``restrict`` that keeps every place in order shares the parent's place
-names, index, initial marking and transition rows, which no net ever
-changes, and builds only its transition names and index.
+path, ``PetriNet._checked``: it trusts its dense rows and builds the row
+tuples and arc lists in one loop per transition.  A subnet on every
+place, which the preprocessor and ``restrict`` take from
+``_keep_transitions``, shares its parent's places, initial marking and
+rows, which no net ever changes, and builds only its transition names.
 """
 
 from __future__ import annotations
@@ -145,6 +146,8 @@ class PetriNet:
         place in each row of ``pre`` and ``post`` and in ``initial``.
         ``places`` may be a dict from each name to its column, in column
         order, that no one changes later; the net keeps it as its index.
+        One loop per transition stores its two rows as tuples (a tuple is
+        kept as it is, a list copied) and builds its arc list.
         """
         net = cls.__new__(cls)
         net._store(places, transitions, pre, post, initial)
@@ -155,17 +158,33 @@ class PetriNet:
         self._place_index = (places if type(places) is dict
                              else {p: i for i, p in enumerate(self.places)})
         self.initial = tuple.__new__(Marking, initial)
-        pre = tuple([tuple(row) for row in pre])
-        post = tuple([tuple(row) for row in post])
-        self._store_transitions(transitions, pre, post, tuple([
-            [(p, n, o) for p, n, o in zip(range(len(self.places)), need, give) if n or o]
-            for need, give in zip(pre, post)]))
+        columns = range(len(self.places))
+        needs, gives, arcs = [], [], []
+        for need, give in zip(pre, post):
+            need, give = tuple(need), tuple(give)
+            needs.append(need)
+            gives.append(give)
+            arcs.append([(p, n, o) for p, n, o in zip(columns, need, give) if n or o])
+        self._store_transitions(transitions, tuple(needs), tuple(gives), tuple(arcs))
 
     def _store_transitions(self, transitions, pre, post, arcs) -> None:
         self.transitions = tuple(transitions)
         self._transition_index = {t: j for j, t in enumerate(self.transitions)}
         self.pre, self.post, self._arcs = pre, post, arcs
         self._sign = None
+
+    def _keep_transitions(self, transitions: Sequence[int]) -> "PetriNet":
+        """``restrict`` to every place and to ``transitions``, indices the
+        caller checked; without a sign analysis, sharing all else it can."""
+        net = PetriNet.__new__(PetriNet)
+        net.places, net._place_index, net.initial = (
+            self.places, self._place_index, self.initial)
+        net._store_transitions(
+            [self.transitions[t] for t in transitions],
+            tuple([self.pre[t] for t in transitions]),
+            tuple([self.post[t] for t in transitions]),
+            tuple([self._arcs[t] for t in transitions]))
+        return net
 
     # -- name/index plumbing -------------------------------------------------
 
@@ -209,11 +228,10 @@ class PetriNet:
 
         Arcs between kept nodes and the initial tokens on kept places carry
         over; everything else is dropped.  A subnet on every place, in
-        order, shares this net's places, place index, initial marking and
-        the rows of the kept transitions; one that drops or reorders
-        places builds its own through ``_checked``.  Either starts
-        without a stored sign analysis, which the preprocessor fills in
-        when the fixpoint is known not to change.
+        order, comes from ``_keep_transitions`` and shares this net's rows;
+        one that drops or reorders places builds its own through
+        ``_checked``.  Either starts without a stored sign analysis, which
+        the preprocessor fills in when the fixpoint is known not to change.
         """
         for p in places:
             _check_index(p, len(self.places), "place")
@@ -224,15 +242,7 @@ class PetriNet:
         if len(set(places)) != len(places) or len(set(transitions)) != len(transitions):
             raise ValueError("duplicate indices in a restriction")
         if len(places) == len(self.places) and all(map(eq, places, range(len(places)))):
-            net = PetriNet.__new__(PetriNet)
-            net.places, net._place_index, net.initial = (
-                self.places, self._place_index, self.initial)
-            net._store_transitions(
-                [self.transitions[t] for t in transitions],
-                tuple([self.pre[t] for t in transitions]),
-                tuple([self.post[t] for t in transitions]),
-                tuple([self._arcs[t] for t in transitions]))
-            return net
+            return self._keep_transitions(transitions)
         return PetriNet._checked(
             [self.places[p] for p in places],
             [self.transitions[t] for t in transitions],

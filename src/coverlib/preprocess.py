@@ -12,11 +12,12 @@ the sign fixpoint, whose dead list holds the transitions failing the
 sign test.  Those never fired in the fixpoint, so the subnet without
 them has the same fixpoint and no dead transition: it is handed that
 analysis instead of computing it again, and its round, which removes
-nothing, needs no second fixpoint.  ``use_state`` additionally tests the
-other transitions against the relaxed token-flow invariant, which can
-remove more; only then can a second round find new victims, and each
-round analyses its own net.  A ``PruneReport`` named tuple stores each
-removal once, in its round.
+nothing, needs no second fixpoint and reuses the always-empty names.
+Subnets come from ``PetriNet._keep_transitions``, unchecked.
+``use_state`` additionally tests the other transitions against the
+relaxed token-flow invariant, which can remove more; only then can a
+second round find new victims, and each round analyses its own net.
+A ``PruneReport`` named tuple stores each removal once, in its round.
 """
 
 from __future__ import annotations
@@ -73,13 +74,13 @@ def prune_dead_transitions(
             state = StateInvariant(net)
             dead = [t for t in range(len(net.transitions)) if t in analysis.dead
                     or not state.member(net.min_enabling_marking(t))]
-        rounds.append(PruneRound(
-            removed=tuple([net.transitions[t] for t in dead]),
-            always_empty=tuple([net.places[p] for p in sorted(analysis.always_empty)])))
+        if use_state or not rounds:  # else this round was handed the last fixpoint
+            empty = tuple([net.places[p] for p in sorted(analysis.always_empty)])
+        rounds.append(PruneRound(tuple([net.transitions[t] for t in dead]), empty))
         if dead:
             gone = set(dead)
-            keep = [t for t in range(len(net.transitions)) if t not in gone]
-            net = net.restrict(range(len(net.places)), keep)
+            net = net._keep_transitions(
+                [t for t in range(len(net.transitions)) if t not in gone])
             if not use_state:  # the sign hand-off described above
                 net._sign = SignAnalysis(analysis.possibly_marked, analysis.always_empty, ())
         if mode == "once" or not dead:

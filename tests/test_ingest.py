@@ -18,7 +18,8 @@ from coverlib import (
 )
 
 from conftest import PUMP_TEXT, make_pump_net
-from corpus import random_net, random_target
+from corpus import random_instances, random_net, random_target
+from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 
 
 # -- native format ----------------------------------------------------------
@@ -124,6 +125,47 @@ def test_places_may_be_declared_last():
         ("transitions:\nt: in a zz ;\ninit: zz=1\ntarget: a>=1\nplaces: a\n",
          "unknown place 'zz'", 2, 9),
     ])
+
+
+def assert_same_build(parsed: PetriNet, built: PetriNet) -> None:
+    """``parsed`` stores what the public constructor stored for ``built``."""
+    assert parsed == built
+    assert parsed._arcs == built._arcs
+    assert parsed._place_index == built._place_index
+    assert parsed._transition_index == built._transition_index
+    assert type(parsed.initial) is Marking
+    assert all(type(row) is tuple for row in parsed.pre + parsed.post)
+
+
+def test_parser_builds_the_constructors_net():
+    """Every net of the acceptance corpus, written out and read back, is
+    stored as the constructor stored it, and every target is a Marking."""
+    for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
+        second = net.marking([c + 1 for c in target])
+        problem = parse_native(emit_native(Problem(net, (target, second), name)))
+        assert_same_build(problem.net, net)
+        assert problem.targets == (target, second), name
+        assert all(type(m) is Marking for m in problem.targets), name
+
+
+def test_parser_builds_the_constructors_net_from_any_order():
+    """Places declared last and in another order, zero weights and a
+    transition without arcs build what the constructor builds."""
+    text = ("transitions:\n"
+            "t: in a*0 b out a*2 ;\n"
+            "idle: ;\n"
+            "u: in b c*3 out c b*0 ;\n"
+            "init: b=2\n"
+            "target: c>=1\n"
+            "places: c a b\n")
+    built = PetriNet(["c", "a", "b"], ["t", "idle", "u"],
+                     {("b", "t"): 1, ("b", "u"): 1, ("c", "u"): 3},
+                     {("t", "a"): 2, ("u", "c"): 1}, {"b": 2})
+    problem = parse_native(text)
+    assert_same_build(problem.net, built)
+    assert problem.net._arcs == ([(1, 0, 2), (2, 1, 0)], [], [(0, 3, 1), (2, 1, 0)])
+    assert problem.targets == (Marking((1, 0, 0)),)
+    assert type(problem.targets[0]) is Marking
 
 
 def error_of(text, fmt=parse_native):
@@ -444,14 +486,28 @@ MIST_REJECTIONS = [
     ("vars\n x\nrules\n -> x' = x; # a\u2028 -> x' = x - 1;\n" + TAIL,
      "rule 1 (line 5): decrease of 1 is not covered by the guard, so the rule is "
      "not expressible as Petri-net arcs", 5, 2),
-    # Section keywords are reserved: one in the vars list that is found
-    # again after "rules" is refused as a variable name.
+    # Section keywords are reserved: each other than the one that opens its
+    # section, the last of its kind before the next section's, is refused
+    # where it stands, before any section is read.
     ("vars\n x init\nrules\n -> x' = x;\ninit\n x = 1\ntarget\n x >= 1\n",
      "'init' is a reserved word", 2, 4),
     ("vars\n x target\nrules\n -> x' = x;\ninit\n x = 1\ntarget\n x >= 1\n",
      "'target' is a reserved word", 2, 4),
     ("vars\n vars x\nrules\n -> x' = x;\ninit\n x = 1\ntarget\n x >= 1\n",
      "'vars' is a reserved word", 2, 2),
+    ("vars\n x\nrules\n x >= 3 -> x init ' = x - 1;\ninit\n x = 0\ntarget\n x >= 1\n",
+     "'init' is a reserved word", 4, 14),
+    ("vars\n x\nrules\n -> x' = x + 1;\ninit\n x = 1 target\ntarget\n x >= 1\n",
+     "'target' is a reserved word", 6, 8),
+    ("vars\n x\nrules\n -> x' = x;\ninit\n x = 1\ntarget\n x >= 1 init\n",
+     "'init' is a reserved word", 8, 9),
+    ("vars\n x\nrules\n target >= 1 -> x' = x;\ninit\n x = 1\ntarget\n x >= 1\n",
+     "'target' is a reserved word", 4, 2),
+    ("vars\n x\nrules\n -> x' = x;\ninit\n x = 1\ntarget\n vars >= 1\n",
+     "'vars' is a reserved word", 8, 2),
+    # One stray keyword is refused before an error earlier in a section.
+    ("vars\n x -\nrules rules\n -> x' = x;\ninit\n x = 1\ntarget\n x >= 1\n",
+     "'rules' is a reserved word", 3, 1),
 ]
 
 

@@ -306,6 +306,31 @@ def _displacement(net):
                  for p in range(len(net.places)))
 
 
+def test_d_equals_a_validated_build():
+    """D is stored without the constructor's checks; it equals the matrix
+    the public ``FeasibilityProblem`` constructor builds and checks."""
+    for name, net, _ in random_instances(CORPUS_SEED, CORPUS_SIZE):
+        system = StateInvariant(net).system
+        checked = FeasibilityProblem(_displacement(net))
+        assert type(system) is FeasibilityProblem and system == checked, name
+        assert type(system.a) is tuple and all(type(row) is tuple for row in system.a)
+    net = PetriNet(["a", "b"], [])
+    assert StateInvariant(net).system == FeasibilityProblem(((), ()))
+
+
+@pytest.mark.parametrize("rows, message", [
+    (((1, 2), (3,)), "ragged"),
+    (((1,), (2, 3)), "ragged"),
+    (((1, 2.0),), "integers"),
+    (((Fraction(1, 2),),), "integers"),
+    (((1, False),), "integers"),
+    ((("1",),), "integers"),
+])
+def test_public_d_constructor_still_refuses_bad_matrices(rows, message):
+    with pytest.raises(ValueError, match=message):
+        FeasibilityProblem(rows)
+
+
 def test_questions_decided_at_the_target_leave_d_unbuilt(pump_net, orbit_net):
     """Under sign,state a target at most the initial marking is admitted by
     lam = 0, and a target the sign test rejects never reaches the state

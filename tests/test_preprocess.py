@@ -25,6 +25,7 @@ from coverlib.invariants import SignInvariant
 
 from corpus import random_instances
 from oracles import marked_rounds
+from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 
 
 def make_cascade_net() -> PetriNet:
@@ -163,6 +164,38 @@ def test_survivors_pass_the_final_analysis():
             for t in range(len(reduced.transitions)):
                 assert member(reduced.min_enabling_marking(t))
             assert report.removal_rounds <= len(net.transitions)
+
+
+def test_pruning_builds_what_restrict_builds():
+    """Each reduced net is restrict's subnet on every place and the kept
+    transitions, sharing the input net's rows and arc lists; a handed-off
+    fixpoint equals a fresh one, and so do each round's always-empty
+    names, computed again on that round's net."""
+    for name, net, _ in random_instances(CORPUS_SEED, CORPUS_SIZE):
+        for use_state in (False, True):
+            reduced, removed, report = prune_dead_transitions(
+                net, mode="fixpoint", use_state=use_state)
+            keep = [t for t, n in enumerate(net.transitions) if n not in removed]
+            expected = net.restrict(range(len(net.places)), keep)
+            assert reduced == expected, name
+            assert reduced._arcs == expected._arcs, name
+            assert reduced._transition_index == expected._transition_index, name
+            assert (reduced.places, reduced._place_index, reduced.initial) == (
+                net.places, net._place_index, net.initial), name
+            assert reduced.places is net.places and reduced.initial is net.initial
+            for u, t in enumerate(keep):
+                assert reduced.pre[u] is net.pre[t] and reduced.post[u] is net.post[t]
+                assert reduced._arcs[u] is net._arcs[t]
+            assert sign_analysis(reduced) == sign_analysis(expected), name
+            current = net
+            for r in report.rounds:
+                fresh = current.restrict(range(len(current.places)),
+                                         range(len(current.transitions)))
+                empty = sorted(sign_analysis(fresh).always_empty)
+                assert r.always_empty == tuple(current.places[p] for p in empty), name
+                current = current.restrict(range(len(current.places)), [
+                    t for t, n in enumerate(current.transitions) if n not in r.removed])
+            assert current == reduced, name
 
 
 def test_verdicts_preserved_on_corpus():
