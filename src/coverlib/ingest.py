@@ -26,7 +26,8 @@ Lines are those of ``str.splitlines()``, so ``\r``, ``\x0c``, ``\x85``
 and U+2028 end a line as ``\n`` does, and white space is what
 ``str.isspace()`` accepts.  The text is read as words split at white
 space and around operators; a regex scan runs only to place an error,
-counting lines and columns from 1.  Every ``target:`` section describes
+counting lines and columns from 1.  Both read a count glued to a name,
+as in ``a*2b``, as one bad token.  Every ``target:`` section describes
 one target marking (unlisted places need zero tokens); ``init:`` entries
 default to zero as well.  A problem needs at least one place and one
 target.  Duplicate declarations, duplicate arcs (a weight of zero
@@ -36,8 +37,9 @@ may be omitted for the zero marking.
 The MIST subset accepts the four sections ``vars``, ``rules``, ``init``
 and ``target`` in that order; their keywords are reserved.  ``vars`` is
 the first token, and each other section opens at the last of its
-keywords before the next section's; any other keyword is refused where
-it stands, before a section is read.  Guards are
+keywords before the next section's that starts its line, or at the last
+one if none does; any other keyword is refused where it stands, before
+a section is read.  Guards are
 conjunctions of ``x >= c``; updates are ``x' = x + c``, ``x' = x - c``
 or ``x' = x``.  Counts are ``nat`` as above.  Each rule becomes one
 transition consuming ``max(guard, decrease)`` and producing accordingly;
@@ -55,7 +57,10 @@ from .net import Marking, PetriNet
 
 
 class Problem(namedtuple("_ProblemFields", "net targets name")):
-    """A net together with the markings whose coverability is asked."""
+    """A net together with the markings whose coverability is asked.
+
+    Every public path checks the targets; the parsers and ``prune_problem``
+    build one from checked parts with ``tuple.__new__``."""
 
     __slots__ = ()
 
@@ -77,11 +82,12 @@ class ParseError(ValueError):
         self.column = column
 
 
-# A token is an identifier, a run of decimal digits, an operator, or one
-# letter or digit of any script.  Every other character, a lone "_" too,
-# must be white space or the scanner rejects it.
+# A native token is an identifier, a decimal digit with the identifier
+# characters glued to it (so ``2b`` is one bad count, as it is one word),
+# an operator, or one letter or digit of any script.  Every other
+# character, a lone "_" too, must be white space or the scanner rejects it.
 _NATIVE_TOKEN = re.compile(
-    r"[A-Za-z][A-Za-z0-9_.\-]*|_[A-Za-z0-9_.\-]+|\d+|>=|[:;*=]|[^\W_]|[,'+\-]")
+    r"[A-Za-z][A-Za-z0-9_.\-]*|_[A-Za-z0-9_.\-]+|\d[A-Za-z0-9_.\-]*|>=|[:;*=]|[^\W_]|[,'+\-]")
 _MIST_TOKEN = re.compile(
     r"(?:[A-Za-z][A-Za-z0-9_.\-]*|_[A-Za-z0-9_.\-]+)'?|_'|\d+|->|>=|[=,;+\-]|[^\W_]|[:*']")
 _IDENT = re.compile(r"(?!_\Z)[A-Za-z_][A-Za-z0-9_.\-]*\Z")
@@ -328,8 +334,8 @@ def _native(src: Union[_Tokens, _Words], name: str) -> Problem:
         if tname in places:
             raise src.error(f"{tname!r} is declared as both a place and a transition", k)
 
-    # Every name, arc and count is checked above: build the net and the
-    # target markings directly, one dense row per spec in one loop, zero
+    # Every name, arc and count is checked above: build the net, targets
+    # and problem directly, one dense row per spec in one loop, zero
     # weights dropped.  The net keeps ``places`` as its place index.
     rows = []
     for counts in specs + target_specs:
@@ -341,7 +347,7 @@ def _native(src: Union[_Tokens, _Words], name: str) -> Problem:
     net = PetriNet._checked(places, list(transition_seen),
                             rows[1:last:2], rows[2:last:2], rows[0])
     targets = tuple([tuple.__new__(Marking, row) for row in rows[last:]])
-    return Problem(net=net, targets=targets, name=name)
+    return tuple.__new__(Problem, (net, targets, name))
 
 
 def emit_native(problem: Problem) -> str:
@@ -383,13 +389,19 @@ def parse_mist(text: Union[str, bytes], name: str = "") -> Problem:
 
     # Split into the four fixed sections.  "vars" is the first token, and
     # each other section starts at the last of its keywords before the
-    # next section's, found from the end.  The keywords are reserved, so
-    # any other one is refused where it stands.
+    # next section's, found from the end, that starts its line; at the
+    # last one if none does.  The keywords are reserved, so any other one
+    # is refused where it stands.
     if tokens[0] != "vars":
         raise src.error("input must start with a 'vars' section", 0)
     bounds = [end]
+    rows = None  # each token's line, read only if a keyword repeats
     for section in ("target", "init", "rules"):
-        k = next((k for k in range(bounds[0] - 1, 0, -1) if tokens[k] == section), 0)
+        found = [k for k in range(bounds[0] - 1, 0, -1) if tokens[k] == section]
+        k = found[0] if found else 0
+        if len(found) > 1:
+            rows = rows or [row for row, _ in src.positions()]
+            k = next((j for j in found if rows[j] != rows[j - 1]), k)
         if not k:  # out of order or missing: the first of each keyword says which
             starts = {s: tokens.index(s) for s in _MIST_SECTIONS if s in tokens}
             order = sorted(starts, key=starts.get)
@@ -420,15 +432,16 @@ def parse_mist(text: Union[str, bytes], name: str = "") -> Problem:
         tnames.append(tname)
 
     # Names, counts and the guard cover of every decrease are checked
-    # above, so each rule's arcs are non-negative: build the net directly,
-    # with ``var_index`` as its place index.
+    # above, so each rule's arcs are non-negative: build the net, the
+    # targets and the problem directly, with ``var_index`` as the place index.
     columns = range(len(variables))
     pre = [[max(g.get(i, 0), -d.get(i, 0)) for i in columns] for g, d in rules]
     post = [[n + d.get(i, 0) for i, n in enumerate(need)] for need, (_, d) in zip(pre, rules)]
     initial = [init.get(i, 0) for i in columns]
     net = PetriNet._checked(var_index, tnames, pre, post, initial)
-    markings = tuple([Marking([atoms.get(i, 0) for i in columns]) for atoms in targets])
-    return Problem(net=net, targets=markings, name=name)
+    markings = tuple([tuple.__new__(Marking, [atoms.get(i, 0) for i in columns])
+                      for atoms in targets])
+    return tuple.__new__(Problem, (net, markings, name))
 
 
 # The section parsers below read tokens ``i`` up to, not including, ``e``:

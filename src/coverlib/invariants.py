@@ -82,9 +82,8 @@ def sign_analysis(net: PetriNet) -> SignAnalysis:
                         grew = True
         pending = remaining
     pm = frozenset(marked)
-    net._sign = SignAnalysis(possibly_marked=pm,
-                             always_empty=frozenset(range(len(net.places))) - pm,
-                             dead=tuple([t for t, _ in pending]))
+    net._sign = SignAnalysis(pm, frozenset(range(len(net.places))) - pm,
+                             tuple([t for t, _ in pending]))
     return net._sign
 
 
@@ -97,10 +96,7 @@ class Invariant:
 
     def __init__(self, net: PetriNet) -> None:
         self.net = net
-
-    @property
-    def name(self) -> str:
-        return self.kind
+        self.name = self.kind
 
     def member(self, m: MarkingLike) -> bool:
         raise NotImplementedError
@@ -145,8 +141,7 @@ class SignInvariant(Invariant):
         self.analysis = sign_analysis(net)
 
     def member(self, m: MarkingLike) -> bool:
-        m = self.net.marking(m)
-        return all(m[p] == 0 for p in self.analysis.always_empty)
+        return not any(map(self.net.marking(m).__getitem__, self.analysis.always_empty))
 
 
 class StateInvariant(Invariant):
@@ -265,16 +260,14 @@ class IntersectionInvariant(Invariant):
             raise ValueError("intersected invariants must share one net")
         super().__init__(parts[0].net)
         self.parts = parts
-
-    @property
-    def name(self) -> str:
-        return ",".join(p.name for p in self.parts)
+        self.name = ",".join([p.name for p in parts])
+        self._leaves = tuple([leaf for p in parts for leaf in p.leaves()])
 
     def member(self, m: MarkingLike) -> bool:
         return first_refusal(self.parts, m) == len(self.parts)
 
     def leaves(self) -> Tuple[Invariant, ...]:
-        return tuple([leaf for p in self.parts for leaf in p.leaves()])
+        return self._leaves
 
 
 _FACTORIES = {c.kind: c for c in (TrivialInvariant, SignInvariant, StateInvariant)}

@@ -254,15 +254,16 @@ class PetriNet:
     # -- semantics -----------------------------------------------------------
 
     def fire(self, m: MarkingLike, t: int) -> Optional[Marking]:
-        """Successor of ``m`` under ``t``, or None when ``t`` is disabled."""
+        """Successor of ``m`` under ``t``, or None when ``t`` is disabled.
+
+        Built unchecked: ``t`` is enabled, so every count is a non-negative int."""
         m = self.marking(m)
         _check_index(t, len(self.transitions), "transition")
         need = self.pre[t]
-        out = self.post[t]
         for c, n in zip(m, need):
             if c < n:
                 return None
-        return Marking([c - n + o for c, n, o in zip(m, need, out)])
+        return tuple.__new__(Marking, [c - n + o for c, n, o in zip(m, need, self.post[t])])
 
     def fire_sequence(self, m: MarkingLike, ts: Iterable[int]) -> Optional[Marking]:
         """Fire ``ts`` in order from ``m``; None on the first disabled step."""

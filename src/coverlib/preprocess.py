@@ -11,9 +11,10 @@ calls it, then projects the targets and may drop places.  A round takes
 the sign fixpoint, whose dead list holds the transitions failing the
 sign test.  Those never fired in the fixpoint, so the subnet without
 them has the same fixpoint and no dead transition: it is handed that
-analysis instead of computing it again, and its round, which removes
-nothing, needs no second fixpoint and reuses the always-empty names.
-Subnets come from ``PetriNet._keep_transitions``, unchecked.
+analysis instead of computing it again, and its round, which would
+remove nothing, is recorded without being run, with the same
+always-empty names.  Subnets come from ``PetriNet._keep_transitions``,
+and reduced problems are built from their checked parts, unchecked.
 ``use_state`` additionally tests the other transitions against the
 relaxed token-flow invariant, which can remove more; only then can a
 second round find new victims, and each round analyses its own net.
@@ -74,18 +75,20 @@ def prune_dead_transitions(
             state = StateInvariant(net)
             dead = [t for t in range(len(net.transitions)) if t in analysis.dead
                     or not state.member(net.min_enabling_marking(t))]
-        if use_state or not rounds:  # else this round was handed the last fixpoint
-            empty = tuple([net.places[p] for p in sorted(analysis.always_empty)])
+        empty = tuple([net.places[p] for p in sorted(analysis.always_empty)])
         rounds.append(PruneRound(tuple([net.transitions[t] for t in dead]), empty))
         if dead:
             gone = set(dead)
             net = net._keep_transitions(
                 [t for t in range(len(net.transitions)) if t not in gone])
-            if not use_state:  # the sign hand-off described above
+            if not use_state:  # the sign hand-off described above, and its empty round
                 net._sign = SignAnalysis(analysis.possibly_marked, analysis.always_empty, ())
-        if mode == "once" or not dead:
-            report = PruneReport(mode=mode, rounds=tuple(rounds))
-            return net, list(report.removed), report
+                if mode == "fixpoint":
+                    rounds.append(PruneRound((), empty))
+        if mode == "once" or not dead or not use_state:
+            break
+    report = PruneReport(mode, tuple(rounds))
+    return net, list(report.removed), report
 
 
 def prune_problem(
@@ -116,4 +119,4 @@ def prune_problem(
             targets = tuple([Marking([m[p] for p in keep]) for m in targets])
             report = report._replace(dropped_places=tuple(
                 [problem.net.places[p] for p in droppable]))
-    return Problem(net=net, targets=targets, name=problem.name), report
+    return tuple.__new__(Problem, (net, targets, problem.name)), report

@@ -168,8 +168,11 @@ def solve(
     if budget_steps is not None and (type(budget_steps) is not int
                                      or budget_steps < 0):
         raise ValueError(f"budget_steps must be an integer >= 0, got {budget_steps!r}")
-    if deadline is not None and (not isinstance(deadline, Real)
-                                 or isinstance(deadline, bool) or math.isnan(deadline)):
+    # A float or int is taken on sight, before the slower test for a Real.
+    if deadline is not None and not (type(deadline) is float and deadline == deadline
+                                     or type(deadline) is int) and (
+            not isinstance(deadline, Real) or isinstance(deadline, bool)
+            or math.isnan(deadline)):
         raise ValueError(f"deadline must be a monotonic timestamp, got {deadline!r}")
     target = net.marking(target)
     if invariant is None:
@@ -190,7 +193,7 @@ def solve(
         backlinks[target] = None
         basis = Basis._of((target,), None)  # one element is an antichain
     else:
-        basis = Basis()
+        basis = Basis._of((), None)
 
     stats: List[IterationStats] = []
     bases_log: List[Basis] = []
@@ -275,14 +278,8 @@ def solve(
             verdict = Verdict.INCONCLUSIVE
             reason = "deadline"
             break
-        stats.append(IterationStats(
-            index=k,
-            basis_size=len(basis),
-            candidates_generated=nt * len(basis),
-            new_after_antichain=len(fresh),
-            pruned_by_invariant=len(still_rejected),
-            kept=len(kept),
-        ))
+        stats.append(IterationStats(k, len(basis), nt * len(basis), len(fresh),
+                                    len(still_rejected), len(kept)))
         if not kept:
             verdict = Verdict.UNCOVERABLE
             break
@@ -295,18 +292,13 @@ def solve(
         k += 1
 
     # A leaf is asked about every marking that no earlier leaf rejected.
-    asked = [(leaf.kind, sum(refused[j:])) for j, leaf in enumerate(leaves)]
-    return SolveResult(
-        verdict=verdict,
-        witness=witness,
-        stats=tuple(stats),
-        invariant_name=invariant.name,
-        target_in_invariant=target_admitted,
-        lp_calls=sum([n for kind, n in asked if kind == "state"]),
-        sign_checks=sum([n for kind, n in asked if kind == "sign"]),
-        final_basis_size=len(basis),
-        inconclusive_reason=reason,
-        bases=tuple(bases_log) if record_bases else None,
-        backlinks=backlinks if record_bases else None,
-    )
+    asked, calls = sum(refused), {"state": 0, "sign": 0}
+    for leaf, n in zip(leaves, refused):
+        if leaf.kind in calls:
+            calls[leaf.kind] += asked
+        asked -= n
+    return SolveResult(verdict, witness, tuple(stats), invariant.name, target_admitted,
+                       calls["state"], calls["sign"], len(basis), reason,
+                       tuple(bases_log) if record_bases else None,
+                       backlinks if record_bases else None)
 

@@ -228,6 +228,10 @@ NATIVE_REJECTIONS = [
     ("places: a\ninit: a=x\ntarget: a>=1\n", "expected token count, got 'x'", 2, 9),
     ("places: a\ntransitions:\nt: in a*x ;\ntarget: a>=1\n",
      "expected arc multiplicity, got 'x'", 3, 9),
+    # A count glued to a name is one bad count, not a count and a name.
+    ("places: a b\ntransitions:\nt: in a*2b ;\ntarget: a>=1\n",
+     "expected arc multiplicity, got '2b'", 3, 9),
+    ("places: a b\ninit: a=1b\ntarget: a>=1\n", "expected token count, got '1b'", 2, 9),
     # Line breaks are those of str.splitlines().
     ("places: a\r\ntransitions:\r\nt: in zz ;\r\ntarget: a>=1\r\n",
      "unknown place 'zz'", 3, 7),
@@ -487,8 +491,9 @@ MIST_REJECTIONS = [
      "rule 1 (line 5): decrease of 1 is not covered by the guard, so the rule is "
      "not expressible as Petri-net arcs", 5, 2),
     # Section keywords are reserved: each other than the one that opens its
-    # section, the last of its kind before the next section's, is refused
-    # where it stands, before any section is read.
+    # section, the last of its kind before the next section's that starts
+    # its line (else the last), is refused where it stands, before any
+    # section is read.
     ("vars\n x init\nrules\n -> x' = x;\ninit\n x = 1\ntarget\n x >= 1\n",
      "'init' is a reserved word", 2, 4),
     ("vars\n x target\nrules\n -> x' = x;\ninit\n x = 1\ntarget\n x >= 1\n",
@@ -505,9 +510,14 @@ MIST_REJECTIONS = [
      "'target' is a reserved word", 4, 2),
     ("vars\n x\nrules\n -> x' = x;\ninit\n x = 1\ntarget\n vars >= 1\n",
      "'vars' is a reserved word", 8, 2),
+    # A keyword that starts its line opens the section, before a later one.
+    ("vars\n x\nrules\n -> x' = x;\ninit\n x = 1, init = 2\ntarget\n x >= 1\n",
+     "'init' is a reserved word", 6, 9),
+    ("vars\n x\nrules\n -> x' = x;\ninit x = 1\ninit\ntarget\n x >= 1\n",
+     "'init' is a reserved word", 5, 1),
     # One stray keyword is refused before an error earlier in a section.
     ("vars\n x -\nrules rules\n -> x' = x;\ninit\n x = 1\ntarget\n x >= 1\n",
-     "'rules' is a reserved word", 3, 1),
+     "'rules' is a reserved word", 3, 7),
 ]
 
 
@@ -578,8 +588,9 @@ EDITS = [" ", "\t", "\r", "\r\n", "\x0c", "\x1c", "\x85", "\u2028", "\xa0", " # 
 def test_words_read_like_the_token_scanner():
     """``parse_native`` reads a text from its words unless the grammar
     refuses one; then the token scanner reads it again.  Either way the
-    result, or the error with its position, is the scanner's, and a text
-    read from its words has the scanner's tokens."""
+    result, or the error with its position, is the scanner's.  Every text
+    the scanner accepts is read from its words, as the scanner's tokens:
+    a count glued to a name, like ``2b``, is one token to both."""
     from coverlib.ingest import _NATIVE_TOKEN, _native, _text, _Tokens, _Words
 
     def scanned(text):
@@ -614,14 +625,32 @@ def test_words_read_like_the_token_scanner():
         expected = scanned(text)
         assert outcome(text) == expected, text
         assert outcome(text.encode()) == expected, text
-        try:
-            words = _Words(_text(text))
-            _native(words, "")
-        except ParseError:
+        if type(expected) is not Problem:
             continue
+        words = _Words(_text(text))
+        assert _native(words, "") == expected, text
         read += 1
         assert words.tokens == _Tokens(_text(text), _NATIVE_TOKEN).tokens, text
     assert 500 <= read < len(texts)
+
+
+def test_parsed_problems_equal_checked_ones():
+    """Both parsers build the problem and its targets from checked parts;
+    the checked constructor, given the same fields, builds the same."""
+    path = pathlib.Path(__file__).parent / "data" / "ingest_mutations.json"
+    cases = json.loads(path.read_text(encoding="utf-8"))
+    texts = [(parse_native, emit_native(Problem(net, (target,), name)))
+             for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE)]
+    texts += [(parse_native if case["format"] == "native" else parse_mist, case["input"])
+              for case in cases if "emit" in case]
+    texts += [(parse_mist, TOKEN_PASS)]
+    assert {parse for parse, _ in texts} == {parse_native, parse_mist}
+    for parse, text in texts:
+        problem = parse(text, name="p")
+        assert type(problem) is Problem and problem.name == "p", text
+        assert Problem(*problem) == problem, text
+        assert all(type(m) is Marking and len(m) == len(problem.net.places)
+                   for m in problem.targets), text
 
 
 def test_mist_accepts_bytes():

@@ -215,6 +215,30 @@ def test_fast_paths_keep_every_refusal(pump_net):
     with pytest.raises(ValueError, match=r"^expected 3 counts, got 2$"):
         trivial.member(Marking((0, 2)))
 
+def test_fired_successors_equal_checked_markings():
+    """fire builds its successor unchecked, from a checked marking and an
+    enabled transition: every count is still a non-negative int, so the
+    successor equals the marking the checked constructor builds."""
+    rng = random.Random(412)
+    fired = 0
+    for name, net, _ in random_instances(CORPUS_SEED, CORPUS_SIZE):
+        m, steps = net.initial, []
+        for _ in range(6):
+            successors = [(t, net.fire(m, t)) for t in range(len(net.transitions))]
+            enabled = [(t, s) for t, s in successors if s is not None]
+            for t, s in enabled:
+                assert type(s) is Marking and s == Marking(list(s)), name
+                assert s == tuple(c - n + o for c, n, o in zip(m, net.pre[t], net.post[t]))
+            fired += len(enabled)
+            if not enabled:
+                break
+            t, m = rng.choice(enabled)
+            steps.append(t)
+        end = net.fire_sequence(list(net.initial), steps)
+        assert type(end) is Marking and end == Marking(list(end)) == m, name
+    assert fired > 1000
+
+
 def test_restricted_net_uses_its_own_arcs():
     rng = random.Random(407)
     for _ in range(100):

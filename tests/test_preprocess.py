@@ -12,6 +12,7 @@ from coverlib import (
     Marking,
     PetriNet,
     Problem,
+    PruneReport,
     Verdict,
     emit_native,
     make_invariant,
@@ -196,6 +197,51 @@ def test_pruning_builds_what_restrict_builds():
                 current = current.restrict(range(len(current.places)), [
                     t for t, n in enumerate(current.transitions) if n not in r.removed])
             assert current == reduced, name
+
+
+def checked_copy(net: PetriNet) -> PetriNet:
+    """``net`` built anew from copies of its rows, with no sign analysis."""
+    return PetriNet._checked(list(net.places), list(net.transitions),
+                             [list(r) for r in net.pre], [list(r) for r in net.post],
+                             list(net.initial))
+
+
+def test_fixpoint_report_equals_rounds_run_one_by_one():
+    """A sign-only fixpoint records its closing round without running it,
+    and every fixpoint builds its report positionally: the rounds equal
+    those of single rounds run on fresh copies until one removes nothing,
+    each copy analysed from scratch, with and without the flow test."""
+    for name, net, _ in random_instances(CORPUS_SEED, CORPUS_SIZE):
+        for use_state in (False, True):
+            reduced, removed, report = prune_dead_transitions(
+                net, mode="fixpoint", use_state=use_state)
+            rounds, current = [], net
+            while not rounds or rounds[-1].removed:
+                current, _, once = prune_dead_transitions(
+                    checked_copy(current), mode="once", use_state=use_state)
+                assert once.mode == "once" and len(once.rounds) == 1, name
+                rounds += once.rounds
+            assert report == PruneReport("fixpoint", tuple(rounds)), (name, use_state)
+            assert report.mode == "fixpoint" and report.dropped_places == ()
+            assert removed == list(report.removed) and current == reduced, name
+
+
+def test_pruned_problems_equal_checked_ones():
+    """prune_problem builds its problem from the checked targets, projected
+    or not; the checked constructor, given the same fields, builds the same."""
+    projected = 0
+    for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
+        problem = Problem(net, (target, net.initial), name)
+        for use_state in (False, True):
+            for drop_places in (False, True):
+                reduced, report = prune_problem(problem, use_state=use_state,
+                                                drop_places=drop_places)
+                projected += bool(report.dropped_places)
+                assert type(reduced) is Problem and reduced.name == name
+                assert Problem(*reduced) == reduced, name
+                assert all(type(m) is Marking and len(m) == len(reduced.net.places)
+                           for m in reduced.targets), name
+    assert projected > 10
 
 
 def test_verdicts_preserved_on_corpus():

@@ -12,6 +12,7 @@ from coverlib import (
     Marking,
     OutcomeKind,
     PetriNet,
+    SolveResult,
     Verdict,
     bounded_cover,
     extract_witness,
@@ -136,6 +137,26 @@ def test_bad_budget_or_deadline_is_refused(pump_net, bad):
         solve(pump_net, Marking((0, 2, 1)), **bad)
 
 
+def test_any_real_deadline_is_taken(pump_net):
+    """A float or an int is taken on sight; any other real number, a
+    Fraction or a float subclass, is checked as a Real.  A past deadline
+    of each stops the search, a far one lets it finish."""
+    from fractions import Fraction
+
+    class Stamp(float):
+        pass
+
+    now = int(time.monotonic())
+    for past, far in ((now - 1.0, now + 600.0), (now - 1, now + 600),
+                      (Fraction(now - 1), Fraction(now + 600)),
+                      (Stamp(now - 1), Stamp(now + 600)), (-10 ** 400, 10 ** 400)):
+        stopped = solve(pump_net, Marking((0, 2, 1)), deadline=past)
+        assert stopped.inconclusive_reason == "deadline", past
+        assert solve(pump_net, Marking((0, 2, 1)), deadline=far).verdict is Verdict.COVERABLE
+    with pytest.raises(ValueError, match="deadline"):
+        solve(pump_net, Marking((0, 2, 1)), deadline=Stamp("nan"))
+
+
 def test_deadline(pump_net):
     r = solve(pump_net, Marking((0, 2, 1)), deadline=time.monotonic() - 1.0)
     assert r.verdict is Verdict.INCONCLUSIVE
@@ -246,6 +267,32 @@ def test_corpus_verdicts_and_witnesses():
                 if r.verdict is not Verdict.UNCOVERABLE:
                     mismatches.append((name, names))
     assert mismatches == []
+
+
+def test_positional_records_hold_their_named_fields():
+    """solve builds its records positionally: each equals the record built
+    from its fields by name, and each field holds what its name says."""
+    from test_acceptance import CORPUS_SEED, CORPUS_SIZE
+
+    for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
+        for names in CONFIGS:
+            r = solve(net, target, make_invariant(net, names), record_bases=True)
+            assert SolveResult(**r._asdict()) == r, name
+            assert r.invariant_name == ",".join(names) and type(r.verdict) is Verdict
+            assert r.final_basis_size == len(r.bases[-1]), name
+            assert r.target_in_invariant is (target in r.backlinks), name
+            assert len(r.backlinks) == r.target_in_invariant + r.kept_total, name
+            asked = 1 + sum([s.new_after_antichain for s in r.stats])
+            assert r.sign_checks == asked * ("sign" in names), name
+            if names == ["state"]:
+                assert r.lp_calls == asked, name
+            elif "state" not in names:
+                assert r.lp_calls == 0, name
+            for k, s in enumerate(r.stats):
+                assert IterationStats(**s._asdict()) == s, name
+                assert (s.index, s.basis_size) == (k, len(r.bases[k])), name
+                assert s.candidates_generated == len(net.transitions) * s.basis_size
+                assert s.kept == s.new_after_antichain - s.pruned_by_invariant, name
 
 
 def test_corpus_determinism():
