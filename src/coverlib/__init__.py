@@ -5,7 +5,7 @@ The result, report and problem records are named tuples: ``_asdict()``,
 names, and records compare, hash and iterate as tuples.
 """
 
-from .ingest import ParseError, Problem, emit_native, parse_mist, parse_native
+from .ingest import ParseError, Problem, emit_native, parse_native
 from .invariants import (
     IntersectionInvariant,
     Invariant,
@@ -24,13 +24,6 @@ from .preprocess import (
     prune_problem,
 )
 from .ratlp import FeasibilityProblem, feasible
-from .refcheck import (
-    ExploreBound,
-    OracleOutcome,
-    OutcomeKind,
-    bounded_cover,
-    reachable_markings,
-)
 from .solver import (
     IterationStats,
     SolveResult,
@@ -77,3 +70,26 @@ __all__ = [
     "sign_analysis",
     "solve",
 ]
+
+# Names bound on first read (PEP 562), each to the submodule that defines it.
+_LAZY = {
+    "parse_mist": "mist",
+    "ExploreBound": "refcheck",
+    "OracleOutcome": "refcheck",
+    "OutcomeKind": "refcheck",
+    "bounded_cover": "refcheck",
+    "reachable_markings": "refcheck",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value  # later reads are plain lookups
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

@@ -19,8 +19,6 @@ is printed then), 141 when standard output is a pipe its reader closed.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
@@ -28,8 +26,9 @@ import time
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .ingest import ParseError, Problem, emit_native, parse_mist, parse_native
+from .ingest import ParseError, Problem, emit_native, parse_native
 from .invariants import INVARIANT_KINDS, check_invariant_names, make_invariant
+from .mist import parse_mist
 from .preprocess import prune_problem
 from .refcheck import ExploreBound, OutcomeKind, bounded_cover
 from .solver import IterationStats, SolveResult, Verdict, solve
@@ -156,6 +155,7 @@ def _run_instance(
 
 
 def _print_stats_csv(record: dict) -> None:
+    import csv
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(IterationStats._fields)
     writer.writerows(s.values() for s in record["iterations"])
@@ -175,6 +175,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.witness and record["witness"] is not None:
         print(" ".join(["witness:"] + record["witness"]))
     if args.stats == "json":
+        import json
         print(json.dumps(record, indent=2))
     elif args.stats == "csv":
         _print_stats_csv(record)
@@ -201,6 +202,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         text = emit_native(reduced)
     except ValueError as exc:
         raise CliError(f"{args.net}: {exc}") from None
+    import json
     outputs = [(args.out, text, sys.stdout),
                (args.report, json.dumps(doc, indent=2) + "\n", sys.stderr)]
     # Files first, streams last, so a failed write leaves no partial result.
@@ -255,6 +257,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     files = sorted(p for p in root.iterdir()
                    if p.suffix in (".cover", ".spec") and p.is_file())
+    import csv
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["name", "invariant", "verdict", "iterations",
                      "basis_final_size", "candidates", "pruned",

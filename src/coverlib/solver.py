@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import time
 from enum import Enum
-from numbers import Real
 from operator import le
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -168,12 +167,13 @@ def solve(
     if budget_steps is not None and (type(budget_steps) is not int
                                      or budget_steps < 0):
         raise ValueError(f"budget_steps must be an integer >= 0, got {budget_steps!r}")
-    # A float or int is taken on sight, before the slower test for a Real.
+    # A float or int is taken on sight; only another type is tested for a
+    # Real, so ``numbers`` is imported for that test alone.
     if deadline is not None and not (type(deadline) is float and deadline == deadline
-                                     or type(deadline) is int) and (
-            not isinstance(deadline, Real) or isinstance(deadline, bool)
-            or math.isnan(deadline)):
-        raise ValueError(f"deadline must be a monotonic timestamp, got {deadline!r}")
+                                     or type(deadline) is int):
+        from numbers import Real
+        if not isinstance(deadline, Real) or isinstance(deadline, bool) or math.isnan(deadline):
+            raise ValueError(f"deadline must be a monotonic timestamp, got {deadline!r}")
     target = net.marking(target)
     if invariant is None:
         invariant = TrivialInvariant(net)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-import coverlib.ingest
+import coverlib.mist
 from coverlib import (
     Marking,
     ParseError,
@@ -409,8 +409,8 @@ class _CountedPattern:
 def test_mist_targets_need_no_second_scan(monkeypatch):
     """The target lines are cut at the tokens the one whole-text scan
     found; no line is run through the pattern again."""
-    counted = _CountedPattern(coverlib.ingest._MIST_TOKEN)
-    monkeypatch.setattr(coverlib.ingest, "_MIST_TOKEN", counted)
+    counted = _CountedPattern(coverlib.mist._MIST_TOKEN)
+    monkeypatch.setattr(coverlib.mist, "_MIST_TOKEN", counted)
     text = (
         "vars\n x y\n"
         "rules\n -> x' = x;\n"
@@ -420,6 +420,14 @@ def test_mist_targets_need_no_second_scan(monkeypatch):
     p = parse_mist(text)
     assert counted.scans == 1
     assert p.targets == (Marking((1, 2)), Marking((0, 5)), Marking((3, 1)))
+
+
+def test_mist_count_may_touch_an_arrow():
+    """A count glued to a name is one bad token, but a count glued to
+    ``->`` is still a count and an arrow."""
+    p = parse_mist("vars\n x y\nrules\n x >= 1->x' = x - 1,y' = y+2;\n"
+                   "init\n x = 1\ntarget\n y >= 2\n")
+    assert (p.net.pre, p.net.post) == (((1, 0),), ((0, 2),))
 
 
 def test_mist_transition_names_avoid_variables():
@@ -457,7 +465,11 @@ MIST_REJECTIONS = [
     (NOOP + " x = 1, x = 2\ntarget\n x >= 1\n", "duplicate init entry for 'x'", 6, 9),
     ("vars\n x x\nrules\n" + TAIL, "duplicate variable 'x'", 2, 4),
     ("vars\nrules\n" + TAIL, "no variables declared", 1, 1),
-    ("vars\n 1x\nrules\n" + TAIL, "expected a variable name, got '1'", 2, 2),
+    ("vars\n 1x\nrules\n" + TAIL, "expected a variable name, got '1x'", 2, 2),
+    # A count glued to a name is one bad token, as in the native format.
+    (NOOP + " x = 1y = 2\ntarget\n x >= 1\n", "init: expected a number, got '1y'", 6, 6),
+    (NOOP + " x = 1\ntarget\n x >= 1y >= 2\n", "target: expected a number, got '1y'",
+     8, 7),
     (NOOP + " x = 1\n", "missing section 'target'", 6, 6),
     ("rules\n -> x' = x;\n", "input must start with a 'vars' section", 1, 1),
     ("", "empty input", 1, 1),

@@ -52,6 +52,53 @@ def test_import_leaves_heavy_modules_out():
     assert seen["lam"] == [["Fraction", "1"]]
 
 
+def test_import_defers_mist_and_the_explorer():
+    """``parse_mist`` and the forward explorer load on first read, and a
+    native pipeline never reads them; nor does it need ``numbers``."""
+    seen = run_isolated(
+        "import time\n"
+        "import coverlib\n"
+        "lazy = ('coverlib.refcheck', 'coverlib.mist', 'numbers', 'csv', 'json')\n"
+        "after_import = [m for m in lazy if m in sys.modules]\n"
+        "problem = coverlib.parse_native('places: a b\\ntransitions:\\n'\n"
+        "                                't: in a out b ;\\ninit: a=1\\ntarget: b>=1\\n')\n"
+        "reduced, _ = coverlib.prune_problem(problem, mode='fixpoint')\n"
+        "net = reduced.net\n"
+        "result = coverlib.solve(net, reduced.targets[0],\n"
+        "                        coverlib.make_invariant(net, ['sign', 'state']),\n"
+        "                        deadline=time.monotonic() + 60.0)\n"
+        "names = net.transition_names(result.witness)\n"
+        "final = problem.net.fire_sequence(\n"
+        "    problem.net.initial, [problem.net.transition_index(n) for n in names])\n"
+        "replayed = final.covers(problem.targets[0])\n"
+        "after_solve = [m for m in lazy if m in sys.modules]\n"
+        "import coverlib.cli\n"
+        "after_cli = [m for m in ('csv', 'json') if m in sys.modules]\n"
+        "same = [coverlib.parse_mist is coverlib.mist.parse_mist,\n"
+        "        coverlib.bounded_cover is coverlib.refcheck.bounded_cover]\n"
+        "star = {}\n"
+        "exec('from coverlib import *', star)\n"
+        "unbound = [n for n in coverlib.__all__ if n not in star]\n"
+        "listed = sorted(set(coverlib.__all__) - set(dir(coverlib)))\n"
+        "try:\n"
+        "    coverlib.no_such_name\n"
+        "    unknown = None\n"
+        "except AttributeError as exc:\n"
+        "    unknown = str(exc)\n"
+        "import json\n"
+        "print(json.dumps({'after_import': after_import, 'after_solve': after_solve,\n"
+        "                  'replayed': replayed, 'after_cli': after_cli, 'same': same,\n"
+        "                  'unbound': unbound, 'listed': listed, 'unknown': unknown}))\n")
+    assert seen["after_import"] == []
+    assert seen["after_solve"] == []
+    assert seen["replayed"] is True
+    assert seen["after_cli"] == []
+    assert seen["same"] == [True, True]
+    assert seen["unbound"] == []
+    assert seen["listed"] == []
+    assert seen["unknown"] == "module 'coverlib' has no attribute 'no_such_name'"
+
+
 def small_net() -> PetriNet:
     return PetriNet(["a", "b", "c"], ["t", "u"], {("a", "t"): 1, ("c", "u"): 1},
                     {("t", "b"): 1, ("u", "a"): 1}, [1, 0, 0])
