@@ -28,7 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .ingest import ParseError, Problem, emit_native, parse_native
 from .invariants import INVARIANT_KINDS, check_invariant_names, make_invariant
-from .mist import parse_mist
 from .preprocess import prune_problem
 from .refcheck import ExploreBound, OutcomeKind, bounded_cover
 from .solver import IterationStats, SolveResult, Verdict, solve
@@ -67,6 +66,7 @@ def _load_problem(path: str, fmt: str) -> Problem:
         fmt = "mist" if path.endswith(".spec") else "native"
     try:
         if fmt == "mist":
+            from .mist import parse_mist  # only .spec input reads MIST
             return parse_mist(data, name=name)
         return parse_native(data, name=name)
     except ParseError as exc:

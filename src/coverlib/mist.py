@@ -2,7 +2,8 @@
 syntax, translated to Petri-net arcs when (and only when) that
 translation is exact.  It shares the token scanner, the text and count
 readers and the errors of ``coverlib.ingest``; identifiers, counts,
-comments and lines are those of the native format.
+comments and lines are those of the native format, except that a ``-``
+followed by a digit ends an identifier, so ``x-1`` is ``x - 1``.
 
 The subset accepts the four sections ``vars``, ``rules``, ``init`` and
 ``target`` in that order; their keywords are reserved.  ``vars`` is the
@@ -28,9 +29,10 @@ from .net import Marking, PetriNet
 # A MIST token is an identifier, primed or not, a decimal digit with the
 # identifier characters glued to it (so ``1y`` is one bad count, as in
 # the native format), an operator, or one letter or digit of any script.
+# A ``-`` followed by a digit ends an identifier: ``a-b`` is one name.
 _MIST_TOKEN = re.compile(
-    r"(?:[A-Za-z][A-Za-z0-9_.\-]*|_[A-Za-z0-9_.\-]+)'?|_'|\d[A-Za-z0-9_.]*|->|>=|[=,;+\-]"
-    r"|[^\W_]|[:*']")
+    r"(?:[A-Za-z](?:[A-Za-z0-9_.]|-(?!\d))*|_(?:[A-Za-z0-9_.]|-(?!\d))+)'?|_'"
+    r"|\d[A-Za-z0-9_.]*|->|>=|[=,;+\-]|[^\W_]|[:*']")
 _MIST_SECTIONS = ("vars", "rules", "init", "target")
 
 

@@ -191,9 +191,7 @@ def solve(
     backlinks: BackLinks = {}
     if target_admitted:
         backlinks[target] = None
-        basis = Basis._of((target,), None)  # one element is an antichain
-    else:
-        basis = Basis._of((), None)
+    basis = Basis._of((target,) if target_admitted else (), None)  # an antichain
 
     stats: List[IterationStats] = []
     bases_log: List[Basis] = []
@@ -204,7 +202,7 @@ def solve(
     gains = None  # built by the first round that expands
     k = 0
     # The elements that entered the basis in the last round.
-    frontier: List[Marking] = list(basis)
+    frontier: Tuple[Marking, ...] = basis.elements
     # Rejected candidate -> every (transition, element) that generated it
     # and was still in the basis when it was last rejected.
     rejected: Dict[Marking, List[Tuple[int, Marking]]] = {}
@@ -219,12 +217,10 @@ def solve(
             witness = tuple(extract_witness(backlinks, entry))
             break
         if budget_steps is not None and k >= budget_steps:
-            verdict = Verdict.INCONCLUSIVE
-            reason = "budget"
+            verdict, reason = Verdict.INCONCLUSIVE, "budget"
             break
         if deadline is not None and time.monotonic() >= deadline:
-            verdict = Verdict.INCONCLUSIVE
-            reason = "deadline"
+            verdict, reason = Verdict.INCONCLUSIVE, "deadline"
             break
 
         # Checking the deadline per transition and per query bounds the
@@ -275,8 +271,7 @@ def solve(
                 still_rejected[c] = [g for g in rejected.get(c, ())
                                      if g[1] in live] + candidates[c]
         if expired:
-            verdict = Verdict.INCONCLUSIVE
-            reason = "deadline"
+            verdict, reason = Verdict.INCONCLUSIVE, "deadline"
             break
         stats.append(IterationStats(k, len(basis), nt * len(basis), len(fresh),
                                     len(still_rejected), len(kept)))
@@ -287,8 +282,13 @@ def solve(
             backlinks.setdefault(c, candidates[c][0])
         rejected = still_rejected
         basis = basis.union(kept)
-        entered = set(kept)
-        frontier = [x for x in basis if x in entered]
+        # The kept markings that stay minimal are the basis's tail: union
+        # puts them after every survivor, and none equals an old element.
+        entered, frontier = set(kept), basis.elements
+        i = len(frontier)
+        while i and frontier[i - 1] in entered:
+            i -= 1
+        frontier = frontier[i:]
         k += 1
 
     # A leaf is asked about every marking that no earlier leaf rejected.

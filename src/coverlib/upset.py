@@ -9,13 +9,16 @@ place where some indexed marking holds a token, the index holds the
 distinct counts on that place in increasing order and, per count, the
 mask of the markings holding more than that many tokens there.  A
 candidate m is covered iff the AND over all places of the complement of
-the mask at m's count, cut to the live bits, is nonzero.  The elements
-a new minimal element m makes redundant, those holding at least m's
-count on every place, are the AND of the masks at the counts just below
-m's on its support, the places where it holds a token: it lies in no
-mask of any other place, so inserting it walks only its support and opens
-a column where no marking held a token before.  Counts are looked up by
-rank, so a count of any size costs no more table space than a small one.
+the mask at m's count, cut to the live bits, is nonzero; where m holds
+no token that mask is the one after count 0, read without a search.
+Inserting a new minimal element m walks its support, the places where
+it holds a token, once: on each it first reads the mask of the markings
+holding at least m's count, then adds the count and m's bit.  The AND
+of the masks read is the set of elements m makes redundant, since m
+lies in no mask of any other place; a place where no marking held a
+token opens its column and leaves nothing redundant.  Counts are looked
+up by rank, so a count of any size costs no more table space than a
+small one.
 
 The index is carried forward, not built per basis.  ``union`` copies
 it and inserts the new markings one at a time, so the batch is
@@ -25,9 +28,10 @@ above an uncovered one leave, and it takes the next bit.  Elements keep
 their bits, so bit order is insertion order; an int ``live`` cuts off
 the bits of the elements that left.  Only a basis made by the
 constructor builds its index, on its first query, by inserting the
-elements in order.  The domain of a marking is checked once, by its
-length, when it enters a query, not per comparison.  ``Basis(elements)``
-checks that its elements form an antichain, ``python -O`` or not.
+elements in order through the same walk.  The domain of a marking is
+checked once, by its length, when it enters a query, not per
+comparison.  ``Basis(elements)`` checks that its elements form an
+antichain, ``python -O`` or not.
 """
 
 from __future__ import annotations
@@ -50,49 +54,41 @@ def _is_antichain(elements: Sequence[Marking]) -> bool:
 # holds a token: ``counts`` are the distinct counts on p in increasing
 # order, counts[0] == 0, and masks[k] holds the markings with more than
 # counts[k - 1] tokens on p (masks[0] is unused).  So the markings above
-# c on p are masks[bisect_right(counts, c)], and for c > 0 those holding
-# at least c are masks[bisect_left(counts, c)].  ``at`` maps each such
-# place to its column; ``support`` lists the places where m holds tokens.
+# c on p are masks[bisect_right(counts, c)], which is masks[1] for c == 0,
+# and for c > 0 those holding at least c are masks[bisect_left(counts, c)].
+# ``at`` maps each such place to its column.
 
 def _below(columns: List[tuple], live: int, m: Marking) -> int:
     # The live markings at most m on every place.
     for p, counts, masks in columns:
-        live &= ~masks[bisect_right(counts, m[p])]
-        if not live:
-            break
-    return live
-
-
-def _above(at: Dict[int, tuple], live: int, m: Marking, support: List[int]) -> int:
-    # The live markings at least m on every place.
-    for p in support:
-        column = at.get(p)
-        if column is None:
-            return 0  # no marking holds a token there
-        _, counts, masks = column
-        live &= masks[bisect_left(counts, m[p])]
-        if not live:
-            break
-    return live
-
-
-def _add(columns: List[tuple], at: Dict[int, tuple], bit: int, m: Marking,
-         support: List[int]) -> None:
-    # Index m under ``bit``, which lies above the bits of every marking
-    # indexed so far.
-    for p in support:
         c = m[p]
-        column = at.get(p)
-        if column is None:
-            at[p] = column = (p, [0], [0, 0])
-            columns.append(column)
-        _, counts, masks = column
-        k = bisect_left(counts, c)
-        if k == len(counts) or counts[k] != c:
-            counts.insert(k, c)
-            masks.insert(k + 1, masks[k])
-        for i in range(1, k + 1):
-            masks[i] |= bit
+        live &= ~masks[bisect_right(counts, c) if c else 1]
+        if not live:
+            break
+    return live
+
+
+def _insert(columns: List[tuple], at: Dict[int, tuple], live: int, bit: int,
+            m: Marking) -> int:
+    # Index m under ``bit``, which lies above the bits of every marking
+    # indexed so far.  Returns ``live`` without the markings at least m
+    # on every place, read on each column before m joins it, and with m.
+    above = live
+    for p, c in enumerate(m):
+        if c:
+            column = at.get(p)
+            if column is None:
+                at[p] = column = (p, [0], [0, 0])
+                columns.append(column)
+            _, counts, masks = column
+            k = bisect_left(counts, c)
+            above &= masks[k]
+            if k == len(counts) or counts[k] != c:
+                counts.insert(k, c)
+                masks.insert(k + 1, masks[k])
+            for i in range(1, k + 1):
+                masks[i] |= bit
+    return live & ~above | bit
 
 
 class Basis:
@@ -124,10 +120,10 @@ class Basis:
 
     def _indexed(self) -> tuple:
         if self._index is None:
-            columns, at = [], {}
+            live, columns, at = 0, [], {}
             for i, m in enumerate(self.elements):
-                _add(columns, at, 1 << i, m, [p for p, c in enumerate(m) if c])
-            self._index = (self.elements, (1 << len(self.elements)) - 1, columns, at)
+                live = _insert(columns, at, live, 1 << i, m)
+            self._index = (self.elements, live, columns, at)
         return self._index
 
     def contains(self, m: Marking) -> bool:
@@ -151,13 +147,9 @@ class Basis:
                 first = m
             if len(m) != len(first):
                 first._check_domain(m)
-            if _below(columns, live, m):
-                continue
-            support = [p for p, c in enumerate(m) if c]
-            bit = 1 << len(marks)
-            live = live & ~_above(at, live, m, support) | bit
-            _add(columns, at, bit, m, support)
-            marks.append(m)
+            if not _below(columns, live, m):
+                live = _insert(columns, at, live, 1 << len(marks), m)
+                marks.append(m)
         if live == (1 << len(marks)) - 1:
             elements = tuple(marks)
         else:

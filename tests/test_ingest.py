@@ -430,6 +430,22 @@ def test_mist_count_may_touch_an_arrow():
     assert (p.net.pre, p.net.post) == (((1, 0),), ((0, 2),))
 
 
+@pytest.mark.parametrize("glued, spaced", [
+    ("x >= 1 -> x' = x+1;", "x >= 1 -> x' = x + 1;"),
+    ("x >= 1 -> x' = x-1;", "x >= 1 -> x' = x - 1;"),
+    ("x >= 2 -> x' = x-2,y' = y+3;", "x >= 2 -> x' = x - 2, y' = y + 3;"),
+    ("a-b >= 1 -> a-b' = a-b-1, x' = x+1;", "a-b >= 1 -> a-b' = a-b - 1, x' = x + 1;"),
+])
+def test_mist_updates_need_no_spaces(glued, spaced):
+    """``x-1`` reads as ``x - 1``, as ``x+1`` reads as ``x + 1``: a ``-``
+    followed by a digit ends a name, any other ``-`` stays in it."""
+    head = "vars\n x y a-b\nrules\n "
+    tail = "\ninit\n x = 2\ntarget\n y >= 1\n"
+    p = parse_mist(head + glued + tail)
+    assert p == parse_mist(head + spaced + tail)
+    assert p.net.places == ("x", "y", "a-b")
+
+
 def test_mist_transition_names_avoid_variables():
     text = "vars\n r0\nrules\n r0 >= 1 -> r0' = r0 - 1;\ninit\n r0 = 1\ntarget\n r0 >= 1\n"
     p = parse_mist(text)
@@ -466,6 +482,7 @@ MIST_REJECTIONS = [
     ("vars\n x x\nrules\n" + TAIL, "duplicate variable 'x'", 2, 4),
     ("vars\nrules\n" + TAIL, "no variables declared", 1, 1),
     ("vars\n 1x\nrules\n" + TAIL, "expected a variable name, got '1x'", 2, 2),
+    ("vars\n x-1\nrules\n" + TAIL, "expected a variable name, got '-'", 2, 3),
     # A count glued to a name is one bad token, as in the native format.
     (NOOP + " x = 1y = 2\ntarget\n x >= 1\n", "init: expected a number, got '1y'", 6, 6),
     (NOOP + " x = 1\ntarget\n x >= 1y >= 2\n", "target: expected a number, got '1y'",

@@ -398,6 +398,48 @@ def test_matches_full_reexpansion_on_large_bases():
     assert peak > 64
 
 
+def _assert_frontier_is_the_tail(r, where, seen):
+    # The kept markings enter the predecessor links in kept order, round
+    # after round, after the target.  ``seen`` counts the rounds in which
+    # old elements left and those in which a kept marking did not stay.
+    kept = iter(list(r.backlinks)[r.target_in_invariant:])
+    for s, old, new in zip(r.stats, r.bases, r.bases[1:]):
+        round_kept = [next(kept) for _ in range(s.kept)]
+        before, after = set(old), set(new)
+        entered = [x for x in new if x not in before]
+        assert new.elements[len(new) - len(entered):] == tuple(entered), where
+        assert entered == [c for c in round_kept if c in after], where
+        seen["old left"] += not before <= after
+        seen["kept left"] += len(entered) < len(round_kept)
+
+
+# The (family, parameters) of the benchmark's classical-families grid.
+FAMILY_GRID = ((_mutex, (3,)), (_mutex, (4,)), (_mutex, (5,)), (_mutex, (6,)),
+               (_mutex, (7,)), (_pipeline, (3, 2)), (_pipeline, (3, 4)),
+               (_pipeline, (4, 2)), (_pipeline, (4, 3)), (_pipeline, (4, 4)),
+               (_pipeline, (5, 2)), (_pipeline, (5, 3)), (_pipeline, (6, 2)))
+
+
+def test_new_elements_form_the_tail_of_each_basis():
+    """The elements a round adds to the basis are its last ones, in the
+    order they were kept, which lets the search read its next frontier
+    off the basis's tail."""
+    from test_acceptance import CORPUS_SEED, CORPUS_SIZE
+
+    seen = {"old left": 0, "kept left": 0}
+    for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
+        for names in CONFIGS:
+            r = solve(net, target, make_invariant(net, names), record_bases=True)
+            _assert_frontier_is_the_tail(r, (name, names), seen)
+    for family, params in FAMILY_GRID:
+        net, targets = family(*params)
+        for counts, verdict in targets:
+            r = solve(net, net.marking(counts), record_bases=True)
+            assert r.verdict.value == verdict, (family, params, counts)
+            _assert_frontier_is_the_tail(r, (family, params, counts), seen)
+    assert all(seen.values())
+
+
 def _weighted_net(rng):
     """A random net with every arc weight drawn from 0-3."""
     places = [f"p{i}" for i in range(rng.randint(1, 5))]

@@ -267,6 +267,15 @@ def _index_snapshot(basis):
             {p: (q, counts[:], masks[:]) for p, (q, counts, masks) in at.items()})
 
 
+def _sparse(rng, dims, least):
+    # A marking holding tokens on ``least`` to four of its places, at
+    # least ``least`` on each, with an occasional huge count.
+    counts = [0] * dims
+    for p in rng.sample(range(dims), rng.randint(least, 4)):
+        counts[p] = 10 ** 40 if rng.random() < 0.05 else rng.randint(least, 4)
+    return Marking(counts)
+
+
 def test_union_chains_on_wide_sparse_markings():
     """Markings of 15-30 places, each holding tokens on at most four:
     an insertion walks only its support, so places open their column
@@ -279,10 +288,7 @@ def test_union_chains_on_wide_sparse_markings():
         zero = Marking([0] * dims)
 
         def sparse(least):
-            counts = [0] * dims
-            for p in rng.sample(range(dims), rng.randint(least, 4)):
-                counts[p] = 10 ** 40 if rng.random() < 0.05 else rng.randint(least, 4)
-            return Marking(counts)
+            return _sparse(rng, dims, least)
 
         ref: list = []
         basis = minimize([])
@@ -316,3 +322,23 @@ def test_union_chains_on_wide_sparse_markings():
             assert _index_snapshot(old) == snapshot
             assert old.filter_uncovered(probes) == expected
     assert opened
+
+
+def test_constructor_and_union_build_one_index():
+    """A basis made by the constructor indexes its elements through the
+    insertion ``union`` uses: on dense and on wide sparse antichains, the
+    two build the same index, bit for bit."""
+    rng = random.Random(82)
+    for _ in range(300):
+        if rng.random() < 0.5:
+            elements = _random_antichain(rng, rng.randint(1, 6))
+        else:
+            dims = rng.randint(15, 30)
+            elements = []
+            for _ in range(rng.randint(0, 40)):
+                elements = _add_minimal(elements, _sparse(rng, dims, 1))
+        built = Basis(elements)
+        built._indexed()
+        grown = minimize([]).union(elements)
+        assert grown.elements == built.elements == tuple(elements)
+        assert _index_snapshot(built) == _index_snapshot(grown)
