@@ -12,8 +12,9 @@ conjunctions:
   relaxed to non-negative rational firing counts, can explain it from
   the initial marking.  Each handle builds the displacement matrix D
   once, from the net's checked rows, on the first query that needs it,
-  and reuses its own exact LP answers as tops and kept simplex bases
-  (see ``StateInvariant``); only a query none answers solves an LP.  A
+  and reuses its own exact LP answers, each with its checked lam or
+  Farkas vector y, as tops and kept simplex bases (see
+  ``StateInvariant``); only a query none answers solves an LP.  A
   marking at most the initial one is admitted by lam = 0 without D.
 
 Every invariant contains all reachable markings and is closed downward,
@@ -24,14 +25,10 @@ built once per net; ``member`` is cheap to call repeatedly.
 from __future__ import annotations
 
 from operator import le, mul, sub
-from typing import (TYPE_CHECKING, FrozenSet, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .net import Marking, MarkingLike, PetriNet
 from .ratlp import Cone, FeasibilityProblem, Witness, feasible
-
-if TYPE_CHECKING:  # explain imports it when called; no verdict needs it
-    from fractions import Fraction
 
 
 # -- sign analysis ------------------------------------------------------------
@@ -169,8 +166,8 @@ class StateInvariant(Invariant):
     Only a query none answers solves an LP, so no basis is kept twice;
     it starts warm from the newest basis, as consecutive queries of one
     search tend to differ in few places.  Cached answers equal a cold
-    LP's.  Witnesses stay ``(den, nums)`` integers; only ``explain``
-    turns one into ``Fraction``s, for its caller.
+    LP's.  ``_answer`` returns each with its evidence, lam as
+    ``(den, nums)`` integers or y, and ``member`` its verdict.
     """
 
     kind = "state"
@@ -194,30 +191,22 @@ class StateInvariant(Invariant):
         return self._system
 
     def member(self, m: MarkingLike) -> bool:
-        return self._lam(m) is not None
+        return self._answer(m)[0]
 
-    def explain(self, m: MarkingLike) -> Optional[Tuple[Fraction, ...]]:
-        """A firing-count witness for a member, or None.
+    def _answer(self, m: MarkingLike) -> Tuple[bool, Union[Witness, List[int]]]:
+        """``(True, (den, nums))``, lam_t = nums[t] / den, or ``(False, y)``,
+        the checked Farkas vector, as ``ratlp.feasible`` returns them.
 
-        The witness lam >= 0 meets  initial + D lam >= m; it may be an
-        earlier query's, from a top above m, or read off a kept basis.
+        lam meets  initial + D lam >= m; it may be an earlier query's, from
+        a top above m.  Either may be read off a kept basis.
         """
-        lam = self._lam(m)
-        if lam is None:
-            return None
-        from fractions import Fraction
-        den, nums = lam
-        return tuple([Fraction(v, den) for v in nums])
-
-    def _lam(self, m: MarkingLike) -> Optional[Witness]:
-        """``explain``'s witness as ``(den, nums)``, lam_t = nums[t] / den."""
         m = self.net.marking(m)
         for entry in self._tops:
             top = entry[0]
             if top is None:
                 top = entry[0] = self._floor_top(*entry[1])
             if all(map(le, m, top)):
-                return entry[1]
+                return True, entry[1]
         b = list(map(sub, m, self.net.initial))
         for basis in self._bases:
             answer = basis.decide(b)
@@ -227,14 +216,13 @@ class StateInvariant(Invariant):
             if all(v <= 0 for v in b):
                 answer = True, (1, [0] * len(self.net.transitions))
             else:
-                *answer, basis = feasible(self.system, b,
-                                          start=self._bases[-1] if self._bases else None)
+                admitted, evidence, basis = feasible(
+                    self.system, b, start=self._bases[-1] if self._bases else None)
                 self._bases.append(basis)
-        admitted, evidence = answer
-        if not admitted:
-            return None
-        self._tops.append([None, evidence])
-        return evidence
+                answer = admitted, evidence
+        if answer[0]:
+            self._tops.append([None, answer[1]])
+        return answer
 
     def _floor_top(self, den: int, nums: List[int]) -> List[int]:
         """floor(initial + D lam), as (den * initial + D nums) // den."""

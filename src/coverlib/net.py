@@ -11,18 +11,15 @@ The hot entries, like ``cpre``, take a ``Marking`` of the net's length inline.
 A net is validated once, where it enters the library: the public
 ``PetriNet`` constructor checks names, arcs, weights and the initial
 marking, the parsers check the text they read, and ``restrict`` checks
-its index lists.  The constructor, the parsers and a ``restrict`` that
-drops or reorders places then store the net through one private build
+its index lists.  All three then store the net through one private build
 path, ``PetriNet._checked``: it trusts its dense rows and builds the row
-tuples and arc lists in one loop per transition.  A subnet on every
-place, which the preprocessor and ``restrict`` take from
-``_keep_transitions``, shares its parent's places, initial marking and
-rows, which no net ever changes, and builds only its transition names.
+tuples and arc lists in one loop per transition.  The preprocessor's
+subnets on every place come from ``_keep_transitions``, which shares its
+parent's places, initial marking and rows, which no net ever changes.
 """
 
 from __future__ import annotations
 
-from operator import eq
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
 
@@ -90,9 +87,9 @@ class PetriNet:
     construction and safe to share between threads.  The private slot
     ``_sign`` is filled lazily with the net's sign analysis, once
     ``invariants.sign_analysis`` has computed it; threads that race on
-    it compute and write the same value.  ``restrict`` starts a subnet
-    with it empty; the preprocessor then hands a subnet that only lost
-    sign-dead transitions the fixpoint it already has.
+    it compute and write the same value.  A subnet starts with it empty;
+    the preprocessor then hands one that only lost sign-dead transitions
+    the fixpoint it already has.
     """
 
     __slots__ = ("places", "transitions", "initial", "pre", "post",
@@ -174,7 +171,7 @@ class PetriNet:
         self._sign = None
 
     def _keep_transitions(self, transitions: Sequence[int]) -> "PetriNet":
-        """``restrict`` to every place and to ``transitions``, indices the
+        """The subnet on every place and on ``transitions``, indices the
         caller checked; without a sign analysis, sharing all else it can."""
         net = PetriNet.__new__(PetriNet)
         net.places, net._place_index, net.initial = (
@@ -227,11 +224,8 @@ class PetriNet:
         """The subnet on the given place and transition indices, in order.
 
         Arcs between kept nodes and the initial tokens on kept places carry
-        over; everything else is dropped.  A subnet on every place, in
-        order, comes from ``_keep_transitions`` and shares this net's rows;
-        one that drops or reorders places builds its own through
-        ``_checked``.  Either starts without a stored sign analysis, which
-        the preprocessor fills in when the fixpoint is known not to change.
+        over; everything else is dropped.  The subnet is built through
+        ``_checked`` and starts without a stored sign analysis.
         """
         for p in places:
             _check_index(p, len(self.places), "place")
@@ -241,8 +235,6 @@ class PetriNet:
             raise ValueError("a net needs at least one place")
         if len(set(places)) != len(places) or len(set(transitions)) != len(transitions):
             raise ValueError("duplicate indices in a restriction")
-        if len(places) == len(self.places) and all(map(eq, places, range(len(places)))):
-            return self._keep_transitions(transitions)
         return PetriNet._checked(
             [self.places[p] for p in places],
             [self.transitions[t] for t in transitions],

@@ -30,8 +30,9 @@ the bits of the elements that left.  Only a basis made by the
 constructor builds its index, on its first query, by inserting the
 elements in order through the same walk.  The domain of a marking is
 checked once, by its length, when it enters a query, not per
-comparison.  ``Basis(elements)`` checks that its elements form an
-antichain, ``python -O`` or not.
+comparison.  ``Basis(elements)`` and ``minimize`` read each element
+that is not a ``Marking`` through ``Marking``, and ``Basis`` checks
+that its elements form an antichain, ``python -O`` or not.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .net import Marking
+
+
+def _markings(counts: Iterable[Sequence[int]]) -> Iterator[Marking]:
+    # Each element read as a Marking; ValueError on a count that is none.
+    for m in counts:
+        yield m if type(m) is Marking else Marking(m)
 
 
 def _is_antichain(elements: Sequence[Marking]) -> bool:
@@ -102,8 +109,8 @@ class Basis:
 
     __slots__ = ("elements", "_index")
 
-    def __init__(self, elements: Iterable[Marking] = ()) -> None:
-        elements = tuple(elements)
+    def __init__(self, elements: Iterable[Sequence[int]] = ()) -> None:
+        elements = tuple(_markings(elements))
         # Marking.leq raises ValueError on markings of different domains.
         if not _is_antichain(elements):
             raise ValueError("basis elements must be pairwise incomparable")
@@ -199,6 +206,6 @@ class Basis:
         return f"Basis({list(self.sorted_elements())})"
 
 
-def minimize(markings: Iterable[Marking]) -> Basis:
+def minimize(markings: Iterable[Sequence[int]]) -> Basis:
     """Drop every marking that lies above another one."""
-    return Basis().union(markings)
+    return Basis().union(_markings(markings))

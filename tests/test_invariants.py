@@ -145,16 +145,18 @@ def test_state_membership_pump(pump_net):
 
 
 def test_state_explains_membership(pump_net):
+    """An admission carries lam and a rejection a Farkas vector y."""
     inv = StateInvariant(pump_net)
-    flow = inv.explain(Marking((0, 2, 1)))
-    assert flow is not None and all(x >= 0 for x in flow)
-    # re-substitute: initial + flow . displacement covers the marking
+    admitted, (den, nums) = inv._answer(Marking((0, 2, 1)))
+    assert admitted and den > 0 and all(x >= 0 for x in nums)
+    # re-substitute: initial + lam . displacement covers the marking
     for p in range(3):
-        total = pump_net.initial[p] + sum(
-            flow[t] * (pump_net.post[t][p] - pump_net.pre[t][p]) for t in range(3)
+        total = den * pump_net.initial[p] + sum(
+            nums[t] * (pump_net.post[t][p] - pump_net.pre[t][p]) for t in range(3)
         )
-        assert total >= Marking((0, 2, 1))[p]
-    assert inv.explain(Marking((2, 0, 0))) is None
+        assert total >= den * Marking((0, 2, 1))[p]
+    admitted, y = inv._answer(Marking((2, 0, 0)))
+    assert not admitted and _refutes(pump_net, (2, 0, 0), y)
 
 
 def test_state_zero_displacement_column():
@@ -264,7 +266,7 @@ _MARKING_ENTRIES = {
     "trivial.member": lambda net, m: TrivialInvariant(net).member(m),
     "sign.member": lambda net, m: SignInvariant(net).member(m),
     "state.member": lambda net, m: StateInvariant(net).member(m),
-    "state.explain": lambda net, m: StateInvariant(net).explain(m),
+    "state._answer": lambda net, m: StateInvariant(net)._answer(m),
     "bounded_cover": lambda net, m: bounded_cover(net, m),
     "solve": lambda net, m: solve(net, m),
     "Problem": lambda net, m: Problem(net=net, targets=(m,)).targets,
@@ -364,13 +366,13 @@ def test_lam_zero_answers_only_what_nothing_kept_answers():
                         initial=dict(zip(names, initial)))
 
     fresh = StateInvariant(net_of([[0, 1, 1], [1, 0, 0]], [[2, 2, 0], [0, 0, 0]], [1, 0, 2]))
-    assert fresh._lam((0, 0, 2)) == (1, [0, 0])
+    assert fresh._answer((0, 0, 2)) == (True, (1, [0, 0]))
     assert fresh._system is None and fresh._tops == [[None, (1, [0, 0])]]
 
     decided = StateInvariant(net_of([[0, 1, 1], [1, 0, 0]], [[2, 2, 0], [0, 0, 0]], [1, 0, 2]))
     assert not decided.member((3, 3, 0))
     assert len(decided._bases) == 1 and not decided._tops
-    assert decided._lam((0, 0, 2)) == (1, [0, 1])
+    assert decided._answer((0, 0, 2)) == (True, (1, [0, 1]))
     assert [entry[1] for entry in decided._tops] == [(1, [0, 1])]
 
     undecided = StateInvariant(net_of(
@@ -379,7 +381,7 @@ def test_lam_zero_answers_only_what_nothing_kept_answers():
     assert not undecided.member((2, 3, 3, 0, 0))
     assert len(undecided._bases) == 1
     assert undecided._bases[0].decide([-1, 0, 0, 0, 0]) is None
-    assert undecided._lam((0, 0, 0, 0, 2)) == (1, [0, 0, 0])
+    assert undecided._answer((0, 0, 0, 0, 2)) == (True, (1, [0, 0, 0]))
     assert len(undecided._bases) == 1
     assert [entry[1] for entry in undecided._tops] == [(1, [0, 0, 0])]
 
@@ -397,15 +399,25 @@ def _explains(net, rows, m, lam):
         for i, row, c in zip(net.initial, rows, m))
 
 
+def _refutes(net, m, y):
+    """y >= 0, y D <= 0 and y . m > y . initial, in integers from the
+    net's own rows: no lam >= 0 meets initial + D lam >= m."""
+    return (len(y) == len(net.places) and all(type(v) is int and v >= 0 for v in y)
+            and all(sum(v * (o - n) for v, n, o in zip(y, need, give)) <= 0
+                    for need, give in zip(net.pre, net.post))
+            and sum(v * c for v, c in zip(y, m)) > sum(v * i for v, i in zip(y, net.initial)))
+
+
 def test_cached_answers_equal_a_fresh_lp(monkeypatch):
     """Every state query of every acceptance-corpus search, under state and
     sign,state, is asked again of a cold LP, with no start.  The handle's
     answers, from a kept top or basis or its own warm-started LP, must
-    equal the cold LP's, its witnesses must re-substitute, the same
-    queries in shuffled order on a fresh handle must get the same
-    answers, tops must save LP solves, and kept bases must save both
-    admitting and rejecting ones.  Each handle passes its one
-    FeasibilityProblem, with a column per transition, to every LP it
+    equal the cold LP's, its witnesses must re-substitute, its Farkas
+    vectors must refute m from the net's rows, the same queries in
+    shuffled order on a fresh handle must get the same answers with
+    evidence that checks alike, tops must save LP solves, and kept bases
+    must save both admitting and rejecting ones.  Each handle passes its
+    one FeasibilityProblem, with a column per transition, to every LP it
     solves, and keeps no final basis twice."""
     solves = {True: 0, False: 0}
     warm = [0]
@@ -431,19 +443,25 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
         return answer
 
     asked = []
-    answer = StateInvariant._lam
+    answering = StateInvariant._answer
 
     def recorded(self, m):
         asking.append(self)
-        lam = answer(self, m)
+        answer = answering(self, m)
         asking.pop()
-        asked.append((m, None if lam is None else
-                      [Fraction(v, lam[0]) for v in lam[1]]))
-        return lam
+        asked.append((m, answer))
+        return answer
+
+    def checks(net, rows, m, answer):
+        admitted, evidence = answer
+        if admitted:
+            den, nums = evidence
+            return den > 0 and _explains(net, rows, m, [Fraction(v, den) for v in nums])
+        return _refutes(net, m, evidence)
 
     monkeypatch.setattr(coverlib.invariants, "feasible", counted)
     monkeypatch.setattr(coverlib.ratlp.Cone, "decide", deciding)
-    monkeypatch.setattr(StateInvariant, "_lam", recorded)
+    monkeypatch.setattr(StateInvariant, "_answer", recorded)
     rng = random.Random(36)
     queries = rejected = lp_admitted = lp_rejected = kept_admitted = kept_rejected = 0
     for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
@@ -460,18 +478,18 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
             kept_rejected += kept[False] - kept_before[False]
             sequence = list(asked)
             queries += len(sequence)
-            for m, lam in sequence:
+            for m, answer in sequence:
                 bounds = tuple(c - i for c, i in zip(m, net.initial))
                 ok, _, _ = feasible(system, bounds)
-                assert (lam is not None) == ok, (name, names, m)
-                assert lam is None or _explains(net, rows, m, lam), (name, m)
+                assert answer[0] == ok, (name, names, m)
+                assert checks(net, rows, m, answer), (name, names, m, answer)
                 rejected += not ok
             rng.shuffle(sequence)
             fresh = StateInvariant(net)
-            for m, lam in sequence:
-                again = fresh.explain(m)
-                assert (again is None) == (lam is None), (name, names, m)
-                assert again is None or _explains(net, rows, m, again)
+            for m, answer in sequence:
+                again = fresh._answer(m)
+                assert again[0] == answer[0], (name, names, m)
+                assert checks(net, rows, m, again), (name, names, m, again)
     # Both answers occur, and both caches hit: some rejections and some
     # admissions came from a kept basis and some admissions from a top,
     # not from the handle's own LP.  Only a basis or an LP rejects.

@@ -295,12 +295,11 @@ def _built(net, places, transitions):
 
 
 def test_restrict_equals_a_constructor_build():
-    """Over every place, in order, a restriction shares the parent's rows;
-    dropping or reordering places builds new ones.  Either equals the
-    constructor's net, arc lists and indices included, and starts without
-    a sign analysis even when the parent has one."""
+    """A restriction over every place in order, over some of them, or
+    over all of them reordered equals the constructor's net, arc lists and
+    indices included, and starts without a sign analysis even when the
+    parent has one."""
     rng = random.Random(412)
-    shared = built_anew = 0
     for name, net, _ in random_instances(CORPUS_SEED, CORPUS_SIZE):
         sign_analysis(net)
         every = range(len(net.places))
@@ -315,13 +314,6 @@ def test_restrict_equals_a_constructor_build():
             assert sub._place_index == built._place_index, name
             assert sub._transition_index == built._transition_index, name
             assert sub._sign is None and sign_analysis(sub) == sign_analysis(built)
-            if list(places) == list(every):
-                assert sub.places is net.places
-                assert all(row is net.pre[t] for row, t in zip(sub.pre, transitions))
-                shared += 1
-            else:
-                built_anew += 1
-    assert shared and built_anew
 
 
 def test_restrict_subset_matches_hand_built(pump_net):

@@ -44,12 +44,16 @@ def test_import_leaves_heavy_modules_out():
         "after_cli = 'dataclasses' in sys.modules\n"
         "net = coverlib.PetriNet(['a', 'b'], ['t'], {('a', 't'): 2}, {('t', 'b'): 1},\n"
         "                        [2, 0])\n"
-        "lam = coverlib.StateInvariant(net).explain((0, 1))\n"
+        "state = coverlib.StateInvariant(net)\n"
+        "answers = [state._answer((0, 1)), state._answer((0, 2))]\n"
         "print(json.dumps({'after_lib': after_lib, 'after_cli': after_cli,\n"
-        "                  'lam': [[type(v).__name__, str(v)] for v in lam]}))\n")
+        "                  'answers': answers,\n"
+        "                  'after_query': [m for m in heavy if m in sys.modules]}))\n")
     assert seen["after_lib"] == []
     assert seen["after_cli"] is False
-    assert seen["lam"] == [["Fraction", "1"]]
+    # lam = 1 admits (0, 1); y = (1, 2) refutes (0, 2): 2 * 2 > 1 * 2 + 2 * 0
+    assert seen["answers"] == [[True, [1, [1]]], [False, [1, 2]]]
+    assert "fractions" not in seen["after_query"]
 
 
 def test_import_defers_mist_and_the_explorer():

@@ -60,6 +60,28 @@ def test_basis_constructor_rejects_non_antichain():
         Basis([M(1, 1), M(1, 1, 1)])
 
 
+def test_constructor_and_minimize_read_plain_sequences_as_markings():
+    """A tuple or list element is read through ``Marking``: the basis
+    holds hashable, comparable markings, and a bad count or a domain
+    mismatch raises ValueError, not an AttributeError or TypeError."""
+    for build in (Basis, minimize):
+        for plain in ([(1, 0), (0, 1)], [[1, 0], [0, 1]], [M(1, 0), [0, 1]]):
+            b = build(plain)
+            assert all(type(m) is Marking for m in b), (build, plain)
+            assert b == Basis([M(1, 0), M(0, 1)]) and hash(b) == hash(Basis([M(0, 1), M(1, 0)]))
+            assert b.contains((1, 1)) and not b.contains(M(0, 0))
+        for bad, message in (([(1, 0), (1,)], "domains differ"),
+                             ([[1, 0], [0, 1, 0]], "domains differ"),
+                             ([(1, -1)], "non-negative integers"),
+                             ([(0, 1), [True, 0]], "non-negative integers"),
+                             ([(0.5, 0)], "non-negative integers")):
+            with pytest.raises(ValueError, match=message):
+                build(bad)
+    assert list(minimize([[2, 2], (1, 0), [1, 1]])) == [M(1, 0)]
+    with pytest.raises(ValueError, match="pairwise incomparable"):
+        Basis([(1, 1), [1, 2]])
+
+
 def test_basis_constructor_checks_under_optimize():
     # python -O drops assert statements and __debug__ blocks; the
     # constructor's check must not be one of them.
