@@ -17,9 +17,12 @@ Native grammar, with ``#`` comments to end of line::
     nat      := [0-9]+
 
 Identifiers match ``[A-Za-z_][A-Za-z0-9_.-]*`` except a lone ``_``; the
-section keywords and ``in``/``out`` are reserved.  A ``nat`` is ASCII
-digits only, at most 4,300 of them (``sys.get_int_max_str_digits()``,
-the limit of ``int()``); a longer one is rejected like any bad token.
+section keywords and ``in``/``out`` are reserved.  Both parsers and
+``emit_native`` test a name by one rule, ``_is_ident``, in ``str`` methods:
+an ASCII alphanumeric name that starts with a letter passes on the first
+test.  A ``nat`` is ASCII digits only, at most 4,300 of them
+(``sys.get_int_max_str_digits()``, the limit of ``int()``); a longer one
+is rejected like any bad token.
 Lines are those of ``str.splitlines()``, so ``\r``, ``\x0c``, ``\x85``
 and U+2028 end a line as ``\n`` does, and white space is what
 ``str.isspace()`` accepts.  The text is read as words split at white
@@ -74,7 +77,6 @@ class ParseError(ValueError):
 # character, a lone "_" too, must be white space or the scanner rejects it.
 _NATIVE_TOKEN = re.compile(
     r"[A-Za-z][A-Za-z0-9_.\-]*|_[A-Za-z0-9_.\-]+|\d[A-Za-z0-9_.\-]*|>=|[:;*=]|[^\W_]|[,'+\-]")
-_IDENT = re.compile(r"(?!_\Z)[A-Za-z_][A-Za-z0-9_.\-]*\Z")
 
 _SECTIONS = frozenset({"places", "transitions", "init", "target"})
 # The counts 1 to 99 as emit_native writes them, read without int(); _nat
@@ -180,11 +182,19 @@ def _expected(src: _Tokens, k: int, what: str, prefix: str = "") -> ParseError:
     return src.error(f"{prefix}expected {what}, got {text!r}", k)
 
 
+def _is_ident(text: str) -> bool:
+    """Whether ``text`` matches ``[A-Za-z_][A-Za-z0-9_.-]*`` and is not ``_``."""
+    if text.isalnum() and text.isascii():
+        return text[0].isalpha()
+    return (text.isascii() and text != "_" and (text[:1] == "_" or text[:1].isalpha())
+            and text.replace("_", "a").replace(".", "a").replace("-", "a").isalnum())
+
+
 def _native_ident(src: _Tokens, k: int, what: str) -> str:
     text = src.tokens[k]
-    if text == "-":
-        raise src.error("negative numbers are not allowed", k)
-    if not _IDENT.match(text):
+    if not _is_ident(text):
+        if text == "-":
+            raise src.error("negative numbers are not allowed", k)
         raise src.error(f"expected {what}, got {text!r}", k)
     if text in _NATIVE_KEYWORDS:
         raise src.error(f"{text!r} is a reserved word", k)
@@ -343,7 +353,7 @@ def emit_native(problem: Problem) -> str:
     net = problem.net
     for kind, names in (("place", net.places), ("transition", net.transitions)):
         for name in names:
-            if not isinstance(name, str) or not _IDENT.match(name) or name in _NATIVE_KEYWORDS:
+            if not isinstance(name, str) or not _is_ident(name) or name in _NATIVE_KEYWORDS:
                 raise ValueError(f"the native format cannot hold the {kind} name {name!r}")
     lines = ["places: " + " ".join(net.places)]
     lines.append("transitions:")

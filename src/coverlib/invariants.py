@@ -234,7 +234,8 @@ class IntersectionInvariant(Invariant):
     """Conjunction of invariants, tested in declared order.
 
     Evaluation short-circuits, so putting cheap members first (sign
-    before state) avoids most of the expensive queries.
+    before state) avoids most of the expensive queries.  The constructor
+    checks one net and flattens; ``make_invariant``'s ``_of`` need not.
     """
 
     kind = "intersection"
@@ -250,6 +251,12 @@ class IntersectionInvariant(Invariant):
         self.parts = parts
         self.name = ",".join([p.name for p in parts])
         self._leaves = tuple([leaf for p in parts for leaf in p.leaves()])
+
+    @classmethod
+    def _of(cls, net: PetriNet, leaves: tuple, name: str) -> "IntersectionInvariant":
+        self = cls.__new__(cls)  # leaf handles just built on ``net``, unchecked
+        self.net, self.name, self.parts, self._leaves = net, name, leaves, leaves
+        return self
 
     def member(self, m: MarkingLike) -> bool:
         return first_refusal(self.parts, m) == len(self.parts)
@@ -270,22 +277,25 @@ def check_invariant_names(names: Iterable[str]) -> List[str]:
     names = list(names)
     if not names:
         raise ValueError("empty invariant list")
-    for i, name in enumerate(names):
-        if name not in _FACTORIES:
+    seen = set()
+    for name in names:
+        if not isinstance(name, str) or name not in _FACTORIES:
             kinds = ", ".join(INVARIANT_KINDS)
             raise ValueError(f"unknown invariant {name!r}; pick from {kinds}")
-        if name in names[:i]:
+        if name in seen:
             raise ValueError(f"duplicate invariant name {name!r}")
+        seen.add(name)
     return names
 
 
 def make_invariant(net: PetriNet, names: Iterable[str]) -> Invariant:
     """Build a handle from names in {trivial, sign, state}.
 
-    Several names mean their conjunction, tested in the given order.
+    Several names mean their conjunction, tested in the given order: the
+    leaves just built on ``net`` joined by ``IntersectionInvariant._of``.
     """
     names = check_invariant_names(names)
-    parts = [_FACTORIES[name](net) for name in names]
-    if len(parts) == 1:
-        return parts[0]
-    return IntersectionInvariant(parts)
+    if len(names) == 1:
+        return _FACTORIES[names[0]](net)
+    return IntersectionInvariant._of(
+        net, tuple([_FACTORIES[name](net) for name in names]), ",".join(names))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from typing import Callable, Dict, List, Tuple, Union
 
-from .ingest import _IDENT, Problem, _expected, _nat, _text, _Tokens
+from .ingest import Problem, _expected, _is_ident, _nat, _text, _Tokens
 from .net import Marking, PetriNet
 
 # A MIST token is an identifier, primed or not, a decimal digit with the
@@ -109,7 +109,7 @@ def _mist_vars(src: _Tokens, i: int, e: int) -> Tuple[str, ...]:
     names: Dict[str, None] = {}
     for k in range(i, e):
         text = src.tokens[k]
-        if not _IDENT.match(text):
+        if not _is_ident(text):
             raise src.error(f"expected a variable name, got {text!r}", k)
         if text in names:
             raise src.error(f"duplicate variable {text!r}", k)

@@ -15,6 +15,8 @@ analysis instead of computing it again, and its round, which would
 remove nothing, is recorded without being run, with the same
 always-empty names.  Subnets come from ``PetriNet._keep_transitions``,
 and reduced problems are built from their checked parts, unchecked.
+Rounds, reports and the handed-off analysis check nothing, so they are
+built with ``tuple.__new__``.
 ``use_state`` additionally tests the other transitions against the
 relaxed token-flow invariant, which can remove more; only then can a
 second round find new victims, and each round analyses its own net.
@@ -68,6 +70,7 @@ def prune_dead_transitions(
     if mode not in ("once", "fixpoint"):
         raise ValueError(f"mode must be 'once' or 'fixpoint', got {mode!r}")
     rounds: List[PruneRound] = []
+    removed: List[str] = []
     while True:
         analysis = sign_analysis(net)
         dead = analysis.dead
@@ -76,19 +79,21 @@ def prune_dead_transitions(
             dead = [t for t in range(len(net.transitions)) if t in analysis.dead
                     or not state.member(net.min_enabling_marking(t))]
         empty = tuple([net.places[p] for p in sorted(analysis.always_empty)])
-        rounds.append(PruneRound(tuple([net.transitions[t] for t in dead]), empty))
+        names = tuple([net.transitions[t] for t in dead])
+        removed += names
+        rounds.append(tuple.__new__(PruneRound, (names, empty)))
         if dead:
             gone = set(dead)
             net = net._keep_transitions(
                 [t for t in range(len(net.transitions)) if t not in gone])
             if not use_state:  # the sign hand-off described above, and its empty round
-                net._sign = SignAnalysis(analysis.possibly_marked, analysis.always_empty, ())
+                net._sign = tuple.__new__(
+                    SignAnalysis, (analysis.possibly_marked, analysis.always_empty, ()))
                 if mode == "fixpoint":
-                    rounds.append(PruneRound((), empty))
+                    rounds.append(tuple.__new__(PruneRound, ((), empty)))
         if mode == "once" or not dead or not use_state:
             break
-    report = PruneReport(mode, tuple(rounds))
-    return net, list(report.removed), report
+    return net, removed, tuple.__new__(PruneReport, (mode, tuple(rounds), ()))
 
 
 def prune_problem(

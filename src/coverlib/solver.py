@@ -32,7 +32,8 @@ search degrades to the classical backward algorithm.
 A run is deterministic: transitions are expanded in declaration order,
 bases keep insertion order, and duplicate predecessor candidates are
 dropped on first occurrence.  Wall-clock time is deliberately not
-measured here.  The result and its per-round counters are named tuples.
+measured here.  The result and its per-round counters are named tuples,
+which check nothing; ``solve`` builds them with ``tuple.__new__``.
 """
 
 from __future__ import annotations
@@ -273,8 +274,8 @@ def solve(
         if expired:
             verdict, reason = Verdict.INCONCLUSIVE, "deadline"
             break
-        stats.append(IterationStats(k, len(basis), nt * len(basis), len(fresh),
-                                    len(still_rejected), len(kept)))
+        stats.append(tuple.__new__(IterationStats, (k, len(basis), nt * len(basis), len(fresh),
+                                                    len(still_rejected), len(kept))))
         if not kept:
             verdict = Verdict.UNCOVERABLE
             break
@@ -297,8 +298,8 @@ def solve(
         if leaf.kind in calls:
             calls[leaf.kind] += asked
         asked -= n
-    return SolveResult(verdict, witness, tuple(stats), invariant.name, target_admitted,
-                       calls["state"], calls["sign"], len(basis), reason,
-                       tuple(bases_log) if record_bases else None,
-                       backlinks if record_bases else None)
+    return tuple.__new__(SolveResult, (
+        verdict, witness, tuple(stats), invariant.name, target_admitted, calls["state"],
+        calls["sign"], len(basis), reason, tuple(bases_log) if record_bases else None,
+        backlinks if record_bases else None))
 

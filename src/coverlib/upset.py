@@ -30,9 +30,9 @@ the bits of the elements that left.  Only a basis made by the
 constructor builds its index, on its first query, by inserting the
 elements in order through the same walk.  The domain of a marking is
 checked once, by its length, when it enters a query, not per
-comparison.  ``Basis(elements)`` and ``minimize`` read each element
-that is not a ``Marking`` through ``Marking``, and ``Basis`` checks
-that its elements form an antichain, ``python -O`` or not.
+comparison.  ``Basis(elements)``, ``union`` and ``minimize`` read each
+element that is not a ``Marking`` through ``Marking``, and ``Basis``
+checks that its elements form an antichain, ``python -O`` or not.
 """
 
 from __future__ import annotations
@@ -41,12 +41,6 @@ from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .net import Marking
-
-
-def _markings(counts: Iterable[Sequence[int]]) -> Iterator[Marking]:
-    # Each element read as a Marking; ValueError on a count that is none.
-    for m in counts:
-        yield m if type(m) is Marking else Marking(m)
 
 
 def _is_antichain(elements: Sequence[Marking]) -> bool:
@@ -110,7 +104,7 @@ class Basis:
     __slots__ = ("elements", "_index")
 
     def __init__(self, elements: Iterable[Sequence[int]] = ()) -> None:
-        elements = tuple(_markings(elements))
+        elements = tuple([m if type(m) is Marking else Marking(m) for m in elements])
         # Marking.leq raises ValueError on markings of different domains.
         if not _is_antichain(elements):
             raise ValueError("basis elements must be pairwise incomparable")
@@ -137,12 +131,13 @@ class Basis:
         """Whether ``m`` lies in the upward closure of this basis."""
         return not self.filter_uncovered((m,))
 
-    def union(self, new: Iterable[Marking]) -> "Basis":
+    def union(self, new: Iterable[Sequence[int]]) -> "Basis":
         """Minimal elements of (this set) union (upward closure of ``new``).
 
         The surviving elements keep their order, and the new minimal
-        elements follow in the order given.  The domain of every marking
-        in ``new`` is checked, covered or not.
+        elements follow in the order given.  An element of ``new`` that is
+        not a ``Marking`` is read through ``Marking``, and the domain of
+        every one is checked, covered or not.
         """
         marks, live, columns, _ = self._indexed()
         marks = list(marks)
@@ -150,6 +145,8 @@ class Basis:
         at = {column[0]: column for column in columns}
         first = self.elements[0] if self.elements else None
         for m in new:
+            if type(m) is not Marking:
+                m = Marking(m)
             if first is None:
                 first = m
             if len(m) != len(first):
@@ -208,4 +205,4 @@ class Basis:
 
 def minimize(markings: Iterable[Sequence[int]]) -> Basis:
     """Drop every marking that lies above another one."""
-    return Basis().union(_markings(markings))
+    return Basis().union(markings)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import pathlib
 import random
+import re
+import string
 
 import pytest
 
@@ -304,6 +306,47 @@ def test_emit_refuses_names_it_cannot_read_back(places, transitions, bad):
     net = PetriNet(places, transitions)
     with pytest.raises(ValueError, match=f"^the native format cannot hold the {bad}$"):
         emit_native(Problem(net=net, targets=((),)))
+
+
+# The identifier rule as the parsers once wrote it, a regex, and the
+# native reserved words: the oracle of ``ingest._is_ident``.
+IDENT = re.compile(r"(?!_\Z)[A-Za-z_][A-Za-z0-9_.\-]*\Z")
+RESERVED = {"places", "transitions", "init", "target", "in", "out"}
+# ASCII letters, digits and the three name marks; letters and digits of
+# other scripts, some of which lower-case to ASCII (U+017F, U+0130 and
+# the Kelvin sign U+212A); operators and other punctuation.
+NAME_ALPHABET = (string.ascii_letters + string.digits + "_.-"
+                 + "\u00e9\u00df\u017f\u0130\u212a\u00b2\u0663" + ":;*=>,'+#@ ")
+
+
+def test_identifier_rule_agrees_with_the_regex():
+    """``_is_ident`` accepts exactly what the regex matches, on every
+    string up to two characters and on 100,000 seeded random strings of
+    length 0-6; ``emit_native`` refuses a name exactly when the regex
+    fails or the name is reserved."""
+    from coverlib.ingest import _is_ident
+
+    rng = random.Random(2016)
+    texts = ["", *NAME_ALPHABET, *sorted(RESERVED)]
+    texts += [a + b for a in NAME_ALPHABET for b in NAME_ALPHABET]
+    texts += ["".join(rng.choices(NAME_ALPHABET, k=rng.randint(0, 6)))
+              for _ in range(100_000)]
+    accepted = 0
+    for text in texts:
+        expected = IDENT.match(text) is not None
+        assert _is_ident(text) is expected, text
+        accepted += expected
+    assert 0.2 < accepted / len(texts) < 0.8
+    for text in texts[:1000] + texts[-2000:]:
+        problem = Problem(PetriNet([text], ()), ((0,),))
+        legal = IDENT.match(text) is not None and text not in RESERVED
+        try:
+            emit_native(problem)
+        except ValueError as err:
+            assert not legal and str(err) == (
+                f"the native format cannot hold the place name {text!r}"), text
+        else:
+            assert legal, text
 
 
 def test_problem_needs_targets(pump_net):

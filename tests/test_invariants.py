@@ -249,6 +249,10 @@ def test_make_invariant_validation(pump_net):
         make_invariant(pump_net, "sign")
     with pytest.raises(ValueError, match=r"a list such as \['sign', 'state'\]"):
         check_invariant_names("sign,state")
+    # A name that is no string, hashable or not, is an unknown one.
+    for names in ([["sign"]], ["sign", {"state"}], [None], ["state", 1]):
+        with pytest.raises(ValueError, match="^unknown invariant .*; pick from trivial, sign"):
+            make_invariant(pump_net, names)
     single = make_invariant(pump_net, ["state"])
     assert isinstance(single, StateInvariant)
 

@@ -12,14 +12,21 @@ import pickle
 import re
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 import coverlib
-from coverlib import (ExploreBound, FeasibilityProblem, IterationStats, OracleOutcome,
-                      PetriNet, Problem, PruneReport, PruneRound, SignAnalysis, SolveResult,
-                      bounded_cover, make_invariant, prune_problem, sign_analysis, solve)
+from coverlib import (ExploreBound, FeasibilityProblem, IntersectionInvariant, IterationStats,
+                      OracleOutcome, PetriNet, Problem, PruneReport, PruneRound, SignAnalysis,
+                      SolveResult, bounded_cover, make_invariant, prune_problem, sign_analysis,
+                      solve)
+from coverlib.invariants import INVARIANT_KINDS
+
+from corpus import random_instances
+from test_acceptance import CORPUS_SEED, CORPUS_SIZE
+from test_preprocess import checked_copy
 
 SRC = str(Path(coverlib.__file__).resolve().parents[1])
 
@@ -255,3 +262,41 @@ def test_checked_records_refuse_bad_input_on_every_path(case):
     with pytest.raises(ValueError, match=message):
         pickle.loads(data)
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_setup_records_equal_public_builds():
+    """The set-up path builds its records and handles from parts it has
+    just made, without the public constructors.  Over the acceptance
+    corpus, with and without the flow test, they equal the public builds:
+    the prune report, the sign analysis handed to a pruned net (against
+    one computed afresh), the conjunction of every ordered choice of two
+    or three invariants, and the result of a search with its counters."""
+    orders = [list(p) for k in (2, 3) for p in permutations(INVARIANT_KINDS, k)]
+    for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
+        for use_state in (False, True):
+            reduced, report = prune_problem(Problem(net, (target,), name), use_state=use_state)
+            assert type(report) is PruneReport, name
+            assert all(type(r) is PruneRound for r in report.rounds), name
+            rounds = tuple([PruneRound(*r) for r in report.rounds])
+            assert report == PruneReport(report.mode, rounds, report.dropped_places), name
+            analysis = sign_analysis(reduced.net)
+            assert type(analysis) is SignAnalysis, name
+            assert analysis == sign_analysis(checked_copy(reduced.net)), name
+        pruned = reduced.net
+        markings = [target, pruned.initial] + [
+            pruned.min_enabling_marking(t) for t in range(len(pruned.transitions))]
+        for names in orders:
+            handle = make_invariant(pruned, names)
+            public = IntersectionInvariant([make_invariant(pruned, [n]) for n in names])
+            assert type(handle) is IntersectionInvariant, (name, names)
+            assert (handle.name, handle.net) == (public.name, public.net), (name, names)
+            assert ([type(leaf) for leaf in handle.leaves()]
+                    == [type(leaf) for leaf in public.leaves()]), (name, names)
+            assert ([handle.member(m) for m in markings]
+                    == [public.member(m) for m in markings]), (name, names)
+        result = solve(pruned, target, make_invariant(pruned, ["sign", "state"]),
+                       record_bases=True)
+        assert type(result) is SolveResult, name
+        assert all(type(s) is IterationStats for s in result.stats), name
+        stats = tuple([IterationStats(*s) for s in result.stats])
+        assert result == SolveResult(*result[:2], stats, *result[3:]), name

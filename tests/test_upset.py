@@ -61,10 +61,11 @@ def test_basis_constructor_rejects_non_antichain():
 
 
 def test_constructor_and_minimize_read_plain_sequences_as_markings():
-    """A tuple or list element is read through ``Marking``: the basis
-    holds hashable, comparable markings, and a bad count or a domain
-    mismatch raises ValueError, not an AttributeError or TypeError."""
-    for build in (Basis, minimize):
+    """A tuple or list element is read through ``Marking``, by ``union``
+    too, onto an empty basis or not: the basis holds hashable, comparable
+    markings, and a bad count or a domain mismatch raises ValueError, not
+    an AttributeError or TypeError."""
+    for build in (Basis, minimize, Basis().union, Basis([M(2, 2)]).union):
         for plain in ([(1, 0), (0, 1)], [[1, 0], [0, 1]], [M(1, 0), [0, 1]]):
             b = build(plain)
             assert all(type(m) is Marking for m in b), (build, plain)
@@ -73,6 +74,8 @@ def test_constructor_and_minimize_read_plain_sequences_as_markings():
         for bad, message in (([(1, 0), (1,)], "domains differ"),
                              ([[1, 0], [0, 1, 0]], "domains differ"),
                              ([(1, -1)], "non-negative integers"),
+                             ([(-1, 0)], "non-negative integers"),
+                             ([(True, 0)], "non-negative integers"),
                              ([(0, 1), [True, 0]], "non-negative integers"),
                              ([(0.5, 0)], "non-negative integers")):
             with pytest.raises(ValueError, match=message):
