@@ -7,7 +7,6 @@ names, and records compare, hash and iterate as tuples.
 
 from .ingest import ParseError, Problem, emit_native, parse_native
 from .invariants import (
-    IntersectionInvariant,
     Invariant,
     SignAnalysis,
     SignInvariant,
@@ -39,7 +38,6 @@ __all__ = [
     "Basis",
     "ExploreBound",
     "FeasibilityProblem",
-    "IntersectionInvariant",
     "Invariant",
     "IterationStats",
     "Marking",

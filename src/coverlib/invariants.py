@@ -1,7 +1,7 @@
 """Downward-closed invariants that over-approximate the reachable markings.
 
-Two non-trivial invariants are provided, plus the trivial one and
-conjunctions:
+Two non-trivial invariants are provided, plus the trivial one, and
+``make_invariant`` joins several into their conjunction:
 
 * sign: a fixpoint computes the set of places that can ever carry a
   token; the invariant requires every other place to stay empty.  The
@@ -16,6 +16,10 @@ conjunctions:
   Farkas vector y, as tops and kept simplex bases (see
   ``StateInvariant``); only a query none answers solves an LP.  A
   marking at most the initial one is admitted by lam = 0 without D.
+
+* conjunction: ``make_invariant`` with several names builds one leaf
+  handle per name on the net and joins them, in the given order, into an
+  ``IntersectionInvariant``; ``leaves()`` reads them back.
 
 Every invariant contains all reachable markings and is closed downward,
 so it is sound for pruning a backward coverability search.  Handles are
@@ -92,6 +96,8 @@ class Invariant:
     kind = "abstract"
 
     def __init__(self, net: PetriNet) -> None:
+        if not isinstance(net, PetriNet):
+            raise ValueError(f"an invariant is built on a PetriNet, not a {type(net).__name__}")
         self.net = net
         self.name = self.kind
 
@@ -99,15 +105,15 @@ class Invariant:
         raise NotImplementedError
 
     def leaves(self) -> Tuple["Invariant", ...]:
-        """Itself, or an intersection's parts flattened: the handles ``member`` asks."""
+        """The leaf handles ``member`` asks, in order: itself, or a conjunction's leaves."""
         return (self,)
 
 
-def first_refusal(parts: Sequence[Invariant], m: MarkingLike) -> int:
-    """Index of the first of ``parts``, asked in order, to reject m, else len(parts)."""
+def first_refusal(leaves: Sequence[Invariant], m: MarkingLike) -> int:
+    """Index of the first of ``leaves``, asked in order, to reject m, else len(leaves)."""
     i = 0
-    for part in parts:
-        if not part.member(m):
+    for leaf in leaves:
+        if not leaf.member(m):
             return i
         i += 1
     return i
@@ -231,35 +237,22 @@ class StateInvariant(Invariant):
 
 
 class IntersectionInvariant(Invariant):
-    """Conjunction of invariants, tested in declared order.
+    """Conjunction of leaf handles on one net, asked in the given order.
 
-    Evaluation short-circuits, so putting cheap members first (sign
-    before state) avoids most of the expensive queries.  The constructor
-    checks one net and flattens; ``make_invariant``'s ``_of`` need not.
+    Evaluation short-circuits, so putting cheap leaves first (sign
+    before state) avoids most of the expensive queries.  Only
+    ``make_invariant`` builds one, from the leaves it has just made on
+    ``net``, so nothing is checked again.
     """
 
     kind = "intersection"
 
-    def __init__(self, parts: Sequence[Invariant]) -> None:
-        parts = tuple(parts)
-        if not parts:
-            raise ValueError("intersection needs at least one invariant")
-        nets = {id(p.net) for p in parts}
-        if len(nets) != 1:
-            raise ValueError("intersected invariants must share one net")
-        super().__init__(parts[0].net)
-        self.parts = parts
-        self.name = ",".join([p.name for p in parts])
-        self._leaves = tuple([leaf for p in parts for leaf in p.leaves()])
-
-    @classmethod
-    def _of(cls, net: PetriNet, leaves: tuple, name: str) -> "IntersectionInvariant":
-        self = cls.__new__(cls)  # leaf handles just built on ``net``, unchecked
-        self.net, self.name, self.parts, self._leaves = net, name, leaves, leaves
-        return self
+    def __init__(self, net: PetriNet, leaves: Tuple[Invariant, ...]) -> None:
+        self.net, self._leaves = net, leaves
+        self.name = ",".join([leaf.name for leaf in leaves])
 
     def member(self, m: MarkingLike) -> bool:
-        return first_refusal(self.parts, m) == len(self.parts)
+        return first_refusal(self._leaves, m) == len(self._leaves)
 
     def leaves(self) -> Tuple[Invariant, ...]:
         return self._leaves
@@ -291,11 +284,10 @@ def check_invariant_names(names: Iterable[str]) -> List[str]:
 def make_invariant(net: PetriNet, names: Iterable[str]) -> Invariant:
     """Build a handle from names in {trivial, sign, state}.
 
-    Several names mean their conjunction, tested in the given order: the
-    leaves just built on ``net`` joined by ``IntersectionInvariant._of``.
+    Several names mean their conjunction, tested in the given order: one
+    leaf per name, built on ``net``, joined in an ``IntersectionInvariant``.
+    A ``net`` that is not a ``PetriNet`` raises ``ValueError``.
     """
     names = check_invariant_names(names)
-    if len(names) == 1:
-        return _FACTORIES[names[0]](net)
-    return IntersectionInvariant._of(
-        net, tuple([_FACTORIES[name](net) for name in names]), ",".join(names))
+    leaves = tuple([_FACTORIES[name](net) for name in names])
+    return leaves[0] if len(leaves) == 1 else IntersectionInvariant(net, leaves)

@@ -59,7 +59,10 @@ def bfs_tree(
     successor inside the box and the node budget; ``hit`` is the first
     enumerated marking covering ``target``, if one was asked for and
     found (the search stops there, leaving ``closed`` False-but-moot).
+    A ``bound`` that is not an ``ExploreBound`` is read through one.
     """
+    if type(bound) is not ExploreBound:
+        bound = ExploreBound(*bound)
     start = net.initial
     cap = bound.per_place_cap
     if any(c > cap for c in start):

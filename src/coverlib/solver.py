@@ -79,8 +79,8 @@ class SolveResult(NamedTuple):
     """What one search found and what it cost.
 
     ``lp_calls`` and ``sign_checks`` count the queries the search put to
-    the state and sign invariants, which an intersection asks in order up
-    to the first that rejects.  A token-flow query answered from a top or
+    the state and sign leaves, which a conjunction asks in order up to
+    the first that rejects.  A token-flow query answered from a top or
     simplex basis kept earlier counts as one all the same, so the counts
     do not depend on those caches.  ``bases`` and ``backlinks`` are kept
     only with ``record_bases``.
@@ -163,7 +163,8 @@ def solve(
     snapshots and the predecessor links on the result, for inspection and
     testing.  A ``budget_steps`` that is not an ``int`` >= 0 (``bool``
     included), a ``deadline`` that is not a real number or is NaN, or an
-    ``invariant`` that is not an ``Invariant`` raises ``ValueError``.
+    ``invariant`` that is not a handle from ``make_invariant`` raises
+    ``ValueError``.
     """
     if budget_steps is not None and (type(budget_steps) is not int
                                      or budget_steps < 0):
@@ -178,7 +179,8 @@ def solve(
     target = net.marking(target)
     if invariant is None:
         invariant = TrivialInvariant(net)
-    if not isinstance(invariant, Invariant):
+    # The bare base, or a subclass that fills in no ``member``, is no handle.
+    if not isinstance(invariant, Invariant) or type(invariant).member is Invariant.member:
         raise ValueError(f"invariant must be a handle from make_invariant, got {invariant!r}")
     if invariant.net is not net:
         raise ValueError("invariant was built for a different net")

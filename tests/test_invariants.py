@@ -28,7 +28,6 @@ from coverlib import (
     solve,
 )
 from coverlib.invariants import (
-    IntersectionInvariant,
     SignInvariant,
     StateInvariant,
     TrivialInvariant,
@@ -194,24 +193,9 @@ def test_intersection_short_circuits(stuck_net):
     # sign already rejected the target, the LP must not have run
     assert not result.target_in_invariant
     assert (result.sign_checks, result.lp_calls) == (1, 0)
-    state = inv.parts[1]
+    state = inv.leaves()[1]
     assert state._tops == [] and state._bases == []
     assert inv.name == "sign,state"
-
-
-def test_nested_intersection_counts_as_flat():
-    """solve counts the queries of an intersection's leaves, so nesting
-    one intersection in another changes no result."""
-    pruned = asked = 0
-    for name, net, target in random_instances(CORPUS_SEED, 60):
-        flat = solve(net, target, make_invariant(net, ["sign", "state"]), record_bases=True)
-        nested = solve(net, target, IntersectionInvariant(
-            [IntersectionInvariant([SignInvariant(net)]), StateInvariant(net)]),
-            record_bases=True)
-        assert nested == flat, name
-        pruned += flat.sign_checks > flat.lp_calls
-        asked += flat.lp_calls > 0
-    assert pruned and asked
 
 
 def test_reused_handle_counts_as_fresh():
@@ -222,9 +206,9 @@ def test_reused_handle_counts_as_fresh():
     for name, net, target in random_instances(CORPUS_SEED, 60):
         warm = make_invariant(net, ["sign", "state"])
         solve(net, target, warm)
-        solved = list(warm.parts[1]._bases)
+        solved = list(warm.leaves()[1]._bases)
         again = solve(net, target, warm)
-        assert warm.parts[1]._bases == solved, name
+        assert warm.leaves()[1]._bases == solved, name
         assert again == solve(net, target, make_invariant(net, ["sign", "state"])), name
         warmed += bool(solved)
     assert warmed
@@ -255,6 +239,12 @@ def test_make_invariant_validation(pump_net):
             make_invariant(pump_net, names)
     single = make_invariant(pump_net, ["state"])
     assert isinstance(single, StateInvariant)
+    # Each leaf is built on a PetriNet: a problem, or its rows, is none.
+    problem = Problem(pump_net, (Marking((0, 2, 1)),))
+    for net in (problem, pump_net.pre, None):
+        for names in (["sign"], ["state"], ["trivial"], ["sign", "state"]):
+            with pytest.raises(ValueError, match="^an invariant is built on a PetriNet, not a "):
+                make_invariant(net, names)
 
 
 def test_member_checks_domain(pump_net):
@@ -345,7 +335,7 @@ def test_questions_decided_at_the_target_leave_d_unbuilt(pump_net, orbit_net):
     for net, target, verdict in ((pump_net, (1, 0, 0), Verdict.COVERABLE),
                                  (orbit_net, (0, 1, 0), Verdict.UNCOVERABLE)):
         inv = make_invariant(net, ["sign", "state"])
-        state = inv.parts[1]
+        state = inv.leaves()[1]
         assert solve(net, target, inv).verdict is verdict
         assert state._system is None
         assert state.system.a == _displacement(net)

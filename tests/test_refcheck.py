@@ -29,6 +29,21 @@ def test_bound_validation():
             ExploreBound(node_cap=bad)
 
 
+def test_plain_tuple_bound_is_read_as_explore_bound(pump_net, stuck_net):
+    """Both entries read a plain tuple as the ExploreBound it equals, so
+    it explores alike and bad caps get the same ValueError."""
+    target = Marking((0, 2, 1))
+    assert (bounded_cover(pump_net, target, (5, 1000))
+            == bounded_cover(pump_net, target, ExploreBound(5, 1000)))
+    assert (reachable_markings(stuck_net, (8, 1000))
+            == reachable_markings(stuck_net, ExploreBound(8, 1000)))
+    for bad in ((0, 1000), (5, 0), (True, 1000), (5, 2.5)):
+        with pytest.raises(ValueError, match="positive integers"):
+            bounded_cover(pump_net, target, bad)
+        with pytest.raises(ValueError, match="positive integers"):
+            reachable_markings(pump_net, bad)
+
+
 def test_pump_cover_depth_three(pump_net):
     out = bounded_cover(pump_net, Marking((0, 2, 1)), ExploreBound(per_place_cap=8))
     assert out.kind is OutcomeKind.COVERABLE

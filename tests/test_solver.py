@@ -8,6 +8,7 @@ import pytest
 import coverlib.solver
 from coverlib import (
     ExploreBound,
+    Invariant,
     IterationStats,
     Marking,
     OutcomeKind,
@@ -207,6 +208,9 @@ def test_invariant_net_identity_enforced(pump_net, stuck_net):
     inv = make_invariant(stuck_net, ["sign"])
     with pytest.raises(ValueError):
         solve(pump_net, Marking((0, 2, 1)), inv)
+    # The bare base class has the right net but answers no query.
+    with pytest.raises(ValueError, match="^invariant must be a handle from make_invariant"):
+        solve(pump_net, Marking((0, 2, 1)), Invariant(pump_net))
 
 
 def test_record_bases_and_backlinks(pump_net):
