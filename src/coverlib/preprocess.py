@@ -65,8 +65,11 @@ def prune_dead_transitions(
     ``mode`` is "once" for a single round or "fixpoint" to repeat until a
     round removes nothing (that final empty round is recorded too).
     Places are never removed here.  Returns the reduced net, the removed
-    transition names in removal order, and a per-round report.
+    transition names in removal order, and a per-round report.  A ``net``
+    that is not a ``PetriNet`` raises ``ValueError``.
     """
+    if not isinstance(net, PetriNet):
+        raise ValueError(f"prune_dead_transitions takes a PetriNet, not a {type(net).__name__}")
     if mode not in ("once", "fixpoint"):
         raise ValueError(f"mode must be 'once' or 'fixpoint', got {mode!r}")
     rounds: List[PruneRound] = []
@@ -108,8 +111,11 @@ def prune_problem(
     surviving transition touches and that every target ignores are
     removed as well; coverability answers are unaffected since those
     places hold zero tokens in every reachable marking.  The default
-    keeps all places.
+    keeps all places.  A ``problem`` that is not a ``Problem`` raises
+    ``ValueError``.
     """
+    if not isinstance(problem, Problem):
+        raise ValueError(f"prune_problem takes a Problem, not a {type(problem).__name__}")
     net, _, report = prune_dead_transitions(problem.net, mode, use_state)
     targets = problem.targets
     if drop_places:

@@ -59,9 +59,13 @@ def bfs_tree(
     successor inside the box and the node budget; ``hit`` is the first
     enumerated marking covering ``target``, if one was asked for and
     found (the search stops there, leaving ``closed`` False-but-moot).
-    A ``bound`` that is not an ``ExploreBound`` is read through one.
+    A tuple or list ``bound`` is read through ``ExploreBound``; any other
+    type raises ``ValueError``.
     """
     if type(bound) is not ExploreBound:
+        if not isinstance(bound, (tuple, list)):
+            raise ValueError("an exploration bound is an ExploreBound, a tuple or a list, "
+                             f"not a {type(bound).__name__}")
         bound = ExploreBound(*bound)
     start = net.initial
     cap = bound.per_place_cap

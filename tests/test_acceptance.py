@@ -46,7 +46,7 @@ from coverlib import (
 from conftest import PUMP_TEXT, make_orbit_net, make_pump_net, make_stuck_net
 from corpus import random_instances
 from fourier_motzkin import fm_feasible
-from oracles import fires_over, marked_rounds
+from oracles import fires_over, marked_rounds, replays, solves
 
 CORPUS_SEED = 20260819
 CORPUS_SIZE = 500
@@ -105,11 +105,6 @@ def corpus() -> Corpus:
     return Corpus(tuple(built), time.perf_counter() - started)
 
 
-def _replays(net: PetriNet, witness, target: Marking) -> bool:
-    final = net.fire_sequence(net.initial, witness)
-    return final is not None and final.covers(target)
-
-
 def test_criterion_01_worked_example_counters():
     with reporting(1, "worked example counters"):
         started = time.perf_counter()
@@ -121,7 +116,7 @@ def test_criterion_01_worked_example_counters():
             r = solve(net, hit, make_invariant(net, names))
             assert r.verdict is Verdict.COVERABLE
             assert net.transition_names(r.witness) == ["t1", "t2", "t3"]
-            assert _replays(net, r.witness, hit)
+            assert replays(net, r.witness, hit)
             assert solve(net, miss, make_invariant(net, names)).verdict \
                 is Verdict.UNCOVERABLE
 
@@ -161,7 +156,7 @@ def test_criterion_02_corpus_verdicts_match_oracle(corpus):
                 r = inst.results[names]
                 assert r.verdict is not Verdict.INCONCLUSIVE, inst.name
                 if r.verdict is Verdict.COVERABLE:
-                    assert _replays(inst.net, r.witness, inst.target), inst.name
+                    assert replays(inst.net, r.witness, inst.target), inst.name
                 if inst.outcome.kind is OutcomeKind.COVERABLE:
                     if r.verdict is not Verdict.COVERABLE:
                         mismatches.append((inst.name, names))
@@ -275,11 +270,7 @@ def test_criterion_08_rational_feasibility_vs_elimination():
             assert ok == fm_feasible(a, b), (a, b)
             if ok:
                 feasible_seen += 1
-                den, nums = witness  # x_j = nums[j] / den
-                assert den > 0 and all(x >= 0 for x in nums)
-                for row, bound in zip(a, b):
-                    lhs = sum(c * x for c, x in zip(row, nums))
-                    assert lhs >= bound * den, (a, b, witness)
+                assert solves(a, b, witness), (a, b, witness)
             agreements += 1
         assert agreements >= 10_000
         assert 0 < feasible_seen < agreements

@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import pathlib
 import random
-import re
 import string
 
 import pytest
@@ -21,6 +20,7 @@ from coverlib import (
 
 from conftest import PUMP_TEXT, make_pump_net
 from corpus import random_instances, random_net, random_target
+from oracles import IDENT, assert_problem_equals_checked_build, read_as_the_scanner_reads
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 
 
@@ -308,9 +308,7 @@ def test_emit_refuses_names_it_cannot_read_back(places, transitions, bad):
         emit_native(Problem(net=net, targets=((),)))
 
 
-# The identifier rule as the parsers once wrote it, a regex, and the
-# native reserved words: the oracle of ``ingest._is_ident``.
-IDENT = re.compile(r"(?!_\Z)[A-Za-z_][A-Za-z0-9_.\-]*\Z")
+# The native reserved words, with IDENT the oracle of ``ingest._is_ident``.
 RESERVED = {"places", "transitions", "init", "target", "in", "out"}
 # ASCII letters, digits and the three name marks; letters and digits of
 # other scripts, some of which lower-case to ASCII (U+017F, U+0130 and
@@ -663,20 +661,6 @@ def test_words_read_like_the_token_scanner():
     result, or the error with its position, is the scanner's.  Every text
     the scanner accepts is read from its words, as the scanner's tokens:
     a count glued to a name, like ``2b``, is one token to both."""
-    from coverlib.ingest import _NATIVE_TOKEN, _native, _text, _Tokens, _Words
-
-    def scanned(text):
-        try:
-            return _native(_Tokens(_text(text), _NATIVE_TOKEN), "")
-        except ParseError as err:
-            return str(err), err.line, err.column
-
-    def outcome(text):
-        try:
-            return parse_native(text)
-        except ParseError as err:
-            return str(err), err.line, err.column
-
     # Each fragment at each place of a short text, then random edits.
     base = "places: a b\ntransitions:\nt: in a*2 out b ;\ninit: a=1\ntarget: b>=1\n"
     texts = [base[:at] + edit + base[at:] for edit in EDITS for at in range(len(base))]
@@ -692,17 +676,7 @@ def test_words_read_like_the_token_scanner():
                 cut = at + rng.choice((0, 0, 1, 3))
                 edited = edited[:at] + rng.choice(EDITS) + edited[cut:]
             texts.append(edited)
-    read = 0
-    for text in texts:
-        expected = scanned(text)
-        assert outcome(text) == expected, text
-        assert outcome(text.encode()) == expected, text
-        if type(expected) is not Problem:
-            continue
-        words = _Words(_text(text))
-        assert _native(words, "") == expected, text
-        read += 1
-        assert words.tokens == _Tokens(_text(text), _NATIVE_TOKEN).tokens, text
+    read = sum(type(read_as_the_scanner_reads(text)) is Problem for text in texts)
     assert 500 <= read < len(texts)
 
 
@@ -719,10 +693,8 @@ def test_parsed_problems_equal_checked_ones():
     assert {parse for parse, _ in texts} == {parse_native, parse_mist}
     for parse, text in texts:
         problem = parse(text, name="p")
-        assert type(problem) is Problem and problem.name == "p", text
-        assert Problem(*problem) == problem, text
-        assert all(type(m) is Marking and len(m) == len(problem.net.places)
-                   for m in problem.targets), text
+        assert problem.name == "p", text
+        assert_problem_equals_checked_build(problem, text)
 
 
 def test_mist_accepts_bytes():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
@@ -35,7 +36,7 @@ from coverlib.invariants import (
 )
 
 from corpus import random_instances, random_net
-from oracles import marked_rounds
+from oracles import displacement, marked_rounds, refutes, solves, state_answers
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 
 
@@ -146,16 +147,11 @@ def test_state_membership_pump(pump_net):
 def test_state_explains_membership(pump_net):
     """An admission carries lam and a rejection a Farkas vector y."""
     inv = StateInvariant(pump_net)
-    admitted, (den, nums) = inv._answer(Marking((0, 2, 1)))
-    assert admitted and den > 0 and all(x >= 0 for x in nums)
-    # re-substitute: initial + lam . displacement covers the marking
-    for p in range(3):
-        total = den * pump_net.initial[p] + sum(
-            nums[t] * (pump_net.post[t][p] - pump_net.pre[t][p]) for t in range(3)
-        )
-        assert total >= den * Marking((0, 2, 1))[p]
+    rows = displacement(pump_net)
+    admitted, lam = inv._answer(Marking((0, 2, 1)))
+    assert admitted and solves(rows, list(map(sub, (0, 2, 1), pump_net.initial)), lam)
     admitted, y = inv._answer(Marking((2, 0, 0)))
-    assert not admitted and _refutes(pump_net, (2, 0, 0), y)
+    assert not admitted and refutes(rows, list(map(sub, (2, 0, 0), pump_net.initial)), y)
 
 
 def test_state_zero_displacement_column():
@@ -297,17 +293,12 @@ def test_entries_share_one_marking_boundary(stuck_net):
         assert len(messages) == 1, (bad, messages)
 
 
-def _displacement(net):
-    return tuple(tuple(post[p] - pre[p] for pre, post in zip(net.pre, net.post))
-                 for p in range(len(net.places)))
-
-
 def test_d_equals_a_validated_build():
     """D is stored without the constructor's checks; it equals the matrix
     the public ``FeasibilityProblem`` constructor builds and checks."""
     for name, net, _ in random_instances(CORPUS_SEED, CORPUS_SIZE):
         system = StateInvariant(net).system
-        checked = FeasibilityProblem(_displacement(net))
+        checked = FeasibilityProblem(displacement(net))
         assert type(system) is FeasibilityProblem and system == checked, name
         assert type(system.a) is tuple and all(type(row) is tuple for row in system.a)
     net = PetriNet(["a", "b"], [])
@@ -338,11 +329,11 @@ def test_questions_decided_at_the_target_leave_d_unbuilt(pump_net, orbit_net):
         state = inv.leaves()[1]
         assert solve(net, target, inv).verdict is verdict
         assert state._system is None
-        assert state.system.a == _displacement(net)
+        assert state.system.a == displacement(net)
         assert state._system is state.system
     busy = StateInvariant(pump_net)
     assert busy.member((0, 2, 1))
-    assert busy._system is not None and busy.system.a == _displacement(pump_net)
+    assert busy._system is not None and busy.system.a == displacement(pump_net)
 
 
 def test_lam_zero_answers_only_what_nothing_kept_answers():
@@ -386,22 +377,6 @@ def test_empty_name_list_has_one_rule(pump_net):
         make_invariant(pump_net, [])
 
 
-def _explains(net, rows, m, lam):
-    """lam >= 0 and initial + D lam >= m, re-substituted exactly."""
-    return all(x >= 0 for x in lam) and all(
-        i + sum(d * x for d, x in zip(row, lam)) >= c
-        for i, row, c in zip(net.initial, rows, m))
-
-
-def _refutes(net, m, y):
-    """y >= 0, y D <= 0 and y . m > y . initial, in integers from the
-    net's own rows: no lam >= 0 meets initial + D lam >= m."""
-    return (len(y) == len(net.places) and all(type(v) is int and v >= 0 for v in y)
-            and all(sum(v * (o - n) for v, n, o in zip(y, need, give)) <= 0
-                    for need, give in zip(net.pre, net.post))
-            and sum(v * c for v, c in zip(y, m)) > sum(v * i for v, i in zip(y, net.initial)))
-
-
 def test_cached_answers_equal_a_fresh_lp(monkeypatch):
     """Every state query of every acceptance-corpus search, under state and
     sign,state, is asked again of a cold LP, with no start.  The handle's
@@ -413,20 +388,20 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
     must save both admitting and rejecting ones.  Each handle passes its
     one FeasibilityProblem, with a column per transition, to every LP it
     solves, and keeps no final basis twice."""
-    solves = {True: 0, False: 0}
+    solved = {True: 0, False: 0}
     warm = [0]
     lp = coverlib.invariants.feasible
     decide = coverlib.ratlp.Cone.decide
     kept = {True: 0, False: 0}  # kept-basis answers, by outcome
-    asking = []  # the handle whose query is running
     systems = {}  # handle -> the FeasibilityProblem of its first LP
 
     def counted(problem, b, start=None):
-        handle = asking[-1]
+        handle, _, running = asked[-1]
+        assert running is None  # a state query is running
         assert systems.setdefault(handle, problem) is problem
         assert problem.num_vars == len(handle.net.transitions)
         result = lp(problem, b, start=start)
-        solves[result[0]] += 1
+        solved[result[0]] += 1
         warm[0] += start is not None
         return result
 
@@ -436,54 +411,40 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
             kept[answer[0]] += 1
         return answer
 
-    asked = []
-    answering = StateInvariant._answer
-
-    def recorded(self, m):
-        asking.append(self)
-        answer = answering(self, m)
-        asking.pop()
-        asked.append((m, answer))
-        return answer
-
-    def checks(net, rows, m, answer):
+    def checks(rows, bounds, answer):
         admitted, evidence = answer
-        if admitted:
-            den, nums = evidence
-            return den > 0 and _explains(net, rows, m, [Fraction(v, den) for v in nums])
-        return _refutes(net, m, evidence)
+        return (solves if admitted else refutes)(rows, bounds, evidence)
 
     monkeypatch.setattr(coverlib.invariants, "feasible", counted)
     monkeypatch.setattr(coverlib.ratlp.Cone, "decide", deciding)
-    monkeypatch.setattr(StateInvariant, "_answer", recorded)
     rng = random.Random(36)
     queries = rejected = lp_admitted = lp_rejected = kept_admitted = kept_rejected = 0
-    for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
-        rows = tuple(tuple(post[p] - pre[p] for pre, post in zip(net.pre, net.post))
-                     for p in range(len(net.places)))
-        system = FeasibilityProblem(rows)
-        for names in (("state",), ("sign", "state")):
-            del asked[:]
-            before, kept_before = dict(solves), dict(kept)
-            solve(net, target, make_invariant(net, names), budget_steps=500)
-            lp_admitted += solves[True] - before[True]
-            lp_rejected += solves[False] - before[False]
-            kept_admitted += kept[True] - kept_before[True]
-            kept_rejected += kept[False] - kept_before[False]
-            sequence = list(asked)
-            queries += len(sequence)
-            for m, answer in sequence:
-                bounds = tuple(c - i for c, i in zip(m, net.initial))
-                ok, _, _ = feasible(system, bounds)
-                assert answer[0] == ok, (name, names, m)
-                assert checks(net, rows, m, answer), (name, names, m, answer)
-                rejected += not ok
-            rng.shuffle(sequence)
-            fresh = StateInvariant(net)
-            for m, answer in sequence:
-                again = fresh._answer(m)
-                assert again[0] == answer[0], (name, names, m)
-                assert checks(net, rows, m, again), (name, names, m, again)
+    with state_answers() as asked:
+        for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
+            rows = displacement(net)
+            system = FeasibilityProblem(rows)
+            for names in (("state",), ("sign", "state")):
+                del asked[:]
+                before, kept_before = dict(solved), dict(kept)
+                solve(net, target, make_invariant(net, names), budget_steps=500)
+                lp_admitted += solved[True] - before[True]
+                lp_rejected += solved[False] - before[False]
+                kept_admitted += kept[True] - kept_before[True]
+                kept_rejected += kept[False] - kept_before[False]
+                sequence = [(m, list(map(sub, m, net.initial)), answer)
+                            for _, m, answer in asked]
+                queries += len(sequence)
+                for m, bounds, answer in sequence:
+                    ok, _, _ = feasible(system, bounds)
+                    assert answer[0] == ok, (name, names, m)
+                    assert checks(rows, bounds, answer), (name, names, m, answer)
+                    rejected += not ok
+                rng.shuffle(sequence)
+                fresh = StateInvariant(net)
+                for m, bounds, answer in sequence:
+                    again = fresh._answer(m)
+                    assert again[0] == answer[0], (name, names, m)
+                    assert checks(rows, bounds, again), (name, names, m, again)
     # Both answers occur, and both caches hit: some rejections and some
     # admissions came from a kept basis and some admissions from a top,
     # not from the handle's own LP.  Only a basis or an LP rejects.
@@ -491,7 +452,7 @@ def test_cached_answers_equal_a_fresh_lp(monkeypatch):
     assert lp_rejected < rejected
     assert lp_rejected + kept_rejected == rejected
     assert 0 < kept_admitted and 0 < kept_rejected
-    assert 0 < warm[0] < solves[True] + solves[False]
+    assert 0 < warm[0] < solved[True] + solved[False]
     assert lp_admitted + kept_admitted < queries - rejected
     assert systems
     for handle in systems:

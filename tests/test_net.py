@@ -8,7 +8,7 @@ import pytest
 from coverlib import Marking, PetriNet, StateInvariant, TrivialInvariant, sign_analysis
 
 from corpus import random_instances, random_net
-from oracles import box, fires_over
+from oracles import box, dense_cpre, fires_over
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 
 
@@ -130,10 +130,6 @@ def test_cpre_box_characterization_random():
             assert base.leq(point) == fires_over(net, point, t, target)
 
 
-def _dense_cpre(net, t, m):
-    return tuple(n + max(c - o, 0) for n, o, c in zip(net.pre[t], net.post[t], m))
-
-
 def _arc_mix_net(rng):
     # Every transition is one of: no arcs at all, self-loops only, or a
     # random mix of input, output and self-loop arcs.
@@ -168,7 +164,7 @@ def test_sparse_cpre_matches_dense_formula():
                 m = Marking(rng.randint(0, 5) for _ in net.places)
                 got = net.cpre(t, m)
                 assert type(got) is Marking
-                assert got == _dense_cpre(net, t, m)
+                assert got == dense_cpre(net, t, m)
                 # a plain sequence is validated, then treated the same
                 assert net.cpre(t, list(m)) == got
     assert no_arcs and loops  # both corner cases were drawn
@@ -252,7 +248,7 @@ def test_restricted_net_uses_its_own_arcs():
         sub = net.restrict(places, transitions)
         sm = Marking(rng.randint(0, 5) for _ in sub.places)
         for t in range(len(sub.transitions)):
-            assert sub.cpre(t, sm) == _dense_cpre(sub, t, sm)
+            assert sub.cpre(t, sm) == dense_cpre(sub, t, sm)
 
 
 def test_index_lookup_errors(pump_net):

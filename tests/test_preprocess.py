@@ -25,7 +25,7 @@ from coverlib import (
 from coverlib.invariants import SignInvariant
 
 from corpus import random_instances
-from oracles import marked_rounds
+from oracles import assert_problem_equals_checked_build, checked_copy, marked_rounds
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 
 
@@ -73,9 +73,15 @@ def test_zero_marked_chain_dies_in_one_round():
     assert len(report.rounds) == 1
 
 
-def test_mode_validation(pump_net):
+def test_mode_validation(pump_net, pump_problem):
     with pytest.raises(ValueError):
         prune_dead_transitions(pump_net, mode="twice")
+    # An argument of the wrong type is refused by name, not by a missing attribute.
+    with pytest.raises(ValueError, match="^prune_problem takes a Problem, not a PetriNet$"):
+        prune_problem(pump_net)
+    with pytest.raises(ValueError,
+                       match="^prune_dead_transitions takes a PetriNet, not a Problem$"):
+        prune_dead_transitions(pump_problem)
 
 
 def test_sign_only_fixpoint_stops_after_one_removal_round(stuck_net):
@@ -199,13 +205,6 @@ def test_pruning_builds_what_restrict_builds():
             assert current == reduced, name
 
 
-def checked_copy(net: PetriNet) -> PetriNet:
-    """``net`` built anew from copies of its rows, with no sign analysis."""
-    return PetriNet._checked(list(net.places), list(net.transitions),
-                             [list(r) for r in net.pre], [list(r) for r in net.post],
-                             list(net.initial))
-
-
 def test_fixpoint_report_equals_rounds_run_one_by_one():
     """A sign-only fixpoint records its closing round without running it,
     and every fixpoint builds its report positionally: the rounds equal
@@ -237,10 +236,8 @@ def test_pruned_problems_equal_checked_ones():
                 reduced, report = prune_problem(problem, use_state=use_state,
                                                 drop_places=drop_places)
                 projected += bool(report.dropped_places)
-                assert type(reduced) is Problem and reduced.name == name
-                assert Problem(*reduced) == reduced, name
-                assert all(type(m) is Marking and len(m) == len(reduced.net.places)
-                           for m in reduced.targets), name
+                assert reduced.name == name
+                assert_problem_equals_checked_build(reduced, name)
     assert projected > 10
 
 

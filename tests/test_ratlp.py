@@ -9,6 +9,7 @@ import coverlib.ratlp
 from coverlib import FeasibilityProblem, feasible
 
 from fourier_motzkin import fm_feasible
+from oracles import refutes, solves
 
 
 def rational(witness):
@@ -17,25 +18,6 @@ def rational(witness):
     assert type(den) is int and den > 0
     assert all(type(v) is int for v in nums)
     return [Fraction(v, den) for v in nums]
-
-
-def assert_solves(a, b, witness):
-    """Independent re-substitution, not trusting the solver's own guard."""
-    x = rational(witness)
-    assert len(x) == (len(a[0]) if a else 0)
-    assert all(v >= 0 for v in x)
-    for row, bound in zip(a, b):
-        assert sum(c * v for c, v in zip(row, x)) >= bound
-
-
-def assert_refutes(a, b, y):
-    """Independent check of a Farkas vector y: y >= 0 and y a <= 0 column
-    by column, yet y b > 0, so no x >= 0 meets a x >= b."""
-    assert len(y) == len(b)
-    assert all(isinstance(v, int) and v >= 0 for v in y)
-    for j in range(len(a[0]) if a else 0):
-        assert sum(v * row[j] for v, row in zip(y, a)) <= 0
-    assert sum(v * bound for v, bound in zip(y, b)) > 0
 
 
 def solved(a, b, problem=None, start=None):
@@ -49,20 +31,20 @@ def solved(a, b, problem=None, start=None):
         assert len(set(cone.basis)) == m and all(0 <= c < n + m for c in cone.basis)
         assert cone.problem is problem
     if ok:
-        assert_solves(a, b, evidence)
+        assert solves(a, b, evidence)
         if cone is not None:
             # the final basis solves its own b
             admitted, witness = cone.decide(b)
             assert admitted
-            assert_solves(a, b, witness)
+            assert solves(a, b, witness)
     else:
         # every infeasible answer comes off a tableau, which ends on a
         # basis that refutes its own b
-        assert_refutes(a, b, evidence)
+        assert refutes(a, b, evidence)
         assert cone is not None
         admitted, y = cone.decide(b)
         assert not admitted
-        assert_refutes(a, b, y)
+        assert refutes(a, b, y)
     return ok, cone
 
 
@@ -82,10 +64,10 @@ def check_cone(a, cone, others):
         ok, evidence = answer
         assert ok == fm_feasible(a, b), (a, b)
         if ok:
-            assert_solves(a, b, evidence)
+            assert solves(a, b, evidence)
             admitted += 1
         else:
-            assert_refutes(a, b, evidence)
+            assert refutes(a, b, evidence)
             refuted += 1
     return admitted, refuted
 
@@ -133,7 +115,7 @@ def test_feasible_basis_refutes_with_a_row_of_no_negative_entry():
     assert ok and witness == (1, [1])
     assert cone.decide((2, -3)) == (True, (1, [2]))
     assert cone.decide((4, -3)) == (False, [1, 1])
-    assert_refutes(((1,), (-1,)), (4, -3), [1, 1])
+    assert refutes(((1,), (-1,)), (4, -3), [1, 1])
     assert not fm_feasible(((1,), (-1,)), (4, -3))
     # x >= -1 is feasible, but not with x basic at -1: neither answer
     assert cone.decide((-1, -3)) is None

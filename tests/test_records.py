@@ -22,11 +22,11 @@ from coverlib import (ExploreBound, FeasibilityProblem, IterationStats,
                       OracleOutcome, PetriNet, Problem, PruneReport, PruneRound, SignAnalysis,
                       SolveResult, bounded_cover, make_invariant, prune_problem, sign_analysis,
                       solve)
-from coverlib.invariants import INVARIANT_KINDS, IntersectionInvariant
+from coverlib.invariants import INVARIANT_KINDS
 
 from corpus import random_instances
+from oracles import assert_conjunction_of_singles, assert_report_equals_public_build, checked_copy
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE
-from test_preprocess import checked_copy
 
 SRC = str(Path(coverlib.__file__).resolve().parents[1])
 
@@ -276,10 +276,7 @@ def test_setup_records_equal_public_builds():
     for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
         for use_state in (False, True):
             reduced, report = prune_problem(Problem(net, (target,), name), use_state=use_state)
-            assert type(report) is PruneReport, name
-            assert all(type(r) is PruneRound for r in report.rounds), name
-            rounds = tuple([PruneRound(*r) for r in report.rounds])
-            assert report == PruneReport(report.mode, rounds, report.dropped_places), name
+            assert_report_equals_public_build(report, name)
             analysis = sign_analysis(reduced.net)
             assert type(analysis) is SignAnalysis, name
             assert analysis == sign_analysis(checked_copy(reduced.net)), name
@@ -287,14 +284,7 @@ def test_setup_records_equal_public_builds():
         markings = [target, pruned.initial] + [
             pruned.min_enabling_marking(t) for t in range(len(pruned.transitions))]
         for names in orders:
-            handle = make_invariant(pruned, names)
-            singles = [make_invariant(pruned, [n]) for n in names]
-            assert type(handle) is IntersectionInvariant, (name, names)
-            assert (handle.name, handle.net) == (",".join(names), pruned), (name, names)
-            assert ([type(leaf) for leaf in handle.leaves()]
-                    == [type(single) for single in singles]), (name, names)
-            assert ([handle.member(m) for m in markings]
-                    == [all(s.member(m) for s in singles) for m in markings]), (name, names)
+            assert_conjunction_of_singles(pruned, names, markings, (name, names))
         result = solve(pruned, target, make_invariant(pruned, ["sign", "state"]),
                        record_bases=True)
         assert type(result) is SolveResult, name

@@ -14,6 +14,7 @@ from coverlib import (
 from coverlib.refcheck import bfs_tree
 
 from corpus import random_instances
+from oracles import replays
 
 
 def test_bound_validation():
@@ -31,7 +32,8 @@ def test_bound_validation():
 
 def test_plain_tuple_bound_is_read_as_explore_bound(pump_net, stuck_net):
     """Both entries read a plain tuple as the ExploreBound it equals, so
-    it explores alike and bad caps get the same ValueError."""
+    it explores alike and bad caps get the same ValueError; a bound of
+    another type gets a ValueError that names it."""
     target = Marking((0, 2, 1))
     assert (bounded_cover(pump_net, target, (5, 1000))
             == bounded_cover(pump_net, target, ExploreBound(5, 1000)))
@@ -42,14 +44,21 @@ def test_plain_tuple_bound_is_read_as_explore_bound(pump_net, stuck_net):
             bounded_cover(pump_net, target, bad)
         with pytest.raises(ValueError, match="positive integers"):
             reachable_markings(pump_net, bad)
+    # Nothing else is unpacked: a number, None, a string or a mapping is
+    # refused by its type.
+    for bad in (5, None, "ab", {"per_place_cap": 5, "node_cap": 9}):
+        message = f"a tuple or a list, not a {type(bad).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            bounded_cover(pump_net, target, bad)
+        with pytest.raises(ValueError, match=message):
+            reachable_markings(pump_net, bad)
 
 
 def test_pump_cover_depth_three(pump_net):
     out = bounded_cover(pump_net, Marking((0, 2, 1)), ExploreBound(per_place_cap=8))
     assert out.kind is OutcomeKind.COVERABLE
     assert len(out.witness) == 3
-    final = pump_net.fire_sequence(pump_net.initial, out.witness)
-    assert final.covers(Marking((0, 2, 1)))
+    assert replays(pump_net, out.witness, Marking((0, 2, 1)))
 
 
 def test_stuck_net_exhausts(stuck_net):

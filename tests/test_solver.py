@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,7 @@ from coverlib import (
 )
 
 from corpus import random_instances
-from oracles import full_backward_search
+from oracles import assert_frontier_is_the_tail, assert_matches_full_reexpansion, replays
 
 CONFIGS = (["trivial"], ["sign"], ["state"], ["sign", "state"])
 
@@ -33,8 +34,7 @@ def test_pump_coverable_every_config(pump_net):
         r = solve(pump_net, target, make_invariant(pump_net, names))
         assert r.verdict is Verdict.COVERABLE
         assert pump_net.transition_names(r.witness) == ["t1", "t2", "t3"]
-        final = pump_net.fire_sequence(pump_net.initial, r.witness)
-        assert final is not None and final.covers(target)
+        assert replays(pump_net, r.witness, target)
         assert r.target_in_invariant
 
 
@@ -262,8 +262,7 @@ def test_corpus_verdicts_and_witnesses():
             r = solve(net, target, make_invariant(net, names), budget_steps=500)
             assert r.verdict is not Verdict.INCONCLUSIVE
             if r.verdict is Verdict.COVERABLE:
-                final = net.fire_sequence(net.initial, r.witness)
-                assert final is not None and final.covers(target), name
+                assert replays(net, r.witness, target), name
             if truth.kind is OutcomeKind.COVERABLE:
                 if r.verdict is not Verdict.COVERABLE:
                     mismatches.append((name, names))
@@ -327,18 +326,7 @@ def test_matches_full_reexpansion_on_acceptance_corpus():
     every round."""
     for name, net, target in random_instances(seed=20260819, count=500):
         for names in CONFIGS:
-            r = solve(net, target, make_invariant(net, names),
-                      budget_steps=500, record_bases=True)
-            ref = full_backward_search(net, target, make_invariant(net, names),
-                                       budget_steps=500)
-            where = (name, names)
-            assert r.verdict.value == ref.verdict, where
-            assert r.witness == ref.witness, where
-            assert [tuple(s) for s in r.stats] == ref.stats, where
-            assert (r.lp_calls, r.sign_checks) == (ref.lp_calls,
-                                                   ref.sign_checks), where
-            assert [b.elements for b in r.bases] == ref.bases, where
-            assert r.backlinks == ref.backlinks, where
+            assert_matches_full_reexpansion(net, target, names, (name, names), budget_steps=500)
 
 
 def _mutex(n):
@@ -387,34 +375,11 @@ def test_matches_full_reexpansion_on_large_bases():
     for net, targets in (_mutex(4), _mutex(5), _mutex(6), _pipeline(3, 4),
                          _pipeline(4, 3), _pipeline(5, 3), _pipeline(6, 2)):
         for counts, verdict in targets:
-            target = net.marking(counts)
-            r = solve(net, target, make_invariant(net, ["trivial"]),
-                      record_bases=True)
-            ref = full_backward_search(net, target,
-                                       make_invariant(net, ["trivial"]))
             where = (net, counts)
-            assert r.verdict.value == ref.verdict == verdict, where
-            assert r.witness == ref.witness, where
-            assert [tuple(s) for s in r.stats] == ref.stats, where
-            assert [b.elements for b in r.bases] == ref.bases, where
-            assert r.backlinks == ref.backlinks, where
+            r = assert_matches_full_reexpansion(net, net.marking(counts), ["trivial"], where)
+            assert r.verdict.value == verdict, where
             peak = max(peak, max(map(len, r.bases)))
     assert peak > 64
-
-
-def _assert_frontier_is_the_tail(r, where, seen):
-    # The kept markings enter the predecessor links in kept order, round
-    # after round, after the target.  ``seen`` counts the rounds in which
-    # old elements left and those in which a kept marking did not stay.
-    kept = iter(list(r.backlinks)[r.target_in_invariant:])
-    for s, old, new in zip(r.stats, r.bases, r.bases[1:]):
-        round_kept = [next(kept) for _ in range(s.kept)]
-        before, after = set(old), set(new)
-        entered = [x for x in new if x not in before]
-        assert new.elements[len(new) - len(entered):] == tuple(entered), where
-        assert entered == [c for c in round_kept if c in after], where
-        seen["old left"] += not before <= after
-        seen["kept left"] += len(entered) < len(round_kept)
 
 
 # The (family, parameters) of the benchmark's classical-families grid.
@@ -430,18 +395,18 @@ def test_new_elements_form_the_tail_of_each_basis():
     off the basis's tail."""
     from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 
-    seen = {"old left": 0, "kept left": 0}
+    seen = Counter()
     for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
         for names in CONFIGS:
             r = solve(net, target, make_invariant(net, names), record_bases=True)
-            _assert_frontier_is_the_tail(r, (name, names), seen)
+            seen.update(assert_frontier_is_the_tail(r, (name, names)))
     for family, params in FAMILY_GRID:
         net, targets = family(*params)
         for counts, verdict in targets:
             r = solve(net, net.marking(counts), record_bases=True)
             assert r.verdict.value == verdict, (family, params, counts)
-            _assert_frontier_is_the_tail(r, (family, params, counts), seen)
-    assert all(seen.values())
+            seen.update(assert_frontier_is_the_tail(r, (family, params, counts)))
+    assert seen["old left"] and seen["kept left"]
 
 
 def _weighted_net(rng):
@@ -486,12 +451,5 @@ def test_search_expands_only_productive_pairs(monkeypatch):
     for _ in range(200):
         net = _weighted_net(rng)
         target = Marking([rng.randint(0, 3) for _ in net.places])
-        r = solve(net, target, budget_steps=20, record_bases=True)
-        ref = full_backward_search(net, target, make_invariant(net, ["trivial"]),
-                                   budget_steps=20)
-        assert r.verdict.value == ref.verdict
-        assert r.witness == ref.witness
-        assert [tuple(s) for s in r.stats] == ref.stats
-        assert [b.elements for b in r.bases] == ref.bases
-        assert r.backlinks == ref.backlinks
+        assert_matches_full_reexpansion(net, target, ["trivial"], (net, target), budget_steps=20)
     assert productive and all(productive)
