@@ -348,8 +348,11 @@ def emit_native(problem: Problem) -> str:
 
     ValueError names the first place or transition name that
     ``parse_native`` would not read back as that name: a non-``str``, a
-    lone ``_``, a non-identifier or a reserved word.
+    lone ``_``, a non-identifier or a reserved word, and a ``problem``
+    that is not a ``Problem`` raises it too.
     """
+    if not isinstance(problem, Problem):
+        raise ValueError(f"emit_native takes a Problem, not a {type(problem).__name__}")
     net = problem.net
     for kind, names in (("place", net.places), ("transition", net.transitions)):
         for name in names:

@@ -56,8 +56,11 @@ def sign_analysis(net: PetriNet) -> SignAnalysis:
     Each pass walks the arc lists ``net._arcs`` of the transitions still
     pending.  The result is computed once per net and kept on it (nets
     are immutable), so the preprocessor and the sign invariant of the
-    same net share one fixpoint.
+    same net share one fixpoint.  A ``net`` that is not a ``PetriNet``
+    raises ``ValueError``.
     """
+    if not isinstance(net, PetriNet):
+        raise ValueError(f"sign_analysis takes a PetriNet, not a {type(net).__name__}")
     if net._sign is not None:
         return net._sign
     marked = {p for p, c in enumerate(net.initial) if c}

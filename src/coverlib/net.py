@@ -103,6 +103,10 @@ class PetriNet:
         post_arcs: Optional[Mapping[tuple, int]] = None,
         initial: Optional[MarkingLike] = None,
     ) -> None:
+        for kind, names in (("place", places), ("transition", transitions)):
+            if isinstance(names, str):  # it would be read letter by letter
+                raise ValueError(f"{kind} names must be a list such as "
+                                 f"['a', 'b'], not the string {names!r}")
         places = tuple(places)
         transitions = tuple(transitions)
         place_index = {p: i for i, p in enumerate(places)}

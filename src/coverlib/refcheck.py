@@ -117,8 +117,11 @@ def bounded_cover(
     UNCOVERABLE_EXHAUSTED is only reported when the reachability set was
     fully enumerated without ever generating a marking outside the box,
     so that verdict is exact.  COVERABLE comes with a shortest firing
-    sequence.  Anything else is BOUND_HIT.
+    sequence.  Anything else is BOUND_HIT.  A ``net`` that is not a
+    ``PetriNet`` raises ``ValueError``.
     """
+    if not isinstance(net, PetriNet):
+        raise ValueError(f"bounded_cover takes a PetriNet, not a {type(net).__name__}")
     target = net.marking(target)
     tree, closed, hit = bfs_tree(net, bound, target)
     if hit is not None:
@@ -131,6 +134,9 @@ def bounded_cover(
 def reachable_markings(
     net: PetriNet, bound: ExploreBound = ExploreBound()
 ) -> Tuple[FrozenSet[Marking], bool]:
-    """All markings enumerated within bounds, plus whether that is all of them."""
+    """All markings enumerated within bounds, plus whether that is all of
+    them.  A ``net`` that is not a ``PetriNet`` raises ``ValueError``."""
+    if not isinstance(net, PetriNet):
+        raise ValueError(f"reachable_markings takes a PetriNet, not a {type(net).__name__}")
     tree, closed, _ = bfs_tree(net, bound)
     return frozenset(tree), closed

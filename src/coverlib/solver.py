@@ -161,11 +161,13 @@ def solve(
     terminates.  Without ``invariant`` nothing is pruned: that is the
     classical backward search.  ``record_bases`` keeps per-round basis
     snapshots and the predecessor links on the result, for inspection and
-    testing.  A ``budget_steps`` that is not an ``int`` >= 0 (``bool``
-    included), a ``deadline`` that is not a real number or is NaN, or an
-    ``invariant`` that is not a handle from ``make_invariant`` raises
-    ``ValueError``.
+    testing.  A ``net`` that is not a ``PetriNet``, a ``budget_steps``
+    that is not an ``int`` >= 0 (``bool`` included), a ``deadline`` that
+    is not a real number or is NaN, or an ``invariant`` that is not a
+    handle from ``make_invariant`` raises ``ValueError``.
     """
+    if not isinstance(net, PetriNet):
+        raise ValueError(f"solve takes a PetriNet, not a {type(net).__name__}")
     if budget_steps is not None and (type(budget_steps) is not int
                                      or budget_steps < 0):
         raise ValueError(f"budget_steps must be an integer >= 0, got {budget_steps!r}")

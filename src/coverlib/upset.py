@@ -30,9 +30,10 @@ the bits of the elements that left.  Only a basis made by the
 constructor builds its index, on its first query, by inserting the
 elements in order through the same walk.  The domain of a marking is
 checked once, by its length, when it enters a query, not per
-comparison.  ``Basis(elements)``, ``union`` and ``minimize`` read each
-element that is not a ``Marking`` through ``Marking``, and ``Basis``
-checks that its elements form an antichain, ``python -O`` or not.
+comparison.  ``Basis(elements)``, ``union``, ``minimize`` and
+``contains`` read each marking that is not a ``Marking`` through
+``Marking``; ``filter_uncovered`` does not.  ``Basis`` checks that its
+elements form an antichain, ``python -O`` or not.
 """
 
 from __future__ import annotations
@@ -128,7 +129,10 @@ class Basis:
         return self._index
 
     def contains(self, m: Marking) -> bool:
-        """Whether ``m`` lies in the upward closure of this basis."""
+        """Whether ``m`` lies in the upward closure of this basis.  An ``m``
+        that is not a ``Marking`` is read through ``Marking``."""
+        if type(m) is not Marking:
+            m = Marking(m)
         return not self.filter_uncovered((m,))
 
     def union(self, new: Iterable[Sequence[int]]) -> "Basis":
@@ -161,7 +165,11 @@ class Basis:
         return Basis._of(elements, (marks, live, columns, at))
 
     def filter_uncovered(self, candidates: Iterable[Marking]) -> List[Marking]:
-        """The candidates that are not already in this upward-closed set."""
+        """The candidates that are not already in this upward-closed set.
+
+        Only their domain is checked: the search passes markings it built
+        itself, so a candidate is not read through ``Marking``.
+        """
         if not self.elements:
             return list(candidates)
         first = self.elements[0]

@@ -9,20 +9,20 @@ corpus, as ``perfbench/selftest.py`` does.
 
 from __future__ import annotations
 
-import random
 import sys
 from operator import sub
 from pathlib import Path
 from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path.insert(0, str(ROOT / "src"))
 
 from coverlib import (FeasibilityProblem, IterationStats, Marking, Problem,  # noqa: E402
                       SignInvariant, SolveResult, emit_native, feasible, make_invariant,
                       minimize, parse_native, prune_problem, sign_analysis, solve)
 from coverlib.ingest import _is_ident  # noqa: E402
-from generate import WORKLOADS, instances, mutex, native_text, pipeline  # noqa: E402
+from corpus import family_question  # noqa: E402  (puts perfbench/ on the path)
+from generate import WORKLOADS, instances  # noqa: E402
 from oracles import (IDENT, assert_conjunction_of_singles,  # noqa: E402
                      assert_frontier_is_the_tail, assert_problem_equals_checked_build,
                      assert_report_equals_public_build, checked_copy, displacement,
@@ -84,19 +84,17 @@ def cold_lp(scale: float = 1.0) -> None:
         assert (lp_calls, sign_checks) == (len(asked), signed.call_count)
 
 
-def families(questions=((mutex, (20,)), (pipeline, (8, 5)))) -> None:
+def families(questions=(("mutex", (20,)), ("pipeline", (8, 5)))) -> None:
     """Verdicts under trivial and sign,state; under trivial, each carried
     antichain index and each round's new elements as the basis's tail."""
     for family, params in questions:
         for slot in range(3):
-            places, transitions, initial, target, expected = family(
-                *params, slot, random.Random(SEED))
-            problem = parse_native(native_text(places, transitions, initial, target))
+            problem, expected = family_question(family, params, slot)
             for names in (["trivial"], ["sign", "state"]):
                 chain = names == ["trivial"]
                 result = solve(problem.net, problem.targets[0],
                                make_invariant(problem.net, names), record_bases=chain)
-                print(family.__name__, params, slot, names,
+                print(family, params, slot, names,
                       result.verdict.value, result.lp_calls)
                 assert result.verdict.value == expected, expected
                 if chain:
@@ -108,7 +106,7 @@ def families(questions=((mutex, (20,)), (pipeline, (8, 5)))) -> None:
                         fresh = minimize(b.elements)
                         assert (b.filter_uncovered(nxt.elements)
                                 == fresh.filter_uncovered(nxt.elements))
-                    assert_frontier_is_the_tail(result, (family.__name__, params, slot))
+                    assert_frontier_is_the_tail(result, (family, params, slot))
                     print(len(bases), "bases checked, peak", max(map(len, bases)))
 
 

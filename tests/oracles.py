@@ -16,8 +16,9 @@ from operator import mul
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 from unittest.mock import patch
 
-from coverlib import (Invariant, Marking, ParseError, PetriNet, Problem, PruneReport,
-                      PruneRound, make_invariant, parse_native, solve)
+from coverlib import (Invariant, Marking, OutcomeKind, ParseError, PetriNet, Problem,
+                      PruneReport, PruneRound, Verdict, make_invariant, parse_native,
+                      prune_dead_transitions, solve)
 from coverlib.ingest import _NATIVE_TOKEN, _native, _text, _Tokens, _Words
 from coverlib.invariants import IntersectionInvariant, StateInvariant
 
@@ -79,6 +80,44 @@ def replays(net: PetriNet, witness, target) -> bool:
     """Whether ``witness`` fires from the initial marking to one covering ``target``."""
     final = net.fire_sequence(net.initial, witness)
     return final is not None and final.covers(target)
+
+
+def assert_verdicts_match_exploration(net: PetriNet, target, outcome, results,
+                                      where) -> None:
+    """Every result in ``results``, configuration names to ``SolveResult``,
+    is conclusive, replays its witness if COVERABLE, and has the verdict
+    of bounded exploration's ``outcome`` wherever that is exact."""
+    exact = {OutcomeKind.COVERABLE: Verdict.COVERABLE,
+             OutcomeKind.UNCOVERABLE_EXHAUSTED: Verdict.UNCOVERABLE}.get(outcome.kind)
+    for names, r in results.items():
+        assert r.verdict is not Verdict.INCONCLUSIVE, (where, names)
+        if r.verdict is Verdict.COVERABLE:
+            assert replays(net, r.witness, target), (where, names)
+        assert exact in (None, r.verdict), (where, names)
+
+
+def assert_bases_above_classical(plain, cut, where) -> None:
+    """Where the pruned search ``cut`` reaches the classical search
+    ``plain``'s verdict, each of its bases lies in the upward closure of
+    the classical basis of the same round; both recorded their bases."""
+    if cut.verdict is plain.verdict:
+        for bp, bc in zip(plain.bases, cut.bases):
+            for m in bc:
+                assert bp.contains(m), (where, m)
+
+
+def assert_pruning_keeps_verdicts(net: PetriNet, target, verdicts, use_states, where,
+                                  budget_steps: Optional[int] = None) -> None:
+    """On the net that dead-transition pruning leaves, in either mode and
+    with each of ``use_states``, ``solve`` gives each configuration in
+    ``verdicts`` the verdict it maps to."""
+    for mode in ("once", "fixpoint"):
+        for use_state in use_states:
+            reduced, _, _ = prune_dead_transitions(net, mode, use_state)
+            for names, verdict in verdicts.items():
+                after = solve(reduced, target, make_invariant(reduced, names),
+                              budget_steps=budget_steps)
+                assert after.verdict is verdict, (where, mode, use_state, names)
 
 
 def checked_copy(net: PetriNet) -> PetriNet:

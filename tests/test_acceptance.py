@@ -30,7 +30,6 @@ from coverlib import (
     FeasibilityProblem,
     Marking,
     OracleOutcome,
-    OutcomeKind,
     PetriNet,
     SolveResult,
     Verdict,
@@ -44,13 +43,11 @@ from coverlib import (
 )
 
 from conftest import PUMP_TEXT, make_orbit_net, make_pump_net, make_stuck_net
-from corpus import random_instances
+from corpus import CONFIGS, CORPUS_SEED, CORPUS_SIZE, random_instances
 from fourier_motzkin import fm_feasible
-from oracles import fires_over, marked_rounds, replays, solves
-
-CORPUS_SEED = 20260819
-CORPUS_SIZE = 500
-CONFIGS = (("trivial",), ("sign",), ("state",), ("sign", "state"))
+from oracles import (assert_bases_above_classical, assert_pruning_keeps_verdicts,
+                     assert_verdicts_match_exploration, fires_over, marked_rounds, replays,
+                     solves)
 
 
 def _report(num: int, label: str, ok: bool) -> None:
@@ -76,10 +73,6 @@ class Instance:
     reach: FrozenSet[Marking]
     closed: bool
     results: Dict[Tuple[str, ...], SolveResult]
-
-    @property
-    def conclusive(self) -> bool:
-        return self.outcome.kind is not OutcomeKind.BOUND_HIT
 
 
 @dataclass
@@ -150,20 +143,9 @@ def test_criterion_02_corpus_verdicts_match_oracle(corpus):
         assert len(corpus.instances) >= 500
         closed = sum(1 for i in corpus.instances if i.closed)
         assert closed / len(corpus.instances) >= 0.80
-        mismatches = []
         for inst in corpus.instances:
-            for names in CONFIGS:
-                r = inst.results[names]
-                assert r.verdict is not Verdict.INCONCLUSIVE, inst.name
-                if r.verdict is Verdict.COVERABLE:
-                    assert replays(inst.net, r.witness, inst.target), inst.name
-                if inst.outcome.kind is OutcomeKind.COVERABLE:
-                    if r.verdict is not Verdict.COVERABLE:
-                        mismatches.append((inst.name, names))
-                elif inst.outcome.kind is OutcomeKind.UNCOVERABLE_EXHAUSTED:
-                    if r.verdict is not Verdict.UNCOVERABLE:
-                        mismatches.append((inst.name, names))
-        assert mismatches == []
+            assert_verdicts_match_exploration(inst.net, inst.target, inst.outcome,
+                                              inst.results, inst.name)
         assert corpus.build_seconds < 300.0
 
 
@@ -215,12 +197,7 @@ def test_criterion_05_pruned_bases_stay_below_classical(corpus):
         for inst in corpus.instances:
             plain = inst.results[("trivial",)]
             for names in CONFIGS[1:]:
-                cut = inst.results[names]
-                if cut.verdict is not plain.verdict:
-                    continue
-                for bp, bc in zip(plain.bases, cut.bases):
-                    for m in bc:
-                        assert bp.contains(m), (inst.name, names, m)
+                assert_bases_above_classical(plain, inst.results[names], (inst.name, names))
 
 
 def test_criterion_06_preprocessing_preserves_verdicts(corpus):
@@ -231,15 +208,9 @@ def test_criterion_06_preprocessing_preserves_verdicts(corpus):
             assert removed == ["t"]
             assert reduced.places == stuck.places
         for inst in corpus.instances:
-            before = inst.results[("sign", "state")].verdict
-            for mode in ("once", "fixpoint"):
-                for use_state in (False, True):
-                    reduced, _, _ = prune_dead_transitions(
-                        inst.net, mode, use_state)
-                    after = solve(reduced, inst.target,
-                                  make_invariant(reduced, ("sign", "state")),
-                                  budget_steps=500)
-                    assert after.verdict is before, (inst.name, mode, use_state)
+            verdicts = {("sign", "state"): inst.results[("sign", "state")].verdict}
+            assert_pruning_keeps_verdicts(inst.net, inst.target, verdicts, (False, True),
+                                          inst.name, budget_steps=500)
 
 
 def test_criterion_07_sign_analysis_fixpoint(corpus):

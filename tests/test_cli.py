@@ -427,6 +427,8 @@ def test_bench_empty_dir(capsys, tmp_path):
 def test_bench_rejects_missing_dir(capsys, tmp_path):
     code, _, err = run_cli(capsys, "bench", "--dir", str(tmp_path / "nope"))
     assert code == 2 and "not a directory" in err
+    code, out, err = run_cli(capsys, "bench", "--dir", str(tmp_path), "--invariants", ";")
+    assert (code, out, err) == (2, "", "error: no invariant configurations given\n")
 
 
 def test_bench_timeout_rows(capsys, tmp_path):

@@ -19,9 +19,8 @@ from coverlib import (
 )
 
 from conftest import PUMP_TEXT, make_pump_net
-from corpus import random_instances, random_net, random_target
+from corpus import CORPUS_SEED, CORPUS_SIZE, random_instances, random_net, random_target
 from oracles import IDENT, assert_problem_equals_checked_build, read_as_the_scanner_reads
-from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 
 
 # -- native format ----------------------------------------------------------
@@ -548,6 +547,7 @@ MIST_REJECTIONS = [
     ("vars\n x\nrules\n x >= 1 ->\n" + TAIL,
      "expected an update variable, got 'init'", 5, 1),
     ("vars\n x\nrules\n x\n" + TAIL, "rule 0 (line 4): guards must use '>='", 5, 1),
+    ("vars\n x\nrules\n x >= 1\n" + TAIL, "rule 0 (line 4): unterminated rule", 4, 2),
     ("vars\n x\nrules\n -> x'\n" + TAIL,
      "rule 0 (line 4): expected '=' in update", 5, 1),
     (NOOP + " x =\ntarget\n x >= 1\n", "init: expected a number, got 'target'", 7, 1),

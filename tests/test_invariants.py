@@ -20,7 +20,6 @@ from coverlib import (
     Marking,
     PetriNet,
     Problem,
-    SignAnalysis,
     Verdict,
     bounded_cover,
     feasible,
@@ -35,9 +34,8 @@ from coverlib.invariants import (
     check_invariant_names,
 )
 
-from corpus import random_instances, random_net
+from corpus import CORPUS_SEED, CORPUS_SIZE, random_instances, random_net
 from oracles import displacement, marked_rounds, refutes, solves, state_answers
-from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 
 
 def places(net, names):
@@ -241,6 +239,8 @@ def test_make_invariant_validation(pump_net):
         for names in (["sign"], ["state"], ["trivial"], ["sign", "state"]):
             with pytest.raises(ValueError, match="^an invariant is built on a PetriNet, not a "):
                 make_invariant(net, names)
+    with pytest.raises(ValueError, match="^sign_analysis takes a PetriNet, not a Problem$"):
+        sign_analysis(problem)
 
 
 def test_member_checks_domain(pump_net):

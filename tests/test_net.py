@@ -7,9 +7,8 @@ import pytest
 
 from coverlib import Marking, PetriNet, StateInvariant, TrivialInvariant, sign_analysis
 
-from corpus import random_instances, random_net
+from corpus import CORPUS_SEED, CORPUS_SIZE, random_instances, random_net
 from oracles import box, dense_cpre, fires_over
-from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 
 
 def test_marking_rejects_negative_and_nonint():
@@ -55,6 +54,11 @@ def test_net_construction_validation():
         PetriNet(["p"], ["t"], pre_arcs={("p", "t"): True})
     with pytest.raises(ValueError, match="arc weight"):
         PetriNet(["p"], ["t"], post_arcs={("t", "p"): False})
+    # A string of names is refused, not read letter by letter.
+    with pytest.raises(ValueError, match="^place names must be a list .* not the string 'pq'$"):
+        PetriNet("pq", ["t"])
+    with pytest.raises(ValueError, match="^transition names must be a list .* 'tu'$"):
+        PetriNet(["p"], "tu")
 
 
 def test_zero_weight_arcs_are_dropped():

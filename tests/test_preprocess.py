@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import gc
-import random
 import sys
 
 import pytest
@@ -13,7 +12,6 @@ from coverlib import (
     PetriNet,
     Problem,
     PruneReport,
-    Verdict,
     emit_native,
     make_invariant,
     parse_native,
@@ -24,9 +22,9 @@ from coverlib import (
 )
 from coverlib.invariants import SignInvariant
 
-from corpus import random_instances
-from oracles import assert_problem_equals_checked_build, checked_copy, marked_rounds
-from test_acceptance import CORPUS_SEED, CORPUS_SIZE
+from corpus import CORPUS_SEED, CORPUS_SIZE, random_instances
+from oracles import (assert_problem_equals_checked_build, assert_pruning_keeps_verdicts,
+                     checked_copy, marked_rounds)
 
 
 def make_cascade_net() -> PetriNet:
@@ -82,6 +80,8 @@ def test_mode_validation(pump_net, pump_problem):
     with pytest.raises(ValueError,
                        match="^prune_dead_transitions takes a PetriNet, not a Problem$"):
         prune_dead_transitions(pump_problem)
+    with pytest.raises(ValueError, match="^emit_native takes a Problem, not a PetriNet$"):
+        emit_native(pump_net)
 
 
 def test_sign_only_fixpoint_stops_after_one_removal_round(stuck_net):
@@ -131,7 +131,7 @@ def test_one_sign_fixpoint_per_net(monkeypatch):
     handed = 0
     for use_state in (False, True):
         # the acceptance corpus, generated afresh so no net has an analysis yet
-        for name, net, target in random_instances(seed=20260819, count=500):
+        for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
             computed.clear()
             problem = Problem(net=net, targets=(target,), name=name)
             reduced, report = prune_problem(problem, use_state=use_state)
@@ -243,15 +243,9 @@ def test_pruned_problems_equal_checked_ones():
 
 def test_verdicts_preserved_on_corpus():
     for name, net, target in random_instances(seed=809, count=120):
-        want = {}
-        for names in (["trivial"], ["sign", "state"]):
-            want[tuple(names)] = solve(
-                net, target, make_invariant(net, names)).verdict
-        for mode in ("once", "fixpoint"):
-            reduced, _, _ = prune_dead_transitions(net, mode=mode)
-            for names in (["trivial"], ["sign", "state"]):
-                got = solve(reduced, target, make_invariant(reduced, names)).verdict
-                assert got is want[tuple(names)], (name, mode, names)
+        verdicts = {names: solve(net, target, make_invariant(net, names)).verdict
+                    for names in (("trivial",), ("sign", "state"))}
+        assert_pruning_keeps_verdicts(net, target, verdicts, (False,), name)
 
 
 def test_prune_problem_projects_targets(stuck_net):

@@ -24,9 +24,8 @@ from coverlib import (ExploreBound, FeasibilityProblem, IterationStats,
                       solve)
 from coverlib.invariants import INVARIANT_KINDS
 
-from corpus import random_instances
+from corpus import CORPUS_SEED, CORPUS_SIZE, random_instances
 from oracles import assert_conjunction_of_singles, assert_report_equals_public_build, checked_copy
-from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 
 SRC = str(Path(coverlib.__file__).resolve().parents[1])
 

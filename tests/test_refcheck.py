@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from coverlib import (
@@ -30,10 +28,11 @@ def test_bound_validation():
             ExploreBound(node_cap=bad)
 
 
-def test_plain_tuple_bound_is_read_as_explore_bound(pump_net, stuck_net):
+def test_plain_tuple_bound_is_read_as_explore_bound(pump_net, stuck_net, pump_problem):
     """Both entries read a plain tuple as the ExploreBound it equals, so
     it explores alike and bad caps get the same ValueError; a bound of
-    another type gets a ValueError that names it."""
+    another type, or a problem in place of its net, gets a ValueError
+    that names it."""
     target = Marking((0, 2, 1))
     assert (bounded_cover(pump_net, target, (5, 1000))
             == bounded_cover(pump_net, target, ExploreBound(5, 1000)))
@@ -52,6 +51,10 @@ def test_plain_tuple_bound_is_read_as_explore_bound(pump_net, stuck_net):
             bounded_cover(pump_net, target, bad)
         with pytest.raises(ValueError, match=message):
             reachable_markings(pump_net, bad)
+    with pytest.raises(ValueError, match="^bounded_cover takes a PetriNet, not a Problem$"):
+        bounded_cover(pump_problem, target)
+    with pytest.raises(ValueError, match="^reachable_markings takes a PetriNet, not a Problem$"):
+        reachable_markings(pump_problem)
 
 
 def test_pump_cover_depth_three(pump_net):

@@ -12,7 +12,6 @@ from coverlib import (
     Invariant,
     IterationStats,
     Marking,
-    OutcomeKind,
     PetriNet,
     SolveResult,
     Verdict,
@@ -22,10 +21,12 @@ from coverlib import (
     solve,
 )
 
-from corpus import random_instances
-from oracles import assert_frontier_is_the_tail, assert_matches_full_reexpansion, replays
-
-CONFIGS = (["trivial"], ["sign"], ["state"], ["sign", "state"])
+from corpus import (CONFIGS, CORPUS_SEED, CORPUS_SIZE, family_question, family_slots,
+                    random_instances)
+from generate import FAMILY_GRID  # perfbench/, which corpus puts on the path
+from oracles import (assert_bases_above_classical, assert_frontier_is_the_tail,
+                     assert_matches_full_reexpansion, assert_verdicts_match_exploration,
+                     replays)
 
 
 def test_pump_coverable_every_config(pump_net):
@@ -204,10 +205,13 @@ def test_deadline_interrupts_a_round(pump_net, monkeypatch):
     assert inside == total_reads - len(full.stats)
 
 
-def test_invariant_net_identity_enforced(pump_net, stuck_net):
+def test_invariant_net_identity_enforced(pump_net, stuck_net, pump_problem):
     inv = make_invariant(stuck_net, ["sign"])
     with pytest.raises(ValueError):
         solve(pump_net, Marking((0, 2, 1)), inv)
+    # A problem in place of its net is refused by name.
+    with pytest.raises(ValueError, match="^solve takes a PetriNet, not a Problem$"):
+        solve(pump_problem, Marking((0, 2, 1)))
     # The bare base class has the right net but answers no query.
     with pytest.raises(ValueError, match="^invariant must be a handle from make_invariant"):
         solve(pump_net, Marking((0, 2, 1)), Invariant(pump_net))
@@ -255,28 +259,17 @@ def test_orbit_net_pruning_is_strict(orbit_net):
 
 def test_corpus_verdicts_and_witnesses():
     bound = ExploreBound()
-    mismatches = []
     for name, net, target in random_instances(seed=5150, count=150):
-        truth = bounded_cover(net, target, bound)
-        for names in CONFIGS:
-            r = solve(net, target, make_invariant(net, names), budget_steps=500)
-            assert r.verdict is not Verdict.INCONCLUSIVE
-            if r.verdict is Verdict.COVERABLE:
-                assert replays(net, r.witness, target), name
-            if truth.kind is OutcomeKind.COVERABLE:
-                if r.verdict is not Verdict.COVERABLE:
-                    mismatches.append((name, names))
-            elif truth.kind is OutcomeKind.UNCOVERABLE_EXHAUSTED:
-                if r.verdict is not Verdict.UNCOVERABLE:
-                    mismatches.append((name, names))
-    assert mismatches == []
+        results = {names: solve(net, target, make_invariant(net, names), budget_steps=500)
+                   for names in CONFIGS}
+        assert_verdicts_match_exploration(net, target, bounded_cover(net, target, bound),
+                                          results, name)
 
 
 def test_positional_records_hold_their_named_fields():
     """solve builds its records positionally: each equals the record built
     from its fields by name, and each field holds what its name says."""
-    from test_acceptance import CORPUS_SEED, CORPUS_SIZE
-
+    state_only = 0
     for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
         for names in CONFIGS:
             r = solve(net, target, make_invariant(net, names), record_bases=True)
@@ -287,8 +280,9 @@ def test_positional_records_hold_their_named_fields():
             assert len(r.backlinks) == r.target_in_invariant + r.kept_total, name
             asked = 1 + sum([s.new_after_antichain for s in r.stats])
             assert r.sign_checks == asked * ("sign" in names), name
-            if names == ["state"]:
+            if names == ("state",):
                 assert r.lp_calls == asked, name
+                state_only += 1
             elif "state" not in names:
                 assert r.lp_calls == 0, name
             for k, s in enumerate(r.stats):
@@ -296,6 +290,7 @@ def test_positional_records_hold_their_named_fields():
                 assert (s.index, s.basis_size) == (k, len(r.bases[k])), name
                 assert s.candidates_generated == len(net.transitions) * s.basis_size
                 assert s.kept == s.new_after_antichain - s.pruned_by_invariant, name
+    assert state_only == CORPUS_SIZE
 
 
 def test_corpus_determinism():
@@ -312,11 +307,7 @@ def test_corpus_pruned_bases_stay_below_classical():
         plain = solve(net, target, record_bases=True)
         cut = solve(net, target, make_invariant(net, ["sign", "state"]),
                     record_bases=True)
-        if plain.verdict is not cut.verdict:
-            continue
-        for bp, bc in zip(plain.bases, cut.bases):
-            for m in bc:
-                assert bp.contains(m)
+        assert_bases_above_classical(plain, cut, name)
 
 
 def test_matches_full_reexpansion_on_acceptance_corpus():
@@ -324,47 +315,9 @@ def test_matches_full_reexpansion_on_acceptance_corpus():
     witnesses, per-round counters, query counts, bases in order and
     predecessor links all equal those of re-expanding the whole basis
     every round."""
-    for name, net, target in random_instances(seed=20260819, count=500):
+    for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
         for names in CONFIGS:
             assert_matches_full_reexpansion(net, target, names, (name, names), budget_steps=500)
-
-
-def _mutex(n):
-    """N processes cycling idle -> wait -> crit -> idle around one lock."""
-    places = ["lock"] + [f"{s}{i}" for i in range(n)
-                         for s in ("idle", "wait", "crit")]
-    transitions, pre, post = [], {}, {}
-    for i in range(n):
-        transitions += [f"req{i}", f"enter{i}", f"exit{i}"]
-        pre.update({(f"idle{i}", f"req{i}"): 1, (f"wait{i}", f"enter{i}"): 1,
-                    ("lock", f"enter{i}"): 1, (f"crit{i}", f"exit{i}"): 1})
-        post.update({(f"req{i}", f"wait{i}"): 1, (f"enter{i}", f"crit{i}"): 1,
-                     (f"exit{i}", f"idle{i}"): 1, (f"exit{i}", "lock"): 1})
-    net = PetriNet(places, transitions, pre, post,
-                   {"lock": 1, **{f"idle{i}": 1 for i in range(n)}})
-    targets = [({"crit0": 1, "crit1": 1}, "UNCOVERABLE"),
-               ({"lock": 1, "crit0": 1}, "UNCOVERABLE"),
-               ({"crit0": 1, "wait1": 1, "wait2": 1}, "COVERABLE")]
-    return net, targets
-
-
-def _pipeline(k, n):
-    """K buffers of capacity N, each guarded by a count of free slots."""
-    places = [f"buf{s}" for s in range(k)] + [f"free{s}" for s in range(k)]
-    transitions = ["put"] + [f"mv{s}" for s in range(k - 1)] + ["get"]
-    pre = {("free0", "put"): 1, (f"buf{k - 1}", "get"): 1}
-    post = {("put", "buf0"): 1, ("get", f"free{k - 1}"): 1}
-    for s in range(k - 1):
-        pre.update({(f"buf{s}", f"mv{s}"): 1, (f"free{s + 1}", f"mv{s}"): 1})
-        post.update({(f"mv{s}", f"free{s}"): 1, (f"mv{s}", f"buf{s + 1}"): 1})
-    net = PetriNet(places, transitions, pre, post,
-                   {f"free{s}": n for s in range(k)})
-    targets = []
-    for s in range(k):
-        targets += [({f"buf{s}": n + 1}, "UNCOVERABLE"),
-                    ({f"buf{s}": 1, f"free{s}": n}, "UNCOVERABLE"),
-                    ({f"buf{s}": n}, "COVERABLE")]
-    return net, targets
 
 
 def test_matches_full_reexpansion_on_large_bases():
@@ -372,40 +325,35 @@ def test_matches_full_reexpansion_on_large_bases():
     and pipeline nets whose bases grow to tens of elements: more than
     the 64 bits of one machine word in the antichain's masks."""
     peak = 0
-    for net, targets in (_mutex(4), _mutex(5), _mutex(6), _pipeline(3, 4),
-                         _pipeline(4, 3), _pipeline(5, 3), _pipeline(6, 2)):
-        for counts, verdict in targets:
-            where = (net, counts)
-            r = assert_matches_full_reexpansion(net, net.marking(counts), ["trivial"], where)
+    for family, params in (("mutex", (4,)), ("mutex", (5,)), ("mutex", (6,)),
+                           ("pipeline", (3, 4)), ("pipeline", (4, 3)),
+                           ("pipeline", (5, 3)), ("pipeline", (6, 2))):
+        for slot in family_slots(family, params):
+            problem, verdict = family_question(family, params, slot)
+            where = (family, params, slot)
+            r = assert_matches_full_reexpansion(problem.net, problem.targets[0],
+                                                ["trivial"], where)
             assert r.verdict.value == verdict, where
             peak = max(peak, max(map(len, r.bases)))
     assert peak > 64
-
-
-# The (family, parameters) of the benchmark's classical-families grid.
-FAMILY_GRID = ((_mutex, (3,)), (_mutex, (4,)), (_mutex, (5,)), (_mutex, (6,)),
-               (_mutex, (7,)), (_pipeline, (3, 2)), (_pipeline, (3, 4)),
-               (_pipeline, (4, 2)), (_pipeline, (4, 3)), (_pipeline, (4, 4)),
-               (_pipeline, (5, 2)), (_pipeline, (5, 3)), (_pipeline, (6, 2)))
 
 
 def test_new_elements_form_the_tail_of_each_basis():
     """The elements a round adds to the basis are its last ones, in the
     order they were kept, which lets the search read its next frontier
     off the basis's tail."""
-    from test_acceptance import CORPUS_SEED, CORPUS_SIZE
-
     seen = Counter()
     for name, net, target in random_instances(CORPUS_SEED, CORPUS_SIZE):
         for names in CONFIGS:
             r = solve(net, target, make_invariant(net, names), record_bases=True)
             seen.update(assert_frontier_is_the_tail(r, (name, names)))
-    for family, params in FAMILY_GRID:
-        net, targets = family(*params)
-        for counts, verdict in targets:
-            r = solve(net, net.marking(counts), record_bases=True)
-            assert r.verdict.value == verdict, (family, params, counts)
-            seen.update(assert_frontier_is_the_tail(r, (family, params, counts)))
+    for family, params, _ in FAMILY_GRID:
+        for slot in family_slots(family, params):
+            problem, verdict = family_question(family, params, slot)
+            where = (family, params, slot)
+            r = solve(problem.net, problem.targets[0], record_bases=True)
+            assert r.verdict.value == verdict, where
+            seen.update(assert_frontier_is_the_tail(r, where))
     assert seen["old left"] and seen["kept left"]
 
 

@@ -81,6 +81,11 @@ def test_constructor_and_minimize_read_plain_sequences_as_markings():
             with pytest.raises(ValueError, match=message):
                 build(bad)
     assert list(minimize([[2, 2], (1, 0), [1, 1]])) == [M(1, 0)]
+    # contains reads its marking the same way, onto an empty basis or not.
+    pair = Basis([(1, 2), (2, 1)])
+    for basis, bad in ((pair, (3.5, 2.5)), (pair, (-1, 5)), (Basis(), (1.5,))):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            basis.contains(bad)
     with pytest.raises(ValueError, match="pairwise incomparable"):
         Basis([(1, 1), [1, 2]])
 
