@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from enum import Enum
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from .net import Marking, MarkingLike, PetriNet
+from .solver import extract_witness
 
 
 class ExploreBound(namedtuple("_BoundFields", "per_place_cap node_cap",
@@ -95,20 +96,6 @@ def bfs_tree(
     return tree, complete, None
 
 
-def _path(tree: BfsTree, end: Marking) -> List[int]:
-    steps: List[int] = []
-    node = end
-    while True:
-        via = tree[node]
-        if via is None:
-            break
-        t, parent = via
-        steps.append(t)
-        node = parent
-    steps.reverse()
-    return steps
-
-
 def bounded_cover(
     net: PetriNet, target: MarkingLike, bound: ExploreBound = ExploreBound()
 ) -> OracleOutcome:
@@ -125,7 +112,7 @@ def bounded_cover(
     target = net.marking(target)
     tree, closed, hit = bfs_tree(net, bound, target)
     if hit is not None:
-        return OracleOutcome(OutcomeKind.COVERABLE, tuple(_path(tree, hit)))
+        return OracleOutcome(OutcomeKind.COVERABLE, tuple(reversed(extract_witness(tree, hit))))
     if closed:
         return OracleOutcome(OutcomeKind.UNCOVERABLE_EXHAUSTED)
     return OracleOutcome(OutcomeKind.BOUND_HIT)

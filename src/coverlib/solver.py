@@ -113,13 +113,16 @@ class SolveResult(NamedTuple):
 
 
 def extract_witness(backlinks: Mapping, start: Marking) -> List[int]:
-    """Read a firing sequence off the predecessor links.
+    """Read the transitions on the links from ``start`` to the marking
+    whose link is None, in the order the links are walked.
 
-    ``start`` must be covered by the initial marking; following its links
-    to the target yields transitions in firing order.  Covering
-    predecessors are compatible with the marking order, so replaying the
-    sequence from any marking above ``start`` stays enabled and ends
-    above the target.
+    The backward search's links point toward the target: from a ``start``
+    covered by the initial marking they give a firing sequence in firing
+    order.  Covering predecessors are compatible with the marking order,
+    so replaying it from any marking above ``start`` stays enabled and
+    ends above the target.  A forward tree's links point toward its root,
+    so from a reached marking they give the sequence that reaches it in
+    reverse firing order.  A marking with no link raises ``ValueError``.
     """
     steps: List[int] = []
     node = start

@@ -1,65 +1,56 @@
-"""Variable elimination over rationals, used as a second opinion on
+"""Variable elimination in integers, used as a second opinion on
 feasibility of ``A x >= b, x >= 0``.
 
 Deliberately shares nothing with the simplex implementation under test:
-rows stay in the ``>=`` form, and eliminating a variable combines each
-pair of rows where its coefficient has opposite signs with positive
-multipliers that cancel it.  Once every variable is gone a row reads
-``0 >= b``, so the system is feasible exactly when all remaining
-constants are <= 0.
+each row is a flat tuple ``(c_1, ..., c_n, b)`` meaning ``c . x >= b``,
+and eliminating a variable combines each pair of rows where its
+coefficient has opposite signs with positive integer multipliers that
+cancel it.  Once every variable is gone a row reads ``0 >= b``, so the
+system is feasible exactly when no remaining constant is positive.
 
+Every row is kept divided by the gcd of its entries, so rows that are
+positive multiples of one another meet as one, and a row with no
+coefficient left and a positive constant is exactly ``(0, ..., 0, 1)``.
 Row counts can square with every elimination, which is why this lives in
-the test tree and the shipped solver does not work this way.  Dropping
-duplicate rows (after scaling to a canonical form) keeps the sizes sane
-for the small random systems the tests generate.
+the test tree and the shipped solver does not work this way; dropping
+the duplicates keeps the sizes sane for the small random systems the
+tests generate.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List, Sequence, Tuple
+from math import gcd
+from typing import Iterable, Sequence, Set, Tuple
 
-Row = Tuple[Tuple[Fraction, ...], Fraction]
+Row = Tuple[int, ...]
 
 
 def fm_feasible(a: Sequence[Sequence[int]], b: Sequence[int]) -> bool:
     width = len(a[0]) if a else 0
-    rows: List[Row] = []
-    for coeffs, bound in zip(a, b):
-        rows.append((tuple(Fraction(c) for c in coeffs), Fraction(bound)))
+    rows = {_primitive((*coeffs, bound)) for coeffs, bound in zip(a, b)}
+    # x_j >= 0 for every column j
+    rows.update(tuple(int(i == j) for i in range(width + 1)) for j in range(width))
+    contradiction = (0,) * width + (1,)
     for j in range(width):
-        unit = tuple(Fraction(1 if i == j else 0) for i in range(width))
-        rows.append((unit, Fraction(0)))
-    for j in range(width):
+        if contradiction in rows:
+            return False
         rows = _eliminate(rows, j)
-        for coeffs, bound in rows:
-            if bound > 0 and not any(coeffs):
-                return False
-    return all(bound <= 0 for _, bound in rows)
+    return contradiction not in rows
 
 
-def _canonical(row: Row) -> Row:
-    coeffs, bound = row
-    scale = max(max((abs(c) for c in coeffs), default=Fraction(0)), abs(bound))
-    if scale == 0:
-        return row
-    return tuple(c / scale for c in coeffs), bound / scale
+def _primitive(row: Iterable[int]) -> Row:
+    row = tuple(row)
+    g = gcd(*row)
+    return tuple(v // g for v in row) if g > 1 else row
 
 
-def _eliminate(rows: List[Row], var: int) -> List[Row]:
-    lower = [r for r in rows if r[0][var] > 0]
-    upper = [r for r in rows if r[0][var] < 0]
-    out = [r for r in rows if r[0][var] == 0]
-    seen = {_canonical(r) for r in out}
-    for lc, lb in lower:
-        for uc, ub in upper:
-            ml = -uc[var]
-            mu = lc[var]
-            coeffs = tuple(ml * x + mu * y for x, y in zip(lc, uc))
-            assert coeffs[var] == 0
-            row = (coeffs, ml * lb + mu * ub)
-            key = _canonical(row)
-            if key not in seen:
-                seen.add(key)
-                out.append(row)
+def _eliminate(rows: Set[Row], var: int) -> Set[Row]:
+    lower = [r for r in rows if r[var] > 0]
+    upper = [r for r in rows if r[var] < 0]
+    out = {r for r in rows if r[var] == 0}
+    for lo in lower:
+        for up in upper:
+            ml = -up[var]
+            mu = lo[var]
+            out.add(_primitive(ml * x + mu * y for x, y in zip(lo, up)))
     return out

@@ -12,7 +12,7 @@ import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import mul
+from operator import add, ge, le, mul, sub
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 from unittest.mock import patch
 
@@ -221,10 +221,10 @@ def box(dims: int, cap: int) -> Iterator[Marking]:
 def fires_over(net: PetriNet, m: Marking, t: int, target: Marking) -> bool:
     """Whether ``t`` is enabled at ``m`` and its successor covers ``target``."""
     need = net.pre[t]
-    if any(c < n for c, n in zip(m, need)):
+    if not all(map(ge, m, need)):
         return False
-    successor = tuple(c - n + o for c, n, o in zip(m, need, net.post[t]))
-    return all(s >= g for s, g in zip(successor, target))
+    successor = map(add, map(sub, m, need), net.post[t])
+    return all(map(ge, successor, target))
 
 
 @dataclass
@@ -243,7 +243,7 @@ class SearchRecord:
 
 
 def _leq(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _add_minimal(basis: List[Marking], m: Marking) -> List[Marking]:

@@ -1,4 +1,5 @@
-"""Every import of the package and of the tests is used."""
+"""Every import of the package and of the tests is used, and the
+elimination oracle imports nothing it could share with the package."""
 
 from __future__ import annotations
 
@@ -33,3 +34,22 @@ def test_every_import_is_used():
     paths = sorted((ROOT / "src" / "coverlib").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unused = {path.name: unused_imports(path) for path in paths}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_elimination_oracle_is_independent_and_exact():
+    """The Fourier–Motzkin oracle imports nothing from the package, nor
+    ``fractions`` or ``decimal``, and has no float constant and no true
+    division: it computes in integers, apart from the code it checks."""
+    tree = ast.parse((ROOT / "tests" / "fourier_motzkin.py").read_text())
+    imported, floats, divisions = set(), [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").partition(".")[0])
+        elif isinstance(node, ast.Constant) and type(node.value) is float:
+            floats.append(node.lineno)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) is ast.Div:
+            divisions.append(node.lineno)
+    assert imported & {"coverlib", "fractions", "decimal"} == set()
+    assert (floats, divisions) == ([], [])

@@ -121,6 +121,24 @@ def test_feasible_basis_refutes_with_a_row_of_no_negative_entry():
     assert cone.decide((-1, -3)) is None
 
 
+def test_elimination_oracle_on_edge_systems():
+    # no rows; then rows with no column left, read as 0 >= b
+    assert fm_feasible((), ())
+    assert not fm_feasible(((),), (1,))
+    assert fm_feasible(((), ()), (0, -2))
+    # each system with its rows repeated as positive multiples answers as
+    # the system alone: 1 <= x <= 3; 4 <= x <= 3; x - y >= 1 with y >= x;
+    # x + y >= 3 with x <= 1
+    for a, b, answer in ((((1,), (-1,)), (1, -3), True),
+                         (((1,), (-1,)), (4, -3), False),
+                         (((1, -1), (-1, 1)), (1, 0), False),
+                         (((1, 1), (-1, 0)), (3, -1), True)):
+        assert fm_feasible(a, b) is answer, (a, b)
+        for k in (2, 3, 7):
+            assert fm_feasible(a + tuple(tuple(k * c for c in row) for row in a),
+                               b + tuple(k * v for v in b)) is answer, (a, b, k)
+
+
 def skew_by_a_hair(monkeypatch):
     """Make the simplex form every witness 10**-30 short, entry by entry:
     (den * 10**30, nums * 10**30 - den) is x - 10**-30."""
